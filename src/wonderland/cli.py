@@ -178,6 +178,8 @@ def cmd_charvar_stratify(args):
 
     model = Pgl2Model(build_sl(2))
     data = json.loads(args.tuple)
+    if not data:
+        raise ValueError("--tuple needs at least one matrix")
     points = [
         ProjMatrixPoint([Fraction(str(x)) for row in m for x in row]) for m in data
     ]
@@ -309,7 +311,7 @@ def build_parser():
     ring.set_defaults(func=cmd_git_ring)
     for name, experiment in (("glue", "glue"), ("saturation", "saturation")):
         q = git.add_parser(name)
-        q.add_argument("--charts", default="tr,det")
+        q.add_argument("--charts", default="tr,det", choices=("tr,det",))
         q.add_argument("--samples", type=int, default=20)
         q.add_argument("--seed", type=int, default=42)
         q.add_argument("--out")

@@ -215,13 +215,19 @@ class ProjChart:
             )
         return out
 
-    def coords_of(self, point):
-        """Chart coordinates of a point; raises ChartDomainError off-chart."""
+    def normalized_rep(self, point):
+        """The representative of a point whose normalizing entry is 1;
+        raises ChartDomainError off-chart."""
         vec = [Fraction(v) for v in point.vec]
         piv = vec[self.norm_index]
         if piv == 0:
             raise ChartDomainError("point lies outside chart %d" % self.norm_index)
-        return [vec[p] / piv - off for p, off in zip(self.positions, self.center_offsets)]
+        return [v / piv for v in vec]
+
+    def coords_of(self, point):
+        """Chart coordinates of a point; raises ChartDomainError off-chart."""
+        rep = self.normalized_rep(point)
+        return [rep[p] - off for p, off in zip(self.positions, self.center_offsets)]
 
     def point_at(self, coords):
         return ProjMatrixPoint(self.rep_at(coords))

@@ -17,12 +17,12 @@ from wonderland.invariants import (
     invariant_bracket_closure,
     invariants_of_degree,
     m2_variables,
-    mixed_bracket_value,
     trace_of_word,
 )
 from wonderland.linalg import qstr
 from wonderland.poisson import (
     jacobiator,
+    mixed_value_in_charts,
     mixed_wedges,
     pi_wedges,
     project_wedges,
@@ -219,8 +219,7 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
         pair_charts, pair_reps, pi_wedges(model, splitting, pair_reps[0], pair_reps[1])
     )
     g_bracket = Lg.bracket_eval(grad1, grad2)
-    x_reps = reps[2:]
-    Lx = project_wedges(x_charts, x_reps, mixed_wedges(model, splitting, x_reps))
+    Lx = mixed_value_in_charts(model, splitting, points, x_charts)
     x_bracket = Lx.bracket_eval(gf1, gf2)
     rhs = g_bracket * f1_v * f2_v + phi1_v * phi2_v * x_bracket
     return residual_from_values(
@@ -245,8 +244,7 @@ def projection_poisson_residual(model, splitting, pair, points, f1, f2):
     pull1 = [Q(0)] * npair + gf1
     pull2 = [Q(0)] * npair + gf2
     lhs = L.bracket_eval(pull1, pull2)
-    x_reps = reps[2:]
-    Lx = project_wedges(x_charts, x_reps, mixed_wedges(model, splitting, x_reps))
+    Lx = mixed_value_in_charts(model, splitting, points, x_charts)
     rhs = Lx.bracket_eval(gf1, gf2)
     return residual_from_values(
         "projection-poisson",
@@ -280,13 +278,15 @@ def quotient_bracket_table(model, splitting, invariants, samples, conjugators):
                         )
     table = []
     for pts in samples:
+        charts = [model.chart_at(p) for p in pts]
+        L = mixed_value_in_charts(model, splitting, pts, charts)
+        grads = [f.chart_grad_at(charts, pts) for f in invariants]
         entries = [[Q(0)] * len(invariants) for _ in invariants]
-        for i, f in enumerate(invariants):
-            for j, g in enumerate(invariants):
-                if i < j:
-                    v = mixed_bracket_value(model, splitting, pts, f, g)
-                    entries[i][j] = v
-                    entries[j][i] = -v
+        for i in range(len(invariants)):
+            for j in range(i + 1, len(invariants)):
+                v = L.bracket_eval(grads[i], grads[j])
+                entries[i][j] = v
+                entries[j][i] = -v
         table.append(
             {
                 "points": [repr(p) for p in pts],
@@ -339,27 +339,12 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
             )
             continue
         try:
-            for a in range(len(fractions)):
-                for b in range(a + 1, len(fractions)):
-                    va = mixed_bracket_value(
-                        model, splitting, pts, fractions[a], fractions[b],
-                        charts=chart_f.route_charts(),
-                    )
-                    vb = mixed_bracket_value(
-                        model, splitting, pts, fractions[a], fractions[b],
-                        charts=chart_g.route_charts(),
-                    )
-                    residuals.append(
-                        residual_from_values(
-                            "glue/%s-%s" % (chart_f.name, chart_g.name),
-                            {
-                                "points": [repr(p) for p in pts],
-                                "pair": (fractions[a].name, fractions[b].name),
-                            },
-                            [va - vb],
-                            details={"value": qstr(va)},
-                        )
-                    )
+            # one bivector and one gradient per fraction along each route
+            routes = []
+            for quotient_chart in (chart_f, chart_g):
+                charts = quotient_chart.route_charts()
+                L = mixed_value_in_charts(model, splitting, pts, charts)
+                routes.append((L, [fr.chart_grad_at(charts, pts) for fr in fractions]))
         except ChartDomainError:
             residuals.append(
                 residual_from_values(
@@ -368,6 +353,23 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
                     [],
                 )
             )
+            continue
+        (Lf, grads_f), (Lg, grads_g) = routes
+        for a in range(len(fractions)):
+            for b in range(a + 1, len(fractions)):
+                va = Lf.bracket_eval(grads_f[a], grads_f[b])
+                vb = Lg.bracket_eval(grads_g[a], grads_g[b])
+                residuals.append(
+                    residual_from_values(
+                        "glue/%s-%s" % (chart_f.name, chart_g.name),
+                        {
+                            "points": [repr(p) for p in pts],
+                            "pair": (fractions[a].name, fractions[b].name),
+                        },
+                        [va - vb],
+                        details={"value": qstr(va)},
+                    )
+                )
     return residuals
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from wonderland.geometry import ProductChart
 from wonderland.linalg import Matrix
-from wonderland.poisson import mixed_wedges, project_wedges, residual_from_values
+from wonderland.poisson import mixed_value_in_charts, residual_from_values
 from wonderland.poly import MultiPoly, RationalFn, grlex_key
 
 Q = Fraction
@@ -106,6 +106,8 @@ def monomial_basis(action, degree):
         degree = (degree,)
     if len(degree) != len(action.groups):
         raise ValueError("multidegree length does not match grading groups")
+    if any(d < 0 for d in degree):
+        raise ValueError("degree must be nonnegative, got %r" % (degree,))
     per_group = [compositions(d, len(g)) for d, g in zip(degree, action.groups)]
     exps = [[0] * n]
     for g, combos in zip(action.groups, per_group):
@@ -439,6 +441,7 @@ class ProjectiveInvariant:
         self.num = num
         self.den = den
         self.factors = factors
+        self._partials = None
         v = num.variables
         for l in range(1, factors + 1):
             dn = _factor_degree(num, l)
@@ -457,14 +460,16 @@ class ProjectiveInvariant:
             raise ZeroDivisionError("%s undefined at sample" % self.name)
         return self.num.eval(flat) / d
 
+    def _check_factor_count(self, count):
+        if count != self.factors:
+            raise ValueError(
+                "%s lives on %d factors, chart has %d" % (self.name, self.factors, count)
+            )
+
     def restrict(self, charts):
         """RationalFn in the coordinates of a product of factor charts."""
         pc = charts if isinstance(charts, ProductChart) else ProductChart(charts)
-        if pc_len(pc) != self.factors:
-            raise ValueError(
-                "%s lives on %d factors, chart has %d"
-                % (self.name, self.factors, pc_len(pc))
-            )
+        self._check_factor_count(pc_len(pc))
         images = {}
         amb_vars = self.num.variables
         for l in range(pc_len(pc)):
@@ -472,6 +477,32 @@ class ProjectiveInvariant:
             for k in range(4):
                 images[amb_vars[4 * l + k]] = polys[k]
         return RationalFn(self.num.subs(images), self.den.subs(images))
+
+    def chart_grad_at(self, charts, points):
+        """Gradient of num/den in the coordinates of per-factor ProjCharts
+        at the points, equal to ``restrict(charts).grad_at(coords)``.
+
+        A ProjChart parametrization is affine with unit Jacobian on
+        ``chart.positions``, and its center offsets cancel, so by the chain
+        rule the chart gradient is the ambient gradient of num/den at the
+        chart-normalized representative ``vec / vec[norm_index]``, read at
+        the chart positions.  The ambient partials are built once per
+        instance.
+        """
+        self._check_factor_count(len(charts))
+        flat, positions = [], []
+        for l, (chart, p) in enumerate(zip(charts, points)):
+            flat.extend(chart.normalized_rep(p))
+            positions.extend(4 * l + k for k in chart.positions)
+        if self._partials is None:
+            self._partials = (self.num.grad(), self.den.grad())
+        dnum, dden = self._partials
+        u = self.num.eval(flat)
+        v = self.den.eval(flat)
+        if v == 0:
+            raise ZeroDivisionError("%s undefined at sample" % self.name)
+        v2 = v * v
+        return [(dnum[i].eval(flat) * v - u * dden[i].eval(flat)) / v2 for i in positions]
 
 
 def pc_len(pc):
@@ -527,19 +558,14 @@ def mixed_bracket_value(model, splitting, points, f, g, charts=None):
     """{f, g} at a tuple of points, through the mixed product structure.
 
     The bivector value is assembled pointwise in charts at the points
-    (canonical ones unless given); the functions are restricted to those
-    charts and paired through their exact gradients.  The result is a value
-    of the bracket function at the point tuple, independent of the charts.
+    (canonical ones unless given) and paired with the exact chart gradients
+    of the functions at the points.  The result is a value of the bracket
+    function at the point tuple, independent of the charts.
     """
     if charts is None:
         charts = [model.chart_at(p) for p in points]
-    reps = [list(p.vec) for p in points]
-    L = project_wedges(charts, reps, mixed_wedges(model, splitting, reps))
-    pc = ProductChart(charts)
-    z = pc.coords_of(points)
-    rf = f.restrict(pc)
-    rg = g.restrict(pc)
-    return L.bracket_eval(rf.grad_at(z), rg.grad_at(z))
+    L = mixed_value_in_charts(model, splitting, points, charts)
+    return L.bracket_eval(f.chart_grad_at(charts, points), g.chart_grad_at(charts, points))
 
 
 def invariant_bracket_closure(model, splitting, f, g, points, conj, name="bracket-closure"):

@@ -8,6 +8,7 @@ ad-invariance, isotropy, duality) is checked exactly at construction time.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from wonderland.linalg import Bivector, Matrix, qparse, qstr, row_span_contains
 
@@ -206,8 +207,14 @@ def sl_coords(n, m):
     return out
 
 
+@lru_cache(maxsize=None)
+def _sl_basis_cached(n):
+    """sl_basis_matrices(n), built once per n; callers must not mutate it."""
+    return tuple(sl_basis_matrices(n))
+
+
 def sl_matrix_of(n, coords):
-    mats = sl_basis_matrices(n)
+    mats = _sl_basis_cached(n)
     if len(coords) != len(mats):
         raise ValueError("coordinate length mismatch")
     out = Matrix.zero(n, n)

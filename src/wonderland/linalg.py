@@ -236,18 +236,26 @@ class Bivector:
 
     @classmethod
     def from_wedges(cls, dim, wedges):
-        """Build sum of coef * (u ^ w) with u ^ w = u(x)w - w(x)u."""
+        """Build sum of coef * (u ^ w) with u ^ w = u(x)w - w(x)u.
+
+        Only the nonzero entries of u and w are visited: each product
+        t = coef u[a] w[b] is added at [a][b] and subtracted at [b][a].
+        """
         ent = [[Fraction(0)] * dim for _ in range(dim)]
         for coef, u, w in wedges:
             coef = Fraction(coef)
             if coef == 0:
                 continue
-            for a in range(dim):
-                ua, wa = u[a], w[a]
-                if ua == 0 and wa == 0:
+            w_nz = [(b, wb) for b, wb in enumerate(w) if wb != 0]
+            for a, ua in enumerate(u):
+                if ua == 0:
                     continue
-                for b in range(dim):
-                    ent[a][b] += coef * (ua * w[b] - wa * u[b])
+                cu = coef * ua
+                row = ent[a]
+                for b, wb in w_nz:
+                    t = cu * wb
+                    row[b] += t
+                    ent[b][a] -= t
         return cls(ent)
 
     def bracket_eval(self, df, dg):

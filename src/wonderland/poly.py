@@ -410,11 +410,3 @@ class RationalFn:
         return "(%s) / (%s)" % (self.num, self.den)
 
     __repr__ = __str__
-
-
-def poly_from_matrix_entries(variables, entries):
-    """Wrap a matrix of Fractions/ints as constant MultiPoly entries."""
-    return [
-        [MultiPoly.const(variables, x) for x in row]
-        for row in entries
-    ]

@@ -76,6 +76,9 @@ KNOWN_EXPERIMENTS = (
 
 KNOWN_MODELS = ("pgl2-projective", "sl2-grassmann")
 
+# the experiments with a subspace-model runner; the others check P(M2) only
+GRASSMANN_EXPERIMENTS = ("jacobi", "action")
+
 
 @dataclass
 class ExperimentConfig:
@@ -92,8 +95,15 @@ class ExperimentConfig:
             raise ValueError("unknown experiment %r" % self.experiment)
         if self.model not in KNOWN_MODELS:
             raise ValueError("unknown model %r" % self.model)
+        if self.model == "sl2-grassmann" and self.experiment not in GRASSMANN_EXPERIMENTS:
+            raise ValueError(
+                "experiment %r has no sl2-grassmann runner (use one of %s)"
+                % (self.experiment, ", ".join(GRASSMANN_EXPERIMENTS))
+            )
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2^64)")
 
     def to_json(self):
         return {
@@ -277,8 +287,16 @@ def run_tangency(cfg, ctx):
     from wonderland.poly import MultiPoly
 
     hyper = MultiPoly.var(chart.variables, "b") - 1
-    z = [Q(1), stream.take(), stream.take()]
-    control = tangency_check(fields[0], [hyper], z, name="tangency/negative-control")
+    # at z = [1, c, d] the contraction with d(b) is
+    # (d(-c/2 + d/4 - 1/4), -d(d + 1)/4); it vanishes at d = 0 and at
+    # c = d = -1, where the control could not fail, so d is redrawn there
+    c = stream.take()
+    d = stream.take()
+    while d == 0 or (c == -1 and d == -1):
+        d = stream.take()
+    control = tangency_check(
+        fields[0], [hyper], [Q(1), c, d], name="tangency/negative-control"
+    )
     checks.append(
         IdentityResidual(
             name="tangency/negative-control",

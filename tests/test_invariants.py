@@ -312,3 +312,88 @@ class TestBracketClosure:
             if mixed_bracket_value(ctx["model"], ctx["split"], pts, surr[0], noninv) != 0:
                 found_nonzero = True
         assert found_nonzero
+
+
+class TestPointwiseGradients:
+    """The chain-rule gradients behind mixed_bracket_value against the
+    symbolic path: restrict to the product chart, then differentiate."""
+
+    @staticmethod
+    def noninvariant():
+        v = m2_variables(2)
+        return ProjectiveInvariant(
+            "a2d2_over_detB",
+            MultiPoly.var(v, "a2") * MultiPoly.var(v, "d2"),
+            det_of_factor(v, 2),
+            2,
+        )
+
+    @staticmethod
+    def symbolic_bracket(ctx, pts, charts, f, g):
+        from wonderland.geometry import ProductChart
+        from wonderland.poisson import mixed_wedges, project_wedges
+
+        reps = [list(p.vec) for p in pts]
+        L = project_wedges(charts, reps, mixed_wedges(ctx["model"], ctx["split"], reps))
+        pc = ProductChart(charts)
+        z = pc.coords_of(pts)
+        return L.bracket_eval(f.restrict(pc).grad_at(z), g.restrict(pc).grad_at(z))
+
+    def check_against_symbolic(self, ctx, pts, charts):
+        from wonderland.geometry import ProductChart
+
+        funcs = pgl2_surrogates(2) + [self.noninvariant()]
+        pc = ProductChart(charts)
+        z = pc.coords_of(pts)
+        for f in funcs:
+            assert f.chart_grad_at(charts, pts) == f.restrict(pc).grad_at(z), f.name
+        for i, f in enumerate(funcs):
+            for g in funcs[i + 1 :]:
+                got = mixed_bracket_value(ctx["model"], ctx["split"], pts, f, g, charts=charts)
+                assert got == self.symbolic_bracket(ctx, pts, charts, f, g), (f.name, g.name)
+
+    def test_canonical_charts_with_center_offsets(self, ctx):
+        st = RationalStream(239)
+        for _ in range(3):
+            pts = (ProjMatrixPoint(st.invertible2()), ProjMatrixPoint(st.invertible2()))
+            charts = [ctx["model"].chart_at(p) for p in pts]
+            assert any(off != 0 for c in charts for off in c.center_offsets)
+            self.check_against_symbolic(ctx, pts, charts)
+
+    def test_fixed_route_charts(self, ctx):
+        from wonderland.geometry import ProjChart
+
+        st = RationalStream(241)
+        done = 0
+        while done < 2:
+            pts = (ProjMatrixPoint(st.invertible2()), ProjMatrixPoint(st.invertible2()))
+            if 0 in (pts[0].vec[0], pts[0].vec[3], pts[1].vec[0], pts[1].vec[3]):
+                continue
+            for k in (0, 3):
+                self.check_against_symbolic(ctx, pts, [ProjChart(k), ProjChart(k)])
+            done += 1
+
+    def test_off_route_point_raises_chart_domain_error(self, ctx):
+        from wonderland.geometry import ChartDomainError, ProjChart
+
+        surr = pgl2_surrogates(2)
+        pts = (ProjMatrixPoint([0, 1, 1, 1]), ProjMatrixPoint([1, 2, 3, 5]))
+        charts = [ProjChart(0), ProjChart(0)]
+        with pytest.raises(ChartDomainError):
+            surr[0].chart_grad_at(charts, pts)
+        with pytest.raises(ChartDomainError):
+            mixed_bracket_value(ctx["model"], ctx["split"], pts, surr[0], surr[2], charts=charts)
+
+    def test_vanishing_denominator_raises_zero_division(self, ctx):
+        surr = pgl2_surrogates(2)
+        # det A = 0: trA^2 / detA is undefined here
+        pts = (ProjMatrixPoint([1, 2, 2, 4]), ProjMatrixPoint([1, 2, 3, 5]))
+        with pytest.raises(ZeroDivisionError):
+            mixed_bracket_value(ctx["model"], ctx["split"], pts, surr[0], surr[1])
+
+    def test_factor_count_mismatch_raises(self, ctx):
+        one = pgl2_surrogates(1)[0]
+        two = pgl2_surrogates(2)[0]
+        pts = (ProjMatrixPoint([1, 2, 3, 5]), ProjMatrixPoint([2, 1, 1, 1]))
+        with pytest.raises(ValueError):
+            mixed_bracket_value(ctx["model"], ctx["split"], pts, one, two)

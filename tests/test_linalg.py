@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wonderland.linalg import Bivector, Matrix, row_span_contains, same_row_span
 from wonderland.sampling import RationalStream
@@ -141,6 +143,23 @@ def test_matrix_json_round_trip():
     assert m.to_json()["entries"] == ["1/2", "3", "-2", "7/5"]
 
 
+def wedge_vectors(dim):
+    """Vectors that are mostly zero, like the padded legs of mixed wedges,
+    or dense."""
+    entry = hst.fractions(min_value=-9, max_value=9, max_denominator=9)
+    zero_or_entry = hst.one_of(hst.just(Q(0)), hst.just(Q(0)), hst.just(Q(0)), entry)
+    return hst.one_of(
+        hst.lists(zero_or_entry, min_size=dim, max_size=dim),
+        hst.lists(entry, min_size=dim, max_size=dim),
+    )
+
+
+def wedge_lists(dim):
+    coef = hst.fractions(min_value=-3, max_value=3, max_denominator=4)
+    wedge = hst.tuples(coef, wedge_vectors(dim), wedge_vectors(dim))
+    return hst.tuples(hst.just(dim), hst.lists(wedge, max_size=5))
+
+
 class TestBivector:
     def test_antisymmetry_enforced(self):
         with pytest.raises(ValueError):
@@ -190,6 +209,18 @@ class TestBivector:
         for a in range(3):
             for b in range(3):
                 assert L.entries[a][b] == Q(1, 2) * (u[a] * w[b] - w[a] * u[b])
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.integers(min_value=1, max_value=7).flatmap(wedge_lists))
+    def test_from_wedges_matches_dense_formula(self, case):
+        dim, wedges = case
+        L = Bivector.from_wedges(dim, wedges)
+        for a in range(dim):
+            for b in range(dim):
+                want = sum(
+                    (c * (u[a] * w[b] - w[a] * u[b]) for c, u, w in wedges), Q(0)
+                )
+                assert L.entries[a][b] == want
 
     def test_contract(self):
         L = Bivector([[0, 1], [-1, 0]])

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from wonderland.cli import main as cli_main
-from wonderland.reports import ExperimentConfig, run_experiment
+from wonderland.reports import Context, ExperimentConfig, run_experiment, run_tangency
 
 SMALL = dict(samples=3, seed=11)
 
@@ -21,6 +21,48 @@ def test_unknown_experiment_rejected():
 def test_bad_sample_count_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="jacobi", samples=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # raw64 reduces seeds mod 2^64, so these would replay another seed's stream
+    with pytest.raises(ValueError):
+        ExperimentConfig(experiment="jacobi", seed=seed)
+
+
+def test_grassmann_model_rejected_for_pgl2_only_experiments():
+    for name in ("diagonal-action", "tangency", "glue", "all"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(experiment=name, model="sl2-grassmann")
+
+
+def test_negative_control_never_degenerate():
+    """The tangency control must fail the identity on every seed: a zero
+    contraction at its sample would make it report itself failed."""
+    ctx = Context()
+    for seed in range(1, 41):
+        checks = run_tangency(ExperimentConfig(experiment="tangency", samples=1, seed=seed), ctx)
+        control = checks[-1]
+        assert control.name == "tangency/negative-control"
+        assert control.passed and control.residual != "0", seed
+
+
+def test_negative_control_fails_on_vanishing_field(monkeypatch):
+    """A regression that makes the splitting field vanish everywhere must
+    show up as a failed control, not as a passing or a hanging one."""
+    import wonderland.reports as reports
+    from wonderland.poisson import BivectorField
+    from wonderland.poly import MultiPoly
+
+    def zero_field(model, chart, split):
+        zero = MultiPoly.const(chart.variables, 0)
+        return BivectorField(chart, [[zero] * chart.dim for _ in range(chart.dim)])
+
+    monkeypatch.setattr(reports, "splitting_bivector_field", zero_field)
+    checks = run_tangency(ExperimentConfig(experiment="tangency", samples=1, seed=1), Context())
+    control = checks[-1]
+    assert control.name == "tangency/negative-control"
+    assert not control.passed and control.residual == "0"
 
 
 def test_report_schema_and_summary():
@@ -268,6 +310,27 @@ class TestCli:
 
     def test_bad_sample_count_via_cli(self, capsys):
         assert cli_main(["run", "--experiment", "jacobi", "--samples", "0"]) == 2
+
+    def test_negative_degree_exit_code(self, capsys):
+        assert cli_main(["invariants", "--action", "conj-m2", "--degree", "-1"]) == 2
+
+    def test_empty_stratify_tuple_exit_code(self, capsys):
+        assert cli_main(["charvar", "stratify", "--tuple", "[]"]) == 2
+
+    def test_unknown_glue_charts_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["git", "glue", "--charts", "nonsense", "--samples", "2"])
+        assert exc.value.code == 2
+
+    def test_seed_outside_64_bits_exit_code(self, capsys):
+        code = cli_main(["run", "--experiment", "jacobi", "--samples", "1", "--seed", "-1"])
+        assert code == 2
+
+    def test_grassmann_model_without_runner_exit_code(self, capsys):
+        code = cli_main(
+            ["run", "--experiment", "diagonal-action", "--model", "sl2-grassmann", "--samples", "1"]
+        )
+        assert code == 2
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
