@@ -1,7 +1,9 @@
 """Benchmark the compiled kernel extension against the pure-Python twin.
 
 Workloads mirror where the package actually spends time: exact rational row
-reduction, sparse polynomial products, and polynomial evaluation sweeps.
+reduction (many small systems, one dense system, and the tall sparse stacked
+derivation system of the M2 x M2 invariants of bidegree (3, 3)), sparse
+polynomial products, and polynomial evaluation sweeps.
 Inputs are deterministic; both backends must return identical results, which
 is asserted before timings are reported.
 
@@ -13,6 +15,8 @@ import sys
 import time
 
 from wonderland import _kernels_py
+from wonderland.invariants import conjugation_action, monomial_basis
+from wonderland.lie import build_sl
 from wonderland.sampling import RationalStream
 
 try:
@@ -30,6 +34,14 @@ def pairs_matrix(stream, rows, cols, bound=99):
             row.append((x.numerator, x.denominator))
         out.append(row)
     return out
+
+
+def derivation_system(degree):
+    """The stacked derivation rows whose kernel is the M2 x M2 invariants of
+    the given bidegree, as pairs; (3, 3) gives 1116 rows and 400 columns."""
+    action = conjugation_action(build_sl(2), 2)
+    rows = action.derivation_rows(monomial_basis(action, degree))
+    return [[(x.numerator, x.denominator) for x in row] for row in rows]
 
 
 def dense_poly(stream, nvars, degree, nterms, bound=9):
@@ -67,6 +79,7 @@ def run(quick):
     stream = RationalStream(2718)
     small_mats = [pairs_matrix(stream, 9, 12, bound=3) for _ in range(nsmall)]
     mat = pairs_matrix(stream, size, size + 6)
+    sparse = derivation_system((3, 3))
     pa = dense_poly(stream, 4, 6, nterms)
     pb = dense_poly(stream, 4, 6, nterms)
     pe = dense_poly(stream, 6, 8, nterms)
@@ -81,9 +94,10 @@ def run(quick):
     workloads = [
         # many small reductions with small entries: the package's real profile
         ("rref 9x12 x%d" % nsmall, lambda k: [k.rref_rows(m) for m in small_mats]),
-        # one large dense reduction: dominated by big-integer growth, so the
-        # compiled twin gains little here by design
+        # one large dense reduction: dominated by big-integer growth
         ("rref %dx%d dense" % (size, size + 6), lambda k: k.rref_rows(mat)),
+        # tall, sparse and rank-deficient: the shape invariant spaces reduce
+        ("rref %dx%d sparse" % (len(sparse), len(sparse[0])), lambda k: k.rref_rows(sparse)),
         ("poly_mul %d terms" % nterms, lambda k: k.poly_mul(pa, pb)),
         (
             "poly_eval x%d points" % npoints,

@@ -4,6 +4,9 @@ Every function here has a compiled twin in ``_kernels_cy.pyx`` with the same
 signature and bit-identical output; ``wonderland.backend`` picks one at import
 time.  Rationals are reduced ``(num, den)`` int pairs with ``den > 0``, which
 avoids the per-operation overhead of ``fractions.Fraction`` in the inner loops.
+``rref_rows`` takes and returns dense rows but eliminates over the nonzero
+entries only, on integer rows; its output is the unique RREF, the same as the
+twin's column sweep.
 """
 
 from math import gcd
@@ -68,53 +71,98 @@ def q_inv(a):
     return (d, n) if n > 0 else (-d, -n)
 
 
+def _primitive(row):
+    """The nonzero entries of a pair row as ``{column: int}``: the row scaled
+    by the lcm of its denominators and divided by the gcd of the result, or
+    None for a zero row."""
+    nz = [(j, x) for j, x in enumerate(row) if x[0]]
+    if not nz:
+        return None
+    den = 1
+    for _, (_, d) in nz:
+        if d != 1:
+            den = den // gcd(den, d) * d
+    out = {j: n * (den // d) for j, (n, d) in nz}
+    g = gcd(*out.values())
+    if g > 1:
+        out = {j: v // g for j, v in out.items()}
+    return out
+
+
+def _eliminate(r, p, c):
+    """The primitive integer row ``a r - b p`` whose column ``c`` is zero.
+
+    ``r`` and ``p`` are ``{column: int}`` rows, both nonzero at ``c``; only
+    the nonzeros of the two rows are visited.
+    """
+    g = gcd(p[c], r[c])
+    a = p[c] // g
+    b = r[c] // g
+    out = {k: a * v for k, v in r.items()} if a != 1 else dict(r)
+    for k, v in p.items():
+        x = out.get(k, 0) - b * v
+        if x:
+            out[k] = x
+        else:
+            out.pop(k, None)
+    if out:
+        g = gcd(*out.values())
+        if g > 1:
+            out = {k: v // g for k, v in out.items()}
+    return out
+
+
 def rref_rows(rows):
     """Reduced row echelon form over the rationals, exact.
 
     ``rows`` is a list of rows of (num, den) pairs.  Returns
-    ``(new_rows, rank, pivot_columns)``; pivots are 1 with zeros above and
-    below.  Pivot choice is the first nonzero entry of each column, so the
-    output is deterministic.
+    ``(new_rows, rank, pivot_columns)``: the rank nonzero rows of the RREF in
+    pivot order, each pivot 1 with zeros above and below, then ``nr - rank``
+    zero rows.  The RREF of a row space is unique, so the output does not
+    depend on the elimination order.
+
+    Elimination visits only nonzero entries.  Each row becomes a primitive
+    integer row ``{column: int}``, so the sweep is fraction-free as in
+    Bareiss (1968), with rows kept primitive instead of divided by the last
+    pivot; no rational is formed until the end.  Rows are inserted sparsest
+    first: a row is reduced by the pivot row of its leading column until it
+    is zero or leads in a new column.  Back substitution, last pivot first,
+    then clears the other pivot columns, and each row is divided by its
+    pivot.
     """
-    rows = [list(r) for r in rows]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = -1
-        for i in range(r, nr):
-            if rows[i][c][0] != 0:
-                pr = i
+    sparse = [r for r in map(_primitive, rows) if r]
+    sparse.sort(key=len)
+    lead = {}
+    for r in sparse:
+        while r:
+            c = min(r)
+            p = lead.get(c)
+            if p is None:
+                lead[c] = r
                 break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != ONE:
-            inv = q_inv(piv)
-            rr = rows[r]
-            for j in range(c, nc):
-                if rr[j][0] != 0:
-                    rr[j] = q_mul(rr[j], inv)
-        rr = rows[r]
-        for i in range(nr):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f[0] == 0:
-                continue
-            nf = (-f[0], f[1])
-            ri = rows[i]
-            for j in range(c, nc):
-                if rr[j][0] != 0:
-                    ri[j] = q_add(ri[j], q_mul(nf, rr[j]))
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, r, pivots
+            r = _eliminate(r, p, c)
+    pivots = sorted(lead)
+    # rows led further right are already free of every other pivot column,
+    # so one reduction per pivot column clears each row
+    for c in reversed(pivots):
+        r = lead[c]
+        for k in [k for k in r if k != c and k in lead]:
+            r = _eliminate(r, lead[k], k)
+        lead[c] = r
+    out = []
+    for c in pivots:
+        r = lead[c]
+        pc = r[c]
+        dense = [ZERO] * nc
+        for k, v in r.items():
+            g = gcd(v, pc)
+            n, d = v // g, pc // g
+            dense[k] = (-n, -d) if d < 0 else (n, d)
+        out.append(dense)
+    out.extend([ZERO] * nc for _ in range(nr - len(pivots)))
+    return out, len(pivots), pivots
 
 
 def mat_mul(a, b):

@@ -58,8 +58,7 @@ class GradedInvariantRing:
                 ("detA", det_of_factor(v, 1), (2, 0)),
                 ("detB", det_of_factor(v, 2), (0, 2)),
             ]
-            per = min(2, bound)
-            degrees = [(i, j) for i in range(per + 1) for j in range(per + 1)]
+            degrees = [(i, j) for i in range(bound + 1) for j in range(bound + 1)]
         else:
             raise ValueError("rings are provided for one or two factors")
         self.spaces = {}

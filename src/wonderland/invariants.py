@@ -9,7 +9,7 @@ floating point: everything is a rational rref.
 from fractions import Fraction
 
 from wonderland.geometry import ProductChart
-from wonderland.linalg import Matrix
+from wonderland.linalg import ZERO, Matrix
 from wonderland.poisson import mixed_value_in_charts, residual_from_values
 from wonderland.poly import MultiPoly, RationalFn, grlex_key
 
@@ -78,6 +78,44 @@ class LinearAction:
                 mono = MultiPoly(self.variables, {tuple(ne): c * k})
                 out = out + mono * lin[a]
         return out
+
+    def derivation_rows(self, monos):
+        """The derivations D_i stacked on the span of the monomials ``monos``.
+
+        Row (i, m) has at column j the coefficient of monos[m] in
+        D_i(monos[j]), read off by exponent arithmetic from
+        D_i(z^e) = -sum_{a,b} e_a rho_i[a][b] z^(e - 1_a + 1_b).  Zero rows
+        and repeated rows are dropped, which leaves the kernel unchanged; a
+        system with no nonzero row keeps one zero row so that the column count
+        survives.  All zero entries are the shared ``linalg.ZERO``.
+        """
+        index = {e: m for m, e in enumerate(monos)}
+        rows = {}
+        for rho in self.rho_mats:
+            lin = [[(b, -c) for b, c in enumerate(row) if c] for row in rho.data]
+            block = [{} for _ in monos]
+            for j, e in enumerate(monos):
+                for a, k in enumerate(e):
+                    if not k:
+                        continue
+                    for b, c in lin[a]:
+                        img = list(e)
+                        img[a] -= 1
+                        img[b] += 1
+                        entries = block[index[tuple(img)]]
+                        entries[j] = entries.get(j, 0) + k * c
+            for entries in block:
+                # columns were filled in increasing order
+                key = tuple((j, c) for j, c in entries.items() if c)
+                if key:
+                    rows[key] = None
+        dense = []
+        for key in rows or [()]:
+            row = [ZERO] * len(monos)
+            for j, c in key:
+                row[j] = c
+            dense.append(row)
+        return dense
 
     def is_invariant(self, p):
         return all(self.derive_poly(i, p).is_zero() for i in range(self.alg.dim))
@@ -166,20 +204,7 @@ def invariants_of_degree(action, degree):
     monos = monomial_basis(action, degree)
     if not monos:
         return InvariantSpace(degree, [])
-    index = {e: m for m, e in enumerate(monos)}
-    rows = []
-    for i in range(action.alg.dim):
-        # matrix of D_i on this degree: one block of equations per generator
-        cols = []
-        for e in monos:
-            img = action.derive_poly(i, MultiPoly(action.variables, {e: Q(1)}))
-            col = [Q(0)] * len(monos)
-            for ee, c in img.terms.items():
-                col[index[ee]] = c
-            cols.append(col)
-        for m in range(len(monos)):
-            rows.append([cols[j][m] for j in range(len(monos))])
-    kernel = Matrix(rows).kernel_basis()
+    kernel = Matrix(action.derivation_rows(monos)).kernel_basis()
     basis = [
         MultiPoly(action.variables, {monos[m]: v[m] for m in range(len(monos))})
         for v in kernel

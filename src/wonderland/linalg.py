@@ -1,8 +1,13 @@
 """Exact rational matrices: row reduction, kernels, determinants, solving.
 
 Entries are ``fractions.Fraction``; all arithmetic is exact, there is no
-floating-point mode.  Row reduction is delegated to the selected kernel
-backend (compiled or pure), everything else is thin bookkeeping on top.
+floating-point mode.  ``Matrix`` keeps entries that are already ``Fraction``
+and converts the rest.  Zero entries made here or coming back from a kernel
+are the one shared ``ZERO``, which the conversion to kernel pairs recognises
+by identity, so a large sparse matrix costs one object per nonzero.  Row
+reduction is delegated to the selected kernel backend (compiled or pure);
+the pure ``rref_rows`` visits only nonzero entries.  Everything else is thin
+bookkeeping on top.
 """
 
 from fractions import Fraction
@@ -10,14 +15,19 @@ from fractions import Fraction
 from wonderland import backend
 
 Q = Fraction
+ZERO = Fraction(0)
+_ZERO_PAIR = (0, 1)
 
 
 def _to_pairs(rows):
-    return [[(x.numerator, x.denominator) for x in row] for row in rows]
+    return [
+        [_ZERO_PAIR if x is ZERO else (x.numerator, x.denominator) for x in row]
+        for row in rows
+    ]
 
 
 def _from_pairs(rows):
-    return [[Fraction(n, d) for (n, d) in row] for row in rows]
+    return [[Fraction(n, d) if n else ZERO for (n, d) in row] for row in rows]
 
 
 def qstr(x: Fraction) -> str:
@@ -37,7 +47,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        self.data = [[Fraction(x) for x in row] for row in data]
+        self.data = [
+            [x if type(x) is Fraction else Fraction(x) for x in row] for row in data
+        ]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.rows else 0
         for row in self.data:
@@ -46,7 +58,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+        return cls([[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
@@ -135,7 +147,7 @@ class Matrix:
         free = [j for j in range(self.cols) if j not in pivset]
         raw = []
         for f in free:
-            v = [Fraction(0)] * self.cols
+            v = [ZERO] * self.cols
             v[f] = Fraction(1)
             for i, p in enumerate(pivots):
                 v[p] = -red.data[i][f]

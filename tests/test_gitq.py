@@ -60,6 +60,25 @@ class TestGradedRing:
         assert dims[(1, 1)] == 2
         assert dims[(2, 0)] == dims[(0, 2)] == 2
 
+    def test_rank2_every_bidegree_up_to_bound(self, ctx):
+        """Oracle: the ring of M2 x M2 is free on trA, trB, trAB, detA, detB
+        of bidegrees (1,0), (0,1), (1,1), (2,0), (0,2), so each dimension is
+        a count of monomials in them."""
+        ring = GradedInvariantRing(ctx["sl2"], 2, 3)
+        want = {}
+        for p in range(4):
+            for q in range(4):
+                # trAB^c detA^d detB^e fixes trA = p - c - 2d, trB = q - c - 2e
+                want[(p, q)] = sum(
+                    1
+                    for c in range(min(p, q) + 1)
+                    for d in range((p - c) // 2 + 1)
+                    for e in range((q - c) // 2 + 1)
+                )
+        assert want[(3, 3)] == 10
+        assert ring.dimensions() == want
+        assert ring.to_json()["degree_bound"] == 3
+
     def test_json_shape(self, ctx):
         obj = ctx["ring1"].to_json()
         assert obj["degree_bound"] == 4

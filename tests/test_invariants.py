@@ -18,6 +18,7 @@ from wonderland.invariants import (
     m2_variables,
     mixed_bracket_value,
     mixed_factor_action,
+    monomial_basis,
     pgl2_surrogates,
     trace_generators,
     trace_of_word,
@@ -146,6 +147,55 @@ class TestInvariantSpaces:
             mixed_factor_action(ctx["sl2"], ["line", "line_dual"]), (1, 1)
         )
         assert a.dimension == b.dimension == 1
+
+
+def kernel_from_derive_poly(action, degree):
+    """The invariant space from dense derivation matrices built one monomial
+    at a time through ``derive_poly``, independent of ``derivation_rows``."""
+    monos = monomial_basis(action, degree)
+    rows = []
+    for i in range(action.alg.dim):
+        images = [action.derive_poly(i, MultiPoly(action.variables, {e: Q(1)})) for e in monos]
+        rows += [[img.terms.get(m, Q(0)) for img in images] for m in monos]
+    kernel = Matrix(rows).kernel_basis()
+    return [MultiPoly(action.variables, dict(zip(monos, v))) for v in kernel]
+
+
+class TestDerivationRows:
+    CASES = (
+        [("m2", (d,)) for d in range(1, 5)]
+        + [("m2x2", (i, j)) for i in range(3) for j in range(3)]
+        + [("mixed", d) for d in ((1, 1, 1), (2, 1, 1), (0, 2, 2), (2, 2, 0), (1, 2, 2))]
+    )
+
+    @pytest.fixture(scope="class")
+    def actions(self, ctx):
+        sl2 = ctx["sl2"]
+        return {
+            "m2": conjugation_action(sl2, 1),
+            "m2x2": conjugation_action(sl2, 2),
+            "mixed": mixed_factor_action(sl2, ["m2", "line", "line_dual"]),
+        }
+
+    @pytest.mark.parametrize("kind,degree", CASES)
+    def test_same_space_as_derive_poly_kernel(self, actions, kind, degree):
+        act = actions[kind]
+        sp = invariants_of_degree(act, degree)
+        assert sp.degree == degree
+        assert sp.basis == kernel_from_derive_poly(act, degree)
+        for p in sp.basis:
+            assert act.is_invariant(p)
+
+    def test_rows_are_nonzero_and_distinct(self, actions):
+        act = actions["m2x2"]
+        rows = act.derivation_rows(monomial_basis(act, (3, 3)))
+        assert len(rows) == 1116
+        assert len({tuple(r) for r in rows}) == len(rows)
+        assert all(any(r) for r in rows)
+
+    def test_degree_zero_keeps_its_column(self, actions):
+        act = actions["m2"]
+        assert act.derivation_rows([(0, 0, 0, 0)]) == [[Q(0)]]
 
 
 class TestGenerators:

@@ -215,6 +215,14 @@ class TestCli:
         obj = json.loads(capsys.readouterr().out)
         assert {tuple(d["degree"]): d["dimension"] for d in obj["dimensions"]}[(2,)] == 2
 
+    def test_git_ring_two_factors_reaches_degree_bound(self, capsys):
+        assert cli_main(["git", "ring", "--r", "2", "--degree", "3"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["degree_bound"] == 3
+        dims = {tuple(d["degree"]): d["dimension"] for d in obj["dimensions"]}
+        assert set(dims) == {(i, j) for i in range(4) for j in range(4)}
+        assert dims[(3, 3)] == 10
+
     def test_charvar_trace(self, capsys):
         code = cli_main(
             ["charvar", "trace", "--A", "[[1,1],[0,1]]", "--B", "[[1,0],[1,1]]"]
