@@ -199,9 +199,6 @@ class ProjChart:
     def dim(self):
         return 3
 
-    def center_point(self):
-        return self.point_at([Fraction(0)] * 3)
-
     def ambient_polys(self, variables=None, var_offset=0):
         """The four matrix entries as polynomials in the chart coordinates."""
         variables = variables or self.variables
@@ -280,9 +277,6 @@ class GrassChart:
     @property
     def dim(self):
         return self.n * len(self.free)
-
-    def center_point(self):
-        return self.point_at([Fraction(0)] * self.dim)
 
     def ambient_polys(self, variables=None, var_offset=0):
         """The n x 2n span matrix with polynomial entries (row-major list)."""
@@ -383,20 +377,6 @@ class ProductChart:
     def dim(self):
         return len(self.variables)
 
-    def factor_slice(self, idx):
-        start = self.offsets[idx]
-        return slice(start, start + self.factors[idx].dim)
-
-    def lift(self, idx, p):
-        """Re-index a factor polynomial into the product variables."""
-        off = self.offsets[idx]
-        terms = {}
-        for e, c in p.terms.items():
-            ne = [0] * len(self.variables)
-            ne[off : off + len(e)] = list(e)
-            terms[tuple(ne)] = c
-        return MultiPoly(self.variables, terms)
-
     def ambient_polys(self, idx):
         return self.factors[idx].ambient_polys(self.variables, self.offsets[idx])
 
@@ -436,9 +416,6 @@ class Pgl2Model:
         """(g, h) . [A] = [g A h^{-1}]."""
         return ProjMatrixPoint(pair.g * point.matrix * pair.h.inverse())
 
-    def conjugate(self, g, point):
-        return self.act(GroupPair(g, g), point)
-
     # -- elements of the double ------------------------------------------
     def elem_matrices(self, elem6):
         """A 6-vector in sl2 (+) sl2 coordinates as a pair of 2x2 matrices."""
@@ -453,9 +430,6 @@ class Pgl2Model:
         return flat_from_mat2(a * A - A * b)
 
     # -- charts -----------------------------------------------------------
-    def standard_chart(self, k):
-        return ProjChart(k)
-
     def chart_at(self, point):
         k = point.chart_index()
         chart = ProjChart(k)
@@ -486,9 +460,6 @@ class Pgl2Model:
         return [vflat[p] - vk * amb[p] for p in chart.positions]
 
     # -- boundary structure -----------------------------------------------
-    def boundary_detect(self, point):
-        return point.is_boundary()
-
     def segre_factor(self, point):
         """Write a boundary point as [u v^T]; round-trips through segre()."""
         if not point.is_boundary():

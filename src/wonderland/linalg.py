@@ -5,8 +5,8 @@ floating-point mode.  ``Matrix`` keeps entries that are already ``Fraction``
 and converts the rest.  Zero entries made here or coming back from a kernel
 are the one shared ``ZERO``, which the conversion to kernel pairs recognises
 by identity, so a large sparse matrix costs one object per nonzero.  Row
-reduction is delegated to the selected kernel backend (compiled or pure);
-the pure ``rref_rows`` visits only nonzero entries.  Everything else is thin
+reduction and products are delegated to the pair kernels in ``backend``,
+whose ``rref_rows`` visits only nonzero entries.  Everything else is thin
 bookkeeping on top.
 """
 

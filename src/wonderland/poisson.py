@@ -135,11 +135,6 @@ class BivectorField:
                 out = out + self.entries[i][j] * df[i] * dg[j]
         return out
 
-    def bracket_at(self, f, g, coords):
-        """{f,g} at a point for anything with grad_at (poly or fraction)."""
-        L = self.value_at(coords)
-        return L.bracket_eval(f.grad_at(coords), g.grad_at(coords))
-
 
 def wedge_entries_half_sum(dim, pairs, coefs=None):
     """Polynomial entries sum coef * (X ^ Y) from (X, Y) vector-field pairs."""

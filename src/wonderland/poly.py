@@ -84,9 +84,6 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self):
-        return self.terms.get(tuple([0] * len(self.variables)), Fraction(0))
-
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
@@ -301,10 +298,6 @@ class RationalFn:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
     @property
     def variables(self):
         return self.num.variables
@@ -356,9 +349,6 @@ class RationalFn:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at sample point")
         return self.num.eval(point) / d
-
-    def defined_at(self, point):
-        return self.den.eval(point) != 0
 
     def grad_at(self, point):
         """Pointwise gradient by the quotient rule (no symbolic quotients)."""

@@ -7,10 +7,8 @@ stderr) so files can be compared directly.
 """
 
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -497,28 +495,17 @@ RUNNERS = {
 }
 
 
-def worker_count():
-    raw = os.environ.get("WONDERLAND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(config):
     """Execute an experiment; the report is deterministic given the config."""
     ctx = Context()
     start = time.monotonic()
     if config.experiment == "all":
-        names = [n for n in KNOWN_EXPERIMENTS if n != "all"]
-        workers = worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(RUNNERS[n], config, ctx) for n in names]
-                groups = [f.result() for f in futures]
-        else:
-            groups = [RUNNERS[n](config, ctx) for n in names]
-        checks = [c for group in groups for c in group]
+        checks = [
+            c
+            for name in KNOWN_EXPERIMENTS
+            if name != "all"
+            for c in RUNNERS[name](config, ctx)
+        ]
     else:
         checks = RUNNERS[config.experiment](config, ctx)
     report = ExperimentReport(config=config, checks=checks)

@@ -3,7 +3,7 @@
 The inputs are tall sparse rational matrices with zero rows and repeated
 rows, the shape of the stacked derivation systems behind invariant spaces.
 ``Matrix.rref``, ``rank`` and ``kernel_basis`` are checked against SymPy; the
-pure ``rref_rows`` kernel is checked against a textbook Gauss-Jordan on
+``rref_rows`` kernel is checked against a textbook Gauss-Jordan on
 ``Fraction`` written here.
 """
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wonderland import _kernels_py as pure
+from wonderland import backend
 from wonderland.linalg import Matrix
 
 # about three entries in four are zero
@@ -86,13 +86,13 @@ def test_rref_rank_kernel_match_sympy(sympy, rows):
 @settings(max_examples=120, deadline=None)
 @given(tall_sparse())
 def test_pure_rref_rows_matches_gauss_jordan(rows):
-    got, rank, pivots = pure.rref_rows([[(x.numerator, x.denominator) for x in r] for r in rows])
+    got, rank, pivots = backend.rref_rows([[(x.numerator, x.denominator) for x in r] for r in rows])
     want, want_pivots = gauss_jordan(rows)
     assert (rank, pivots) == (len(want_pivots), want_pivots)
     assert got == [[(x.numerator, x.denominator) for x in r] for r in want]
 
 
 def test_pure_rref_rows_empty_and_zero():
-    assert pure.rref_rows([]) == ([], 0, [])
+    assert backend.rref_rows([]) == ([], 0, [])
     zero = [[(0, 1)] * 3 for _ in range(2)]
-    assert pure.rref_rows(zero) == (zero, 0, [])
+    assert backend.rref_rows(zero) == (zero, 0, [])

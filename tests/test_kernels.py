@@ -1,17 +1,11 @@
-"""Kernel twins: arithmetic laws and pure/compiled agreement."""
+"""The exact pair kernels against ``Fraction`` arithmetic."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wonderland import _kernels_py as pure
-
-try:
-    from wonderland import _kernels_cy as compiled
-except ImportError:
-    compiled = None
+from wonderland import backend
 
 rationals = st.tuples(
     st.integers(min_value=-50, max_value=50),
@@ -25,28 +19,15 @@ def as_frac(p):
 
 @given(rationals, rationals)
 def test_q_add_matches_fraction(a, b):
-    got = pure.q_add(a, b)
+    got = backend.q_add(a, b)
     assert as_frac(got) == as_frac(a) + as_frac(b)
     assert got[1] > 0
 
 
 @given(rationals, rationals)
 def test_q_mul_matches_fraction(a, b):
-    got = pure.q_mul(a, b)
+    got = backend.q_mul(a, b)
     assert as_frac(got) == as_frac(a) * as_frac(b)
-
-
-@given(rationals)
-def test_q_inv(a):
-    if a[0] == 0:
-        with pytest.raises(ZeroDivisionError):
-            pure.q_inv(a)
-    else:
-        assert as_frac(pure.q_inv(a)) * as_frac(a) == 1
-
-
-def _random_pair_matrix(rng_rows):
-    return [[(n, d) for (n, d) in row] for row in rng_rows]
 
 
 @given(
@@ -58,8 +39,8 @@ def _random_pair_matrix(rng_rows):
 )
 @settings(max_examples=40)
 def test_rref_idempotent_and_pivots(rows):
-    red, rank, pivots = pure.rref_rows(rows)
-    red2, rank2, pivots2 = pure.rref_rows(red)
+    red, rank, pivots = backend.rref_rows(rows)
+    red2, rank2, pivots2 = backend.rref_rows(red)
     assert (red2, rank2, pivots2) == (red, rank, pivots)
     for r, c in enumerate(pivots):
         assert red[r][c] == (1, 1)
@@ -78,7 +59,7 @@ def test_rref_idempotent_and_pivots(rows):
 )
 @settings(max_examples=30)
 def test_mat_mul_oracle(a, b):
-    got = pure.mat_mul(a, b)
+    got = backend.mat_mul(a, b)
     for i in range(len(a)):
         for j in range(2):
             want = sum(as_frac(a[i][k]) * as_frac(b[k][j]) for k in range(3))
@@ -97,7 +78,7 @@ def _poly_strategy():
 @given(_poly_strategy(), _poly_strategy())
 @settings(max_examples=40)
 def test_poly_mul_oracle(ta, tb):
-    got = pure.poly_mul(ta, tb)
+    got = backend.poly_mul(ta, tb)
     want = {}
     for ea, ca in ta.items():
         for eb, cb in tb.items():
@@ -110,38 +91,9 @@ def test_poly_mul_oracle(ta, tb):
 @given(_poly_strategy(), rationals, rationals)
 @settings(max_examples=40)
 def test_poly_eval_oracle(terms, x, y):
-    got = as_frac(pure.poly_eval(terms, (x, y)))
+    got = as_frac(backend.poly_eval(terms, (x, y)))
     want = sum(
         (as_frac(c) * as_frac(x) ** e[0] * as_frac(y) ** e[1] for e, c in terms.items()),
         Fraction(0),
     )
     assert got == want
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
-class TestBackendAgreement:
-    """The compiled twin must return bit-identical results."""
-
-    @given(rationals, rationals)
-    def test_scalar_ops(self, a, b):
-        assert compiled.q_add(a, b) == pure.q_add(a, b)
-        assert compiled.q_mul(a, b) == pure.q_mul(a, b)
-
-    @given(
-        st.lists(
-            st.lists(rationals, min_size=4, max_size=4), min_size=2, max_size=5
-        )
-    )
-    @settings(max_examples=30)
-    def test_rref(self, rows):
-        assert compiled.rref_rows(rows) == pure.rref_rows(rows)
-
-    @given(_poly_strategy(), _poly_strategy())
-    @settings(max_examples=30)
-    def test_poly_mul(self, ta, tb):
-        assert compiled.poly_mul(ta, tb) == pure.poly_mul(ta, tb)
-
-    @given(_poly_strategy(), rationals, rationals)
-    @settings(max_examples=30)
-    def test_poly_eval(self, terms, x, y):
-        assert compiled.poly_eval(terms, (x, y)) == pure.poly_eval(terms, (x, y))

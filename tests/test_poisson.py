@@ -1,6 +1,7 @@
 """The bivector engine: field constructions and exact identity residuals."""
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from wonderland.geometry import (
 )
 from wonderland.lie import _dualize, build_sl, double_algebra, standard_splitting
 from wonderland.poisson import (
+    BivectorField,
     action_map_identities,
     pair_group_field,
     diagonal_action_residual,
@@ -61,6 +63,34 @@ def ctx():
         "field0": splitting_bivector_field(model, ch0, split),
         "gr": GrassmannModel(sl2, double, form),
     }
+
+
+def _non_poisson_field(stream):
+    """A bivector on chart 0 with random polynomial entries, not Poisson."""
+    ch = ProjChart(0)
+    names = ch.variables
+
+    def rnd():
+        terms = {}
+        for _ in range(3):
+            e = tuple(abs(stream.take(9).numerator) % 3 for _ in range(3))
+            terms[e] = terms.get(e, Q(0)) + stream.take()
+        return MultiPoly(names, terms)
+
+    zero = MultiPoly.zero(names)
+    a, b, c = rnd(), rnd(), rnd()
+    return BivectorField(ch, [[zero, a, b], [-a, zero, c], [-b, -c, zero]])
+
+
+def _symbolic_jacobiators(fld):
+    """{z_i,{z_j,z_k}} + cyclic for every coordinate triple i < j < k, as
+    polynomials on the chart."""
+    z = MultiPoly.gens(fld.chart.variables)
+    br = fld.bracket_poly
+    return [
+        br(z[i], br(z[j], z[k])) + br(z[j], br(z[k], z[i])) + br(z[k], br(z[i], z[j]))
+        for i, j, k in combinations(range(fld.dim), 3)
+    ]
 
 
 class TestSplittingField:
@@ -145,26 +175,11 @@ class TestJacobi:
         """Two independent formulas for the coordinate-triple Jacobiator must
         agree even where they are nonzero, so build a field that is NOT
         Poisson and compare them there."""
-        from wonderland.poisson import BivectorField, jacobi_triple_value
+        from wonderland.poisson import jacobi_triple_value
 
-        ch = ProjChart(0)
-        names = ch.variables
         st = RationalStream(181)
-
-        def rnd():
-            terms = {}
-            for _ in range(3):
-                e = tuple(abs(st.take(9).numerator) % 3 for _ in range(3))
-                terms[e] = terms.get(e, Q(0)) + st.take()
-            return MultiPoly(names, terms)
-
-        zero = MultiPoly.zero(names)
-        a, b, c = rnd(), rnd(), rnd()
-        control = BivectorField(
-            ch,
-            [[zero, a, b], [-a, zero, c], [-b, -c, zero]],
-        )
-        x, y, z = MultiPoly.gens(names)
+        control = _non_poisson_field(st)
+        x, y, z = MultiPoly.gens(control.chart.variables)
         found_nonzero = False
         for _ in range(4):
             pt = st.vector(3)
@@ -177,13 +192,22 @@ class TestJacobi:
                 found_nonzero = True
         assert found_nonzero
 
+    def test_chart_jacobiator_is_zero_polynomial(self, ctx):
+        """On every chart of P(M2) the Jacobiator of the coordinates is the
+        zero polynomial, which proves the identity on the whole chart; the
+        same construction is nonzero on a field that is not Poisson."""
+        for k in range(4):
+            fld = splitting_bivector_field(ctx["model"], ProjChart(k), ctx["split"])
+            for triple in _symbolic_jacobiators(fld):
+                assert triple.is_zero(), k
+        control = _non_poisson_field(RationalStream(181))
+        assert not all(j.is_zero() for j in _symbolic_jacobiators(control))
+
     def test_constant_symplectic_field(self, ctx):
         ch = ProjChart(0)
         names = ch.variables
         one = MultiPoly.const(names, 1)
         zero = MultiPoly.zero(names)
-        from wonderland.poisson import BivectorField
-
         f = BivectorField(ch, [[zero, one, zero], [-one, zero, zero], [zero, zero, zero]])
         st = RationalStream(99)
         for _ in range(3):

@@ -85,13 +85,6 @@ def test_reports_are_deterministic():
     assert "wall" not in r1.serialize()
 
 
-def test_threaded_run_identical(monkeypatch):
-    cfg = ExperimentConfig(experiment="all", **SMALL)
-    base = run_experiment(cfg).serialize()
-    monkeypatch.setenv("WONDERLAND_THREADS", "4")
-    assert run_experiment(cfg).serialize() == base
-
-
 def test_every_experiment_passes():
     for name in (
         "jacobi",

@@ -1,0 +1,131 @@
+"""Matrices and polynomials against SymPy, which shares no code with them.
+
+``Matrix.det`` and ``Matrix.solve`` are checked against ``sympy.Matrix``;
+the ``MultiPoly`` product, substitution, derivative and evaluation against
+``sympy.Poly`` and ``expand``.  The product and the evaluation run through
+the ``poly_mul`` and ``poly_eval`` pair kernels, so these are the checks of
+those kernels that are independent of the package's own arithmetic.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wonderland.linalg import Matrix
+from wonderland.poly import MultiPoly
+
+sympy = pytest.importorskip("sympy")
+
+NAMES = ("x", "y", "z")
+SYMBOLS = sympy.symbols(NAMES)
+TARGET = ("u", "v")
+TARGET_SYMBOLS = sympy.symbols(TARGET)
+
+rationals = st.builds(Q, st.integers(-20, 20), st.integers(1, 9))
+# one entry in three is zero, so singular and rank-deficient systems occur
+entries = st.one_of(st.just(Q(0)), rationals)
+
+
+def polys(variables):
+    exps = st.tuples(*[st.integers(0, 3)] * len(variables))
+    return st.dictionaries(exps, rationals, max_size=6).map(
+        lambda terms: MultiPoly(variables, terms)
+    )
+
+
+def to_sympy(q):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def from_sympy(r):
+    r = sympy.Rational(r)
+    return Q(int(r.p), int(r.q))
+
+
+def expr(p, symbols=SYMBOLS):
+    return sum(
+        (to_sympy(c) * sympy.Mul(*[s**k for s, k in zip(symbols, e)]) for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def terms_of(e, symbols=SYMBOLS):
+    """The exponent -> Fraction map of a SymPy expression, expanded."""
+    poly = sympy.Poly(sympy.expand(e), *symbols, domain="QQ")
+    return {tuple(k): from_sympy(c) for k, c in poly.as_dict().items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(NAMES), polys(NAMES))
+def test_mul_matches_sympy(p, q):
+    assert (p * q).terms == terms_of(expr(p) * expr(q))
+    # the cross terms of (p + q)(p - q) cancel inside the product
+    assert ((p + q) * (p - q)).terms == terms_of(expr(p) ** 2 - expr(q) ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(NAMES), st.lists(polys(TARGET), min_size=3, max_size=3))
+def test_subs_matches_sympy(p, images):
+    got = p.subs(dict(zip(NAMES, images)))
+    want = expr(p).subs(
+        {s: expr(img, TARGET_SYMBOLS) for s, img in zip(SYMBOLS, images)},
+        simultaneous=True,
+    )
+    assert got.variables == TARGET
+    assert got.terms == terms_of(want, TARGET_SYMBOLS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(NAMES))
+def test_diff_matches_sympy(p):
+    for name, s in zip(NAMES, SYMBOLS):
+        assert p.diff(name).terms == terms_of(sympy.diff(expr(p), s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(NAMES), st.lists(rationals, min_size=3, max_size=3))
+def test_eval_matches_sympy(p, point):
+    want = expr(p).subs({s: to_sympy(x) for s, x in zip(SYMBOLS, point)})
+    assert p.eval(point) == from_sympy(want)
+
+
+@st.composite
+def square(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square())
+def test_det_matches_sympy(rows):
+    want = sympy.Matrix([[to_sympy(x) for x in r] for r in rows]).det()
+    assert Matrix(rows).det() == from_sympy(want)
+
+
+@st.composite
+def system(draw):
+    nr = draw(st.integers(1, 5))
+    nc = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    return rows, draw(st.lists(entries, min_size=nr, max_size=nr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(system())
+def test_solve_matches_sympy(data):
+    """``solve`` returns the solution with every free variable zero, which is
+    SymPy's parametric solution at zero parameters; both report an
+    inconsistent system."""
+    rows, rhs = data
+    a = sympy.Matrix([[to_sympy(x) for x in r] for r in rows])
+    b = sympy.Matrix([to_sympy(x) for x in rhs])
+    got = Matrix(rows).solve(rhs)
+    try:
+        sol, params = a.gauss_jordan_solve(b)
+    except ValueError:
+        assert got is None
+        return
+    want = sol.subs({t: 0 for t in params})
+    assert got == [from_sympy(x) for x in want]
