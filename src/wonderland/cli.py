@@ -194,34 +194,18 @@ def cmd_charvar_rank1(args):
     return 0
 
 
-def _poisson_run(experiment, args):
-    from wonderland.reports import ExperimentConfig, run_experiment, write_report
-
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        model=canonical_model(getattr(args, "model", "pgl2-projective")),
-        samples=args.samples,
-        seed=args.seed,
-        n_factors=getattr(args, "n", 2),
-    )
-    report = run_experiment(cfg)
-    if args.out:
-        write_report(report, args.out)
-    else:
-        sys.stdout.write(report.serialize())
-    return 0 if report.failed == 0 else 1
-
-
 def cmd_run(args):
+    """Run one experiment; subcommands that lack an option get the
+    ExperimentConfig default for it."""
     from wonderland.reports import ExperimentConfig, run_experiment, write_report
 
     cfg = ExperimentConfig(
         experiment=args.experiment,
-        model=canonical_model(args.model),
+        model=canonical_model(getattr(args, "model", ExperimentConfig.model)),
         samples=args.samples,
         seed=args.seed,
-        degree=args.degree,
-        n_factors=args.n,
+        degree=getattr(args, "degree", ExperimentConfig.degree),
+        n_factors=getattr(args, "n", ExperimentConfig.n_factors),
     )
     report = run_experiment(cfg)
     if args.out:
@@ -285,7 +269,7 @@ def build_parser():
         q.add_argument("--out")
         if name == "tangency":
             q.add_argument("--divisor", default="det0", choices=("det0",))
-        q.set_defaults(func=lambda a, e=experiment: _poisson_run(e, a))
+        q.set_defaults(func=cmd_run, experiment=experiment)
 
     inv = sub.add_parser("invariants", help="invariant spaces and expressions")
     invsub = inv.add_subparsers(dest="sub")
@@ -315,7 +299,7 @@ def build_parser():
         q.add_argument("--samples", type=int, default=20)
         q.add_argument("--seed", type=int, default=42)
         q.add_argument("--out")
-        q.set_defaults(func=lambda a, e=experiment: _poisson_run(e, a))
+        q.set_defaults(func=cmd_run, experiment=experiment)
 
     cv = sub.add_parser("charvar", help="character variety tools").add_subparsers(
         dest="sub", required=True

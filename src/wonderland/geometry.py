@@ -317,25 +317,10 @@ class GrassChart:
             rows.append(row)
         return rows
 
-    def tangent_project(self, base_rows, vel_rows):
-        """Project row-velocities at a chart-normalized base to coordinates.
-
-        ``vel_rows`` is d/dt of the span rows; subtracting the pivot-column
-        component keeps the curve in [I | C] form.
-        """
-        vp = [[Fraction(vel_rows[i][p]) for p in self.pivots] for i in range(self.n)]
-        out = []
-        for i in range(self.n):
-            corrected = [
-                Fraction(vel_rows[i][j])
-                - sum(
-                    (vp[i][k] * Fraction(base_rows[k][j]) for k in range(self.n)),
-                    Fraction(0),
-                )
-                for j in range(self.ambient_cols)
-            ]
-            out.extend(corrected[j] for j in self.free)
-        return out
+    def tangent_project(self, rep_rows, vel_rows):
+        """Project row-velocities ``vel_rows`` (d/dt of the span rows) at a
+        representative to chart coordinates, by tangent_project_general."""
+        return self.tangent_project_general(rep_rows, vel_rows)
 
     def tangent_project_general(self, rep_rows, vel_rows):
         """Projection for an arbitrary representative of the span.
@@ -386,13 +371,6 @@ class ProductChart:
             out.extend(f.coords_of(p))
         return out
 
-    def tangent_project(self, reps, vecs):
-        """Per-factor projection of an ambient tangent tuple."""
-        out = []
-        for f, rep, vec in zip(self.factors, reps, vecs):
-            out.extend(f.tangent_project(rep, vec))
-        return out
-
 
 def mat2_from_flat(flat):
     return Matrix([[flat[0], flat[1]], [flat[2], flat[3]]])
@@ -415,6 +393,32 @@ class Pgl2Model:
     def act(self, pair, point):
         """(g, h) . [A] = [g A h^{-1}]."""
         return ProjMatrixPoint(pair.g * point.matrix * pair.h.inverse())
+
+    def rep(self, point):
+        """The ambient representative: the flat primitive entries."""
+        return list(point.vec)
+
+    def differentials(self, pair):
+        """(push, orbit) at the pair, on flat representatives.
+
+        A -> g A h^{-1} is linear, so ``push`` moves representatives and
+        ambient tangents alike; ``orbit(A, U, V)`` is the derivative of the
+        orbit map (u, v) -> u A v^{-1} at (g, h) along the tangent (U, V).
+        """
+        g, hinv = pair.g, pair.h.inverse()
+
+        def push(flat):
+            return flat_from_mat2(g * mat2_from_flat(flat) * hinv)
+
+        def orbit(flat, U, V):
+            ah = mat2_from_flat(flat) * hinv
+            return flat_from_mat2(U * ah - g * ah * V * hinv)
+
+        return push, orbit
+
+    def action_sample(self, point, image):
+        """Check name and sample record of an action residual."""
+        return "poisson-action", {"point": repr(point), "image": repr(image)}
 
     # -- elements of the double ------------------------------------------
     def elem_matrices(self, elem6):
@@ -548,40 +552,60 @@ class GrassmannModel:
             cols.append(sl_coords(n, g * bi * ginv))
         return Matrix([[cols[j][m] for j in range(self.alg.dim)] for m in range(self.alg.dim)])
 
-    def pair_block(self, pair):
-        """blockdiag(Ad_g, Ad_h) on the double's coordinates."""
-        ag = self.adjoint_matrix(pair.g)
-        ah = self.adjoint_matrix(pair.h)
+    def _blockdiag(self, a, b):
         n = self.n
         block = Matrix.zero(2 * n, 2 * n)
         for i in range(n):
             for j in range(n):
-                block.data[i][j] = ag.data[i][j]
-                block.data[n + i][n + j] = ah.data[i][j]
+                block.data[i][j] = a.data[i][j]
+                block.data[n + i][n + j] = b.data[i][j]
         return block
+
+    def pair_block(self, pair):
+        """blockdiag(Ad_g, Ad_h) on the double's coordinates."""
+        return self._blockdiag(self.adjoint_matrix(pair.g), self.adjoint_matrix(pair.h))
 
     def act(self, pair, point):
         return LagrangianPoint(point.mat * self.pair_block(pair).transpose())
 
-    def d_adjoint(self, g, U):
-        """Derivative of the adjoint representation at g in the tangent
-        direction U: the matrix of x -> [U g^{-1}, g x g^{-1}]."""
-        n = self.alg.matrix_size
-        w = U * g.inverse()
-        wc = sl_coords(n, w)
-        return self.alg.ad(wc) * self.adjoint_matrix(g)
+    def rep(self, point):
+        """The ambient representative: the echelon rows of the span."""
+        return point.mat.data
 
-    def d_pair_block(self, pair, U, V):
-        """Derivative of pair_block along the pair tangent (U, V)."""
-        dg = self.d_adjoint(pair.g, U)
-        dh = self.d_adjoint(pair.h, V)
-        n = self.n
-        block = Matrix.zero(2 * n, 2 * n)
-        for i in range(n):
-            for j in range(n):
-                block.data[i][j] = dg.data[i][j]
-                block.data[n + i][n + j] = dh.data[i][j]
-        return block
+    def flow_tangent(self, elem, rows):
+        """Row velocities of the one-parameter flow of a double element."""
+        ad = self.double.ad([Fraction(x) for x in elem])
+        return [ad.apply_to(list(r)) for r in rows]
+
+    def differentials(self, pair):
+        """(push, orbit) at the pair, on span rows.
+
+        The pair acts on rows by right multiplication with the transposed
+        pair block, so ``push`` moves representatives and row velocities
+        alike; ``orbit(rows, U, V)`` differentiates the pair block along the
+        tangent (U, V), where Ad moves at g along U by ad(U g^{-1}) Ad_g.
+        """
+        m = self.alg.matrix_size
+        ad_g, ad_h = self.adjoint_matrix(pair.g), self.adjoint_matrix(pair.h)
+        ginv, hinv = pair.g.inverse(), pair.h.inverse()
+        block_t = self._blockdiag(ad_g, ad_h).transpose()
+
+        def push(rows):
+            return (Matrix(rows) * block_t).data
+
+        def orbit(rows, U, V):
+            dg = self.alg.ad(sl_coords(m, U * ginv)) * ad_g
+            dh = self.alg.ad(sl_coords(m, V * hinv)) * ad_h
+            return (Matrix(rows) * self._blockdiag(dg, dh).transpose()).data
+
+        return push, orbit
+
+    def action_sample(self, point, image):
+        """Check name and sample record of an action residual."""
+        return "poisson-action-grassmann", {
+            "point": repr(point.mat.data[0]),
+            "pivots": list(image.pivots),
+        }
 
     def chart_at(self, point):
         chart = GrassChart(point.pivots, 2 * self.n)
@@ -618,24 +642,21 @@ class GrassmannModel:
                 out.append(corr)
         return out
 
-    def orbit_dimension(self, point):
-        """Rank of the infinitesimal-action map into the tangent space at
-        the point: the dimension of the G x G orbit."""
+    def _action_rows(self, point):
+        """The infinitesimal-action map into the tangent space at the point:
+        one projected flow tangent per basis element of the double."""
         chart = self.chart_at(point)
-        base = chart.rep_rows_at([Fraction(0)] * chart.dim)
-        rows = []
-        for i in range(self.double.dim):
-            ad = self.double.ad(self.double._basis_vec(i))
-            vel = [ad.apply_to(base[r]) for r in range(chart.n)]
-            rows.append(chart.tangent_project(base, vel))
-        return Matrix(rows).rank()
+        base = self.rep(point)
+        return Matrix(
+            [
+                chart.tangent_project(base, self.flow_tangent(self.double._basis_vec(i), base))
+                for i in range(self.double.dim)
+            ]
+        )
+
+    def orbit_dimension(self, point):
+        """The dimension of the G x G orbit through the point."""
+        return self._action_rows(point).rank()
 
     def stabilizer_basis(self, point):
-        chart = self.chart_at(point)
-        base = chart.rep_rows_at([Fraction(0)] * chart.dim)
-        rows = []
-        for i in range(self.double.dim):
-            ad = self.double.ad(self.double._basis_vec(i))
-            vel = [ad.apply_to(base[r]) for r in range(chart.n)]
-            rows.append(chart.tangent_project(base, vel))
-        return Matrix(rows).transpose().kernel_basis()
+        return self._action_rows(point).transpose().kernel_basis()

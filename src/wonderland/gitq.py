@@ -166,13 +166,12 @@ def product_bivector(model, splitting, pair, points):
     block, the mixed block, and no cross terms."""
     pair_charts, pair_reps = _pair_charts_at(model, pair)
     x_charts = [model.chart_at(p) for p in points]
-    x_reps = [list(p.vec) for p in points]
-    zero4 = [Q(0)] * 4
+    x_reps = [model.rep(p) for p in points]
     nfac = 2 + len(points)
 
     def pad(legs, offset):
         return tuple(
-            legs[i - offset] if offset <= i < offset + len(legs) else list(zero4)
+            legs[i - offset] if offset <= i < offset + len(legs) else None
             for i in range(nfac)
         )
 
@@ -337,12 +336,15 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
                 )
             )
             continue
+        # one wedge list per sample; one bivector and one gradient per
+        # fraction along each route
+        reps = [model.rep(p) for p in pts]
+        wedges = mixed_wedges(model, splitting, reps)
         try:
-            # one bivector and one gradient per fraction along each route
             routes = []
             for quotient_chart in (chart_f, chart_g):
                 charts = quotient_chart.route_charts()
-                L = mixed_value_in_charts(model, splitting, pts, charts)
+                L = project_wedges(charts, reps, wedges)
                 routes.append((L, [fr.chart_grad_at(charts, pts) for fr in fractions]))
         except ChartDomainError:
             residuals.append(

@@ -9,7 +9,7 @@ floating point: everything is a rational rref.
 from fractions import Fraction
 
 from wonderland.geometry import ProductChart
-from wonderland.linalg import ZERO, Matrix
+from wonderland.linalg import ZERO, Matrix, row_span_contains
 from wonderland.poisson import mixed_value_in_charts, residual_from_values
 from wonderland.poly import MultiPoly, RationalFn, grlex_key
 
@@ -182,10 +182,10 @@ class InvariantSpace:
             key=grlex_key,
             reverse=True,
         )
-        rows = [[q.terms.get(e, Q(0)) for e in monos] for q in self.basis]
-        base_rank = Matrix(rows).rank()
-        ext_rank = Matrix(rows + [[p.terms.get(e, Q(0)) for e in monos]]).rank()
-        return ext_rank == base_rank
+        return row_span_contains(
+            [[q.terms.get(e, Q(0)) for e in monos] for q in self.basis],
+            [p.terms.get(e, Q(0)) for e in monos],
+        )
 
     def to_json(self):
         return {

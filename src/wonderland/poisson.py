@@ -12,6 +12,17 @@ Identity checks (Jacobi, multiplicativity, the action compatibility
 equation, tangency to the boundary divisor) are all run at rational sample
 points with zero-tolerance residuals.
 
+The action-compatibility identity pi_X(a.x) = a_* pi_X(x) + (orbit map)_*
+pi_G(a) is computed by one pipeline, ``action_residual``, for both models
+and any number of factors: ``mixed_wedges`` gives the field at the images
+and at the sources, ``pi_wedges_matrices`` the group bivector, and
+``project_wedges`` projects all three into the charts at the images.  A
+model supplies three methods: ``rep(point)``, an ambient representative;
+``flow_tangent(elem, rep)``, the tangent of a double element's flow there;
+and ``differentials(pair)``, the pushforward of the action and the
+derivative of the orbit map, each built once per residual.  A fourth,
+``action_sample``, names a one-point check and records its sample.
+
 Each residual is a fixed polynomial (or rational) function of the sample of
 bounded degree, so exact vanishing at more samples than that bound is strong
 evidence for the identity, and every individual check is a proof at its
@@ -27,10 +38,11 @@ from fractions import Fraction
 from wonderland.geometry import (
     GroupPair,
     ProductChart,
+    ProjMatrixPoint,
     flat_from_mat2,
     mat2_from_flat,
 )
-from wonderland.linalg import Bivector, Matrix, qstr
+from wonderland.linalg import Bivector, qstr
 from wonderland.poly import MultiPoly
 
 Q = Fraction
@@ -265,7 +277,7 @@ def mixed_product_field(model, splitting, factor_charts, n=None):
 def mixed_value_in_charts(model, splitting, points, charts):
     """Pointwise mixed bivector at a tuple of points, projected into the
     given per-factor charts (which must contain the points)."""
-    reps = [list(p.vec) for p in points]
+    reps = [model.rep(p) for p in points]
     return project_wedges(charts, reps, mixed_wedges(model, splitting, reps))
 
 
@@ -283,37 +295,28 @@ def _flat_mul_right(flat, b):
     return flat_from_mat2(mat2_from_flat(flat) * b)
 
 
-def splitting_wedges(model, splitting, rep):
-    """Pointwise wedge list of the one-factor field at an ambient rep."""
-    out = []
-    for i in range(splitting.half_dim):
-        X = model.flow_tangent(splitting.x_basis[i], rep)
-        Y = model.flow_tangent(splitting.y_basis[i], rep)
-        out.append((Fraction(1, 2), (X,), (Y,)))
-    return out
-
-
 def mixed_wedges(model, splitting, reps, cross_sign=None):
-    """Pointwise wedge list of the mixed field on a tuple of factors."""
+    """Pointwise wedge list of the mixed field on a tuple of factors.
+
+    Each flow tangent is computed once per (basis element, factor) and
+    shared by the diagonal and cross wedges; a leg is None on every factor
+    it does not touch."""
     sign = MIXED_CROSS_SIGN if cross_sign is None else cross_sign
     n = len(reps)
-    zero4 = [Fraction(0)] * 4
+    xs = [[model.flow_tangent(x, rep) for x in splitting.x_basis] for rep in reps]
+    ys = [[model.flow_tangent(y, rep) for y in splitting.y_basis] for rep in reps]
 
     def emb(vec, l):
-        return tuple(vec if m == l else list(zero4) for m in range(n))
+        return tuple(vec if m == l else None for m in range(n))
 
     out = []
     for l in range(n):
         for i in range(splitting.half_dim):
-            X = model.flow_tangent(splitting.x_basis[i], reps[l])
-            Y = model.flow_tangent(splitting.y_basis[i], reps[l])
-            out.append((Fraction(1, 2), emb(X, l), emb(Y, l)))
+            out.append((Fraction(1, 2), emb(xs[l][i], l), emb(ys[l][i], l)))
     for j in range(n):
         for k in range(j + 1, n):
             for i in range(splitting.half_dim):
-                Yj = model.flow_tangent(splitting.y_basis[i], reps[j])
-                Xk = model.flow_tangent(splitting.x_basis[i], reps[k])
-                out.append((Fraction(sign), emb(Yj, j), emb(Xk, k)))
+                out.append((Fraction(sign), emb(ys[j][i], j), emb(xs[k][i], k)))
     return out
 
 
@@ -345,13 +348,21 @@ def pi_wedges(model, splitting, rep_g, rep_h):
 
 
 def project_wedges(charts, reps, wedges):
-    """Project pointwise wedges into concatenated chart coordinates."""
+    """Project pointwise wedges into concatenated chart coordinates.
+
+    A leg that is None on a factor (absent there) or has no nonzero entry
+    contributes zeros there without being projected: the projection is
+    linear in the leg.  Grassmannian legs are lists of rows, which ``any``
+    does not look into, so those are always projected."""
     dim = sum(c.dim for c in charts)
 
     def proj(legs):
         out = []
         for chart, rep, leg in zip(charts, reps, legs):
-            out.extend(chart.tangent_project(rep, leg))
+            if leg is None or not any(leg):
+                out.extend([0] * chart.dim)
+            else:
+                out.extend(chart.tangent_project(rep, leg))
         return out
 
     return Bivector.from_wedges(
@@ -359,48 +370,10 @@ def project_wedges(charts, reps, wedges):
     )
 
 
-def push_factorwise(pair, reps, wedges):
-    """Pushforward of factor wedges along [A] -> [g A h^{-1}] on each factor."""
-    ginv_h = pair.h.inverse()
-
-    def mv(flat):
-        return flat_from_mat2(pair.g * mat2_from_flat(flat) * ginv_h)
-
-    new_reps = [mv(r) for r in reps]
-    new_wedges = [
-        (c, tuple(mv(x) for x in u), tuple(mv(x) for x in w)) for c, u, w in wedges
-    ]
-    return new_reps, new_wedges
-
-
-def push_orbit_map(point_reps, rep_g, rep_h, wedges):
-    """Pushforward of pair-group wedges along the orbit map
-    (u, v) -> [u A_l v^{-1}] into each factor."""
-    G = mat2_from_flat(rep_g)
-    H = mat2_from_flat(rep_h)
-    Hinv = H.inverse()
-
-    def dmap(U, V, A):
-        Um = mat2_from_flat(U)
-        Vm = mat2_from_flat(V)
-        return flat_from_mat2(Um * A * Hinv - G * A * Hinv * Vm * Hinv)
-
-    mats = [mat2_from_flat(r) for r in point_reps]
-    new_reps = [flat_from_mat2(G * A * Hinv) for A in mats]
-    new_wedges = []
-    for c, u, w in wedges:
-        nu = tuple(dmap(u[0], u[1], A) for A in mats)
-        nw = tuple(dmap(w[0], w[1], A) for A in mats)
-        new_wedges.append((c, nu, nw))
-    return new_reps, new_wedges
-
-
 def multiplicativity_residual(model, splitting, pair1, pair2):
     """Exact residual of the group-bivector multiplicativity at two pair
     elements: value at the product minus left-translate of the second minus
     right-translate of the first, in the product chart at the product."""
-    from wonderland.geometry import ProjMatrixPoint
-
     g1, h1 = flat_from_mat2(pair1.g), flat_from_mat2(pair1.h)
     g2, h2 = flat_from_mat2(pair2.g), flat_from_mat2(pair2.h)
     prod_g = pair1.g * pair2.g
@@ -435,102 +408,46 @@ def multiplicativity_residual(model, splitting, pair1, pair2):
     return residual_from_matrix("pi-multiplicativity", {}, res)
 
 
-def grass_flow_velocity(grass, elem, rows):
-    """Row velocities of the one-parameter flow of a double element."""
-    ad = grass.double.ad([Fraction(x) for x in elem])
-    return [ad.apply_to(list(r)) for r in rows]
+def action_residual(model, splitting, pair, points, cross_sign=None):
+    """The action-compatibility identity pi_X(a.x) = a_* pi_X(x) +
+    (orbit map)_* pi_G(a) on a tuple of factors carrying the mixed field.
 
-
-def splitting_wedges_grass(grass, splitting, rows):
-    out = []
-    for i in range(splitting.half_dim):
-        X = grass_flow_velocity(grass, splitting.x_basis[i], rows)
-        Y = grass_flow_velocity(grass, splitting.y_basis[i], rows)
-        out.append((Fraction(1, 2), X, Y))
-    return out
-
-
-def poisson_action_residual_grassmann(grass, splitting, pair, point):
-    """The action-compatibility residual in the subspace model.
-
-    The pair acts linearly through the adjoint block, so pushforwards of
-    row-velocity tangents are right-multiplications; the group-side wedge
-    arrives through the derivative of the adjoint representation.
-    """
-    image = grass.act(pair, point)
-    chart = grass.chart_at(image)
-    center = chart.rep_rows_at([Fraction(0)] * chart.dim)
-
-    def project(rep, wedges):
-        return Bivector.from_wedges(
-            chart.dim,
-            [
-                (c, chart.tangent_project_general(rep, u), chart.tangent_project_general(rep, w))
-                for c, u, w in wedges
-            ],
-        )
-
-    lhs = project(center, splitting_wedges_grass(grass, splitting, center))
-
-    block_t = grass.pair_block(pair).transpose()
-    src = point.mat
-    pushed_rep = (src * block_t).data
-
-    def push_rows(vel_rows):
-        return (Matrix(vel_rows) * block_t).data
-
-    w1 = [
-        (c, push_rows(u), push_rows(w))
-        for c, u, w in splitting_wedges_grass(grass, splitting, src.data)
-    ]
-    t1 = project(pushed_rep, w1)
-
-    def orbit_push(leg):
-        dblock_t = grass.d_pair_block(pair, leg[0], leg[1]).transpose()
-        return (src * dblock_t).data
-
-    w2 = [
-        (c, orbit_push(u), orbit_push(w))
-        for c, u, w in pi_wedges_matrices(grass, splitting, pair.g, pair.h)
-    ]
-    t2 = project(pushed_rep, w2)
-    res = (lhs - t1 - t2).entries
-    return residual_from_matrix(
-        "poisson-action-grassmann",
-        {"point": repr(point.mat.data[0]), "pivots": list(image.pivots)},
-        res,
+    Returns the image points and the entries of lhs - t1 - t2, all three
+    projected into the charts at the images.  The model supplies ``rep``,
+    ``flow_tangent`` and ``differentials``: the action's derivative in the
+    point (which also moves the representatives) and the orbit map's
+    derivative along the pair-group wedge legs."""
+    images = [model.act(pair, p) for p in points]
+    charts = [model.chart_at(im) for im in images]
+    img_reps = [model.rep(im) for im in images]
+    lhs = project_wedges(
+        charts, img_reps, mixed_wedges(model, splitting, img_reps, cross_sign)
     )
+    push, orbit = model.differentials(pair)
+    src_reps = [model.rep(p) for p in points]
+    reps = [push(r) for r in src_reps]
+
+    def pushed(legs):
+        return tuple(None if v is None else push(v) for v in legs)
+
+    def orbit_pushed(leg):
+        return tuple(orbit(r, *leg) for r in src_reps)
+
+    w1 = mixed_wedges(model, splitting, src_reps, cross_sign)
+    t1 = project_wedges(charts, reps, [(c, pushed(u), pushed(w)) for c, u, w in w1])
+    w2 = pi_wedges_matrices(model, splitting, pair.g, pair.h)
+    t2 = project_wedges(
+        charts, reps, [(c, orbit_pushed(u), orbit_pushed(w)) for c, u, w in w2]
+    )
+    return images, (lhs - t1 - t2).entries
 
 
 def poisson_action_residual(model, splitting, pair, point):
-    """Exact residual of the action-compatibility identity at one sample:
-    field at the image minus the pushed field minus the orbit-pushed group
-    bivector, all projected to the chart at the image point."""
-    from wonderland.geometry import LagrangianPoint
-
-    if isinstance(point, LagrangianPoint):
-        return poisson_action_residual_grassmann(model, splitting, pair, point)
-    image = model.act(pair, point)
-    chart = model.chart_at(image)
-    lhs = project_wedges(
-        [chart], [list(image.vec)], splitting_wedges(model, splitting, list(image.vec))
-    )
-    reps1, w1 = push_factorwise(
-        pair, [list(point.vec)], splitting_wedges(model, splitting, list(point.vec))
-    )
-    t1 = project_wedges([chart], reps1, w1)
-    rep_g = flat_from_mat2(pair.g)
-    rep_h = flat_from_mat2(pair.h)
-    reps2, w2 = push_orbit_map(
-        [list(point.vec)], rep_g, rep_h, pi_wedges(model, splitting, rep_g, rep_h)
-    )
-    t2 = project_wedges([chart], reps2, w2)
-    res = (lhs - t1 - t2).entries
-    return residual_from_matrix(
-        "poisson-action",
-        {"point": repr(point), "image": repr(image)},
-        res,
-    )
+    """Exact residual of the action-compatibility identity at one sample,
+    under the model's check name and sample record."""
+    (image,), res = action_residual(model, splitting, pair, [point])
+    name, sample = model.action_sample(point, image)
+    return residual_from_matrix(name, sample, res)
 
 
 def action_map_identities(model, pair, point, args):
@@ -555,34 +472,19 @@ def action_map_identities(model, pair, point, args):
 
 def diagonal_action_residual(model, splitting, pair, points, cross_sign=None):
     """Exact residual of the Poisson condition for the (diagonal) pair action
-    on a tuple of factors carrying the mixed product field.
+    on a tuple of P(M_2) factors carrying the mixed product field; a
+    diagonal pair must also act by conjugation.
 
     ``cross_sign`` overrides the module cross-term sign; the tests use it as
     a negative control (the wrong sign must break the identity)."""
-    images = [model.act(pair, p) for p in points]
-    charts = [model.chart_at(im) for im in images]
-    img_reps = [list(im.vec) for im in images]
-    lhs = project_wedges(
-        charts, img_reps, mixed_wedges(model, splitting, img_reps, cross_sign)
-    )
-    src_reps = [list(p.vec) for p in points]
-    reps1, w1 = push_factorwise(
-        pair, src_reps, mixed_wedges(model, splitting, src_reps, cross_sign)
-    )
-    t1 = project_wedges(charts, reps1, w1)
-    rep_g = flat_from_mat2(pair.g)
-    rep_h = flat_from_mat2(pair.h)
-    reps2, w2 = push_orbit_map(src_reps, rep_g, rep_h, pi_wedges(model, splitting, rep_g, rep_h))
-    t2 = project_wedges(charts, reps2, w2)
-    res = (lhs - t1 - t2).entries
+    images, res = action_residual(model, splitting, pair, points, cross_sign)
     conj_ok = True
     if pair.g == pair.h:
         ginv = pair.g.inverse()
-        for p, im in zip(points, images):
-            from wonderland.geometry import ProjMatrixPoint
-
-            if ProjMatrixPoint(pair.g * p.matrix * ginv) != im:
-                conj_ok = False
+        conj_ok = all(
+            ProjMatrixPoint(pair.g * p.matrix * ginv) == im
+            for p, im in zip(points, images)
+        )
     out = residual_from_matrix(
         "diagonal-action",
         {"points": [repr(p) for p in points]},

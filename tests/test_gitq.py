@@ -242,6 +242,45 @@ class TestGlue:
         )
         assert res and all(r.passed for r in res)
 
+    def test_one_wedge_list_per_sample(self, ctx, monkeypatch):
+        """Both route charts project the same wedge list: one glue sample
+        on two factors computes 2 * half_dim * 2 flow tangents."""
+        calls = []
+        orig = Pgl2Model.flow_tangent
+
+        def counted(self, *args):
+            calls.append(args)
+            return orig(self, *args)
+
+        monkeypatch.setattr(Pgl2Model, "flow_tangent", counted)
+        v2 = m2_variables(2)
+        chart_f = AffineChartQuotient("trAB", trace_of_word(v2, (1, 2)), (1, 1), 2, (0, 0))
+        chart_g = AffineChartQuotient(
+            "detAdetB", det_of_factor(v2, 1) * det_of_factor(v2, 2), (2, 2), 2, (3, 3)
+        )
+        surr = pgl2_surrogates(2)
+        res = glue_consistency(
+            ctx["model"], ctx["split"], chart_f, chart_g,
+            [surr[0], surr[2], surr[3]], self._samples(1),
+        )
+        assert res and all(r.passed for r in res)
+        assert len(calls) == 2 * ctx["split"].half_dim * 2
+
+    def test_outside_route_charts_skipped(self, ctx):
+        """A sample in both quotient charts whose a1 entry is zero lies
+        outside the trAB route chart a1 = 1: it is reported as skipped."""
+        v2 = m2_variables(2)
+        chart_f = AffineChartQuotient("trAB", trace_of_word(v2, (1, 2)), (1, 1), 2, (0, 0))
+        chart_g = AffineChartQuotient(
+            "detAdetB", det_of_factor(v2, 1) * det_of_factor(v2, 2), (2, 2), 2, (3, 3)
+        )
+        surr = pgl2_surrogates(2)
+        pts = (ProjMatrixPoint([0, 1, 1, 1]), ProjMatrixPoint([1, 0, 0, 1]))
+        (res,) = glue_consistency(
+            ctx["model"], ctx["split"], chart_f, chart_g, [surr[0], surr[2]], [pts]
+        )
+        assert res.sample["skipped"] == "outside route charts"
+
     def test_identical_charts_trivial(self, ctx):
         v2 = m2_variables(2)
         chart = AffineChartQuotient("trAB", trace_of_word(v2, (1, 2)), (1, 1), 2, (0, 0))

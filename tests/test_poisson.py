@@ -20,10 +20,10 @@ from wonderland.poisson import (
     pair_group_field,
     diagonal_action_residual,
     splitting_bivector_field,
-    splitting_wedges,
     jacobi_sweep,
     jacobiator,
     mixed_product_field,
+    mixed_wedges,
     multiplicativity_residual,
     pi_wedges,
     poisson_action_residual,
@@ -133,7 +133,7 @@ class TestSplittingField:
             z = st.vector(3)
             rep = ch.rep_at(z)
             pt = project_wedges(
-                [ch], [rep], splitting_wedges(ctx["model"], ctx["split"], rep)
+                [ch], [rep], mixed_wedges(ctx["model"], ctx["split"], [rep])
             )
             assert ctx["field0"].value_at(z).entries == pt.entries
 
@@ -358,11 +358,9 @@ class TestActionIdentity:
         src = gr.act(GroupPair(st.sl2(), st.sl2()), gr.diagonal_point())
         chart = gr.chart_at(src)
         rows = src.mat.data
-        from wonderland.poisson import grass_flow_velocity
-
         from wonderland.linalg import Matrix
 
-        vel = grass_flow_velocity(gr, st.vector(6), rows)
+        vel = gr.flow_tangent(st.vector(6), rows)
         direct = chart.tangent_project(rows, vel)
         while True:
             mix = st.matrix(3, 3, 2)
@@ -371,6 +369,42 @@ class TestActionIdentity:
         mixed_rows = (mix * src.mat).data
         mixed_vel = (mix * Matrix(vel)).data
         assert chart.tangent_project_general(mixed_rows, mixed_vel) == direct
+
+
+class TestPointwiseWork:
+    """Counted by wrapping methods: each flow tangent of a wedge list is
+    computed once, and legs absent from a factor are never projected."""
+
+    @staticmethod
+    def _record(monkeypatch, cls, name):
+        calls = []
+        orig = getattr(cls, name)
+
+        def counted(self, *args):
+            calls.append(args)
+            return orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mixed_wedges_one_flow_tangent_per_element_and_factor(self, ctx, monkeypatch, n):
+        st = RationalStream(173)
+        reps = [list(ProjMatrixPoint(st.nonzero_vector(4)).vec) for _ in range(n)]
+        calls = self._record(monkeypatch, Pgl2Model, "flow_tangent")
+        wedges = mixed_wedges(ctx["model"], ctx["split"], reps)
+        half = ctx["split"].half_dim
+        assert len(calls) == 2 * half * n
+        assert len(wedges) == half * (n + n * (n - 1) // 2)
+
+    def test_run_all_projects_no_zero_leg(self, monkeypatch):
+        from wonderland.reports import ExperimentConfig, run_experiment
+
+        calls = self._record(monkeypatch, ProjChart, "tangent_project")
+        report = run_experiment(ExperimentConfig("all", samples=2, seed=301))
+        assert report.failed == 0
+        assert calls
+        assert [vec for _, vec in calls if all(x == 0 for x in vec)] == []
 
 
 class TestMixedField:

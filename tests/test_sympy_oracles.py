@@ -1,18 +1,22 @@
-"""Matrices and polynomials against SymPy, which shares no code with them.
+"""Matrices, polynomials and chart projections against SymPy, which shares
+no code with them.
 
 ``Matrix.det`` and ``Matrix.solve`` are checked against ``sympy.Matrix``;
 the ``MultiPoly`` product, substitution, derivative and evaluation against
 ``sympy.Poly`` and ``expand``.  The product and the evaluation run through
 the ``poly_mul`` and ``poly_eval`` pair kernels, so these are the checks of
-those kernels that are independent of the package's own arithmetic.
+those kernels that are independent of the package's own arithmetic.  The
+tangent projections of both chart kinds are checked by letting SymPy
+differentiate the chart coordinates of the moved point at t = 0.
 """
 
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wonderland.geometry import GrassChart, ProjChart
 from wonderland.linalg import Matrix
 from wonderland.poly import MultiPoly
 
@@ -129,3 +133,51 @@ def test_solve_matches_sympy(data):
         return
     want = sol.subs({t: 0 for t in params})
     assert got == [from_sympy(x) for x in want]
+
+
+T = sympy.Symbol("t")
+nonzero = rationals.filter(lambda x: x != 0)
+
+
+def derivative_at_zero(e):
+    return from_sympy(sympy.diff(e, T).subs(T, 0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(0, 1, 2), (0, 2, 4), (1, 3, 5), (3, 4, 5), (0, 4, 5)]),
+    st.lists(rationals, min_size=9, max_size=9),
+    st.lists(st.lists(rationals, min_size=6, max_size=6), min_size=3, max_size=3),
+    st.lists(st.lists(rationals, min_size=6, max_size=6), min_size=3, max_size=3),
+)
+def test_grass_tangent_project_general_matches_sympy(pivots, center, rep, vel):
+    """The chart coordinates of span(R + tV) are the free columns of
+    (pivot block)^-1 (R + tV), less the center; R need not be normalized."""
+    block = sympy.Matrix([[to_sympy(rep[i][p]) for p in pivots] for i in range(3)])
+    assume(block.det() != 0)
+    chart = GrassChart(pivots, 6, [center[3 * i : 3 * i + 3] for i in range(3)])
+    moved = sympy.Matrix(
+        3, 6, lambda i, j: to_sympy(rep[i][j]) + T * to_sympy(vel[i][j])
+    )
+    normal = moved.extract([0, 1, 2], list(pivots)).inv() * moved
+    want = [derivative_at_zero(normal[i, j]) for i in range(3) for j in chart.free]
+    assert chart.tangent_project_general(rep, vel) == want
+    assert chart.tangent_project(rep, vel) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(rationals, min_size=3, max_size=3),
+    st.lists(rationals, min_size=3, max_size=3),
+    nonzero,
+    st.lists(rationals, min_size=4, max_size=4),
+)
+def test_proj_tangent_project_matches_sympy(k, center, z, scale, vec):
+    """At a scaled representative R the chart coordinates of [R + tv] are
+    (R_p + t v_p) / (R_k + t v_k) less the center, for p != k."""
+    chart = ProjChart(k, center)
+    rep = [scale * x for x in chart.rep_at(z)]
+    moved = [to_sympy(r) + T * to_sympy(v) for r, v in zip(rep, vec)]
+    want = [derivative_at_zero(moved[p] / moved[k]) for p in chart.positions]
+    assert chart.tangent_project(rep, vec) == want
