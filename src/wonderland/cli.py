@@ -25,8 +25,6 @@ def _parse_matrix(text):
 def cmd_lie_build(args):
     from wonderland.lie import build_sl
 
-    if args.type != "sl":
-        raise SystemExit(2)
     alg = build_sl(args.n)
     _print(alg.to_json())
     return 0
@@ -127,8 +125,6 @@ def cmd_invariants_express(args):
     from wonderland.sampling import RationalStream
 
     sl2 = build_sl(2)
-    if args.target != "traba" or args.gens != "standard":
-        raise SystemExit(2)
     gens = trace_generators(sl2, 2)
     v = m2_variables(2)
     target = trace_of_word(v, (1, 2, 1, 2))
@@ -233,11 +229,9 @@ def build_parser():
         dest="sub", required=True
     )
     b = lie.add_parser("build", help="build an algebra from structure constants")
-    b.add_argument("--type", default="sl")
     b.add_argument("--n", type=int, default=2)
     b.set_defaults(func=cmd_lie_build)
     s = lie.add_parser("splitting", help="build and validate a splitting")
-    s.add_argument("--standard", action="store_true")
     s.add_argument("--n", type=int, default=2)
     s.add_argument("--l2", help="JSON file with an l2 basis to validate")
     s.set_defaults(func=cmd_lie_splitting)
@@ -267,8 +261,6 @@ def build_parser():
         q.add_argument("--seed", type=int, default=42)
         q.add_argument("--n", type=int, default=2)
         q.add_argument("--out")
-        if name == "tangency":
-            q.add_argument("--divisor", default="det0", choices=("det0",))
         q.set_defaults(func=cmd_run, experiment=experiment)
 
     inv = sub.add_parser("invariants", help="invariant spaces and expressions")
@@ -279,8 +271,6 @@ def build_parser():
     inv.add_argument("--multidegree")
     inv.set_defaults(func=cmd_invariants)
     ex = invsub.add_parser("express")
-    ex.add_argument("--target", default="traba")
-    ex.add_argument("--gens", default="standard")
     ex.add_argument("--bound", type=int, default=2)
     ex.add_argument("--seed", type=int, default=42)
     ex.set_defaults(func=cmd_invariants_express)
@@ -289,13 +279,11 @@ def build_parser():
         dest="sub", required=True
     )
     ring = git.add_parser("ring")
-    ring.add_argument("--model", default="pgl2")
     ring.add_argument("--r", type=int, default=2)
     ring.add_argument("--degree", type=int, default=4)
     ring.set_defaults(func=cmd_git_ring)
     for name, experiment in (("glue", "glue"), ("saturation", "saturation")):
         q = git.add_parser(name)
-        q.add_argument("--charts", default="tr,det", choices=("tr,det",))
         q.add_argument("--samples", type=int, default=20)
         q.add_argument("--seed", type=int, default=42)
         q.add_argument("--out")

@@ -10,8 +10,15 @@ Two models:
   the group pair acting through the adjoint representation on each summand.
 
 Charts are affine: for P(M_2) the chart normalizing one matrix entry to 1,
-for the Grassmannian the [I | C] chart after a column permutation.  The
-infinitesimal action gives exact polynomial vector fields on both.
+for the Grassmannian the [I | C] chart after a column permutation.  Each
+model has one ``flow_tangent``, the ambient tangent of a double element's
+flow at a representative, and each chart one projection formula,
+``project_normalized``, at a representative whose normalizing entry is 1 or
+whose pivot block is I.  Both use only + - x, so they run on rational
+entries and on ``MultiPoly`` entries alike.  ``tangent_project`` normalizes
+a rational representative and projects; ``infinitesimal_field`` runs the
+flow at the chart's parametrized representative, which is already
+normalized, and so gives the exact polynomial vector field on the chart.
 """
 
 from fractions import Fraction
@@ -243,11 +250,13 @@ class ProjChart:
         pk = Fraction(rep[self.norm_index])
         if pk == 0:
             raise ChartDomainError("base point outside chart")
-        vk = Fraction(vec[self.norm_index])
-        return [
-            Fraction(vec[p]) / pk - vk * Fraction(rep[p]) / (pk * pk)
-            for p in self.positions
-        ]
+        return self.project_normalized([x / pk for x in rep], [v / pk for v in vec])
+
+    def project_normalized(self, rep, vec):
+        """The projection at a representative whose normalizing entry is 1,
+        over any ring: vec[p] - vec[k] rep[p] for p != k."""
+        vk = vec[self.norm_index]
+        return [vec[p] - vk * rep[p] for p in self.positions]
 
     def det_poly(self):
         """det of the parametrized matrix: the boundary divisor in this chart."""
@@ -323,25 +332,24 @@ class GrassChart:
         return self.tangent_project_general(rep_rows, vel_rows)
 
     def tangent_project_general(self, rep_rows, vel_rows):
-        """Projection for an arbitrary representative of the span.
+        """Projection for an arbitrary representative of the span: with P
+        the inverse pivot block, P R is normalized and P V moves it."""
+        pinv = Matrix([[row[p] for p in self.pivots] for row in rep_rows]).inverse()
+        return self.project_normalized(
+            (pinv * Matrix(rep_rows)).data, (pinv * Matrix(vel_rows)).data
+        )
 
-        For N(t) = P(t) R(t) with P the inverse pivot block, the coordinate
-        velocity is P (dR - dR_piv N) on the free columns.
-        """
-        rep = Matrix([[Fraction(x) for x in row] for row in rep_rows])
-        vel = Matrix([[Fraction(x) for x in row] for row in vel_rows])
-        piv = Matrix(
-            [[rep.data[i][p] for p in self.pivots] for i in range(self.n)]
-        )
-        pinv = piv.inverse()
-        norm = pinv * rep
-        vpiv = Matrix(
-            [[vel.data[i][p] for p in self.pivots] for i in range(self.n)]
-        )
-        corrected = pinv * (vel - vpiv * norm)
+    def project_normalized(self, rep_rows, vel_rows):
+        """The projection at a representative N whose pivot block is I,
+        over any ring: V - V_piv N on the free columns, row-major."""
         out = []
-        for i in range(self.n):
-            out.extend(corrected.data[i][j] for j in self.free)
+        for vel in vel_rows:
+            vpiv = [vel[p] for p in self.pivots]
+            for j in self.free:
+                acc = vel[j]
+                for vk, rep in zip(vpiv, rep_rows):
+                    acc = acc - vk * rep[j]
+                out.append(acc)
         return out
 
 
@@ -378,6 +386,16 @@ def mat2_from_flat(flat):
 
 def flat_from_mat2(m):
     return [m.data[0][0], m.data[0][1], m.data[1][0], m.data[1][1]]
+
+
+def flat_mul2(x, y):
+    """Product of two 2x2 matrices in flat (a, b, c, d) order, over any ring."""
+    return [
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    ]
 
 
 class Pgl2Model:
@@ -428,10 +446,12 @@ class Pgl2Model:
         return a, b
 
     def flow_tangent(self, elem6, rep_flat):
-        """Ambient derivative of exp(ta) A exp(-tb) at t = 0: aA - Ab."""
-        a, b = self.elem_matrices(elem6)
-        A = mat2_from_flat(rep_flat)
-        return flat_from_mat2(a * A - A * b)
+        """Ambient derivative of exp(ta) A exp(-tb) at t = 0: aA - Ab, over
+        any ring of entries of A."""
+        a, b = (flat_from_mat2(m) for m in self.elem_matrices(elem6))
+        return [
+            p - q for p, q in zip(flat_mul2(a, rep_flat), flat_mul2(rep_flat, b))
+        ]
 
     # -- charts -----------------------------------------------------------
     def chart_at(self, point):
@@ -439,29 +459,6 @@ class Pgl2Model:
         chart = ProjChart(k)
         offsets = chart.coords_of(point)
         return ProjChart(k, offsets)
-
-    def infinitesimal_field(self, chart, elem6, variables=None, var_offset=0):
-        """Polynomial field of the one-parameter flow of ``elem6`` on a chart.
-
-        Components are quadratic: the flow derivative aA(z) - A(z)b corrected
-        by the projective normalization.
-        """
-        amb = chart.ambient_polys(variables, var_offset)
-        a, b = self.elem_matrices(elem6)
-        A = [[amb[0], amb[1]], [amb[2], amb[3]]]
-        vr = [[None, None], [None, None]]
-        for i in range(2):
-            for j in range(2):
-                acc = MultiPoly.zero(amb[0].variables)
-                for m in range(2):
-                    if a.data[i][m] != 0:
-                        acc = acc + A[m][j] * a.data[i][m]
-                    if b.data[m][j] != 0:
-                        acc = acc - A[i][m] * b.data[m][j]
-                vr[i][j] = acc
-        vflat = [vr[0][0], vr[0][1], vr[1][0], vr[1][1]]
-        vk = vflat[chart.norm_index]
-        return [vflat[p] - vk * amb[p] for p in chart.positions]
 
     # -- boundary structure -----------------------------------------------
     def segre_factor(self, point):
@@ -616,32 +613,6 @@ class GrassmannModel:
             block.append([next(it) for _ in chart.free])
         return GrassChart(point.pivots, 2 * self.n, block)
 
-    def infinitesimal_field(self, chart, elem6, variables=None, var_offset=0):
-        """Field of elem on the [I | C] chart: row velocity ad_elem(row)
-        corrected to keep the pivot block constant; quadratic in C."""
-        amb = chart.ambient_polys(variables, var_offset)
-        variables = amb[0][0].variables
-        ad = self.double.ad([Fraction(x) for x in elem6])
-        vel = []
-        for i in range(chart.n):
-            row = []
-            for j in range(2 * self.n):
-                acc = MultiPoly.zero(variables)
-                for m in range(2 * self.n):
-                    if ad.data[j][m] != 0:
-                        acc = acc + amb[i][m] * ad.data[j][m]
-                row.append(acc)
-            vel.append(row)
-        vp = [[vel[i][p] for p in chart.pivots] for i in range(chart.n)]
-        out = []
-        for i in range(chart.n):
-            for j in chart.free:
-                corr = vel[i][j]
-                for k in range(chart.n):
-                    corr = corr - vp[i][k] * amb[k][j]
-                out.append(corr)
-        return out
-
     def _action_rows(self, point):
         """The infinitesimal-action map into the tangent space at the point:
         one projected flow tangent per basis element of the double."""
@@ -660,3 +631,11 @@ class GrassmannModel:
 
     def stabilizer_basis(self, point):
         return self._action_rows(point).transpose().kernel_basis()
+
+
+def infinitesimal_field(model, chart, elem, variables=None, var_offset=0):
+    """Polynomial field of the one-parameter flow of a double element on a
+    chart: the model's flow tangent at the chart's parametrized
+    representative, projected there.  Components are quadratic."""
+    amb = chart.ambient_polys(variables, var_offset)
+    return chart.project_normalized(amb, model.flow_tangent(elem, amb))

@@ -248,27 +248,8 @@ class Bivector:
 
     @classmethod
     def from_wedges(cls, dim, wedges):
-        """Build sum of coef * (u ^ w) with u ^ w = u(x)w - w(x)u.
-
-        Only the nonzero entries of u and w are visited: each product
-        t = coef u[a] w[b] is added at [a][b] and subtracted at [b][a].
-        """
-        ent = [[Fraction(0)] * dim for _ in range(dim)]
-        for coef, u, w in wedges:
-            coef = Fraction(coef)
-            if coef == 0:
-                continue
-            w_nz = [(b, wb) for b, wb in enumerate(w) if wb != 0]
-            for a, ua in enumerate(u):
-                if ua == 0:
-                    continue
-                cu = coef * ua
-                row = ent[a]
-                for b, wb in w_nz:
-                    t = cu * wb
-                    row[b] += t
-                    ent[b][a] -= t
-        return cls(ent)
+        """Build sum of coef * (u ^ w) with u ^ w = u(x)w - w(x)u."""
+        return cls(wedge_sum(dim, wedges, ZERO))
 
     def bracket_eval(self, df, dg):
         """Value of {f,g} from the differentials df, dg at this point."""
@@ -317,6 +298,30 @@ class Bivector:
 
     def __repr__(self):
         return "Bivector(%r)" % (self.entries,)
+
+
+def wedge_sum(dim, wedges, zero):
+    """Entries of sum coef * (u ^ w) over any ring whose zero is ``zero``.
+
+    Only the nonzero entries of u and w are visited: each product
+    t = coef u[a] w[b] is added at [a][b] and subtracted at [b][a].
+    """
+    ent = [[zero] * dim for _ in range(dim)]
+    for coef, u, w in wedges:
+        coef = Fraction(coef)
+        if coef == 0:
+            continue
+        w_nz = [(b, wb) for b, wb in enumerate(w) if wb != 0]
+        for a, ua in enumerate(u):
+            if ua == 0:
+                continue
+            cu = coef * ua
+            row = ent[a]
+            for b, wb in w_nz:
+                t = cu * wb
+                row[b] += t
+                ent[b][a] -= t
+    return ent
 
 
 def row_span_contains(span_rows, vec):

@@ -1,12 +1,22 @@
 """Bivector fields on the compactification and their exact identities.
 
-The field on a chart is built from the splitting's dual bases: half the sum
-of wedges of the infinitesimal fields of the x_i against those of the y_i.
-On the group pair G x G the bivector is the right-translate minus the
-left-translate of the same wedge.  Products of compactification factors
-carry the direct-sum field plus cross terms coupling the factors through the
-dual pair; the relative sign of the cross terms is forced by requiring the
-diagonal pair action to be Poisson and is validated exactly in the tests.
+Every bivector here comes from one of two wedge lists.  ``mixed_wedges`` gives
+(1/2) sum_i lambda(x_i) ^ lambda(y_i) on each compactification factor plus
+the cross terms coupling factors j < k through the dual pair (their sign,
+MIXED_CROSS_SIGN, is forced by requiring the diagonal pair action to be
+Poisson), and ``pi_wedges`` gives the pair-group bivector on G x G, the
+right translate minus the left translate of the same wedge.  A leg is None
+on a factor it does not touch, and a pair-group component is None where its
+algebra element is zero.  The legs are flow tangents or translates, over
+any ring of entries, so the same lists serve two ends:
+
+* pointwise, at rational representatives, ``project_wedges`` projects them
+  with each chart's ``tangent_project`` into a ``Bivector``;
+* symbolically, at the charts' parametrized representatives,
+  ``polynomial_field`` projects them with ``project_normalized`` and sums
+  them with ``linalg.wedge_sum`` into a ``BivectorField`` of polynomials
+  (``splitting_bivector_field``, ``mixed_product_field``,
+  ``pair_group_field``).
 
 Identity checks (Jacobi, multiplicativity, the action compatibility
 equation, tangency to the boundary divisor) are all run at rational sample
@@ -29,7 +39,9 @@ evidence for the identity, and every individual check is a proof at its
 point.  For the coordinate-triple Jacobiator on a projective-model chart the
 residual polynomial has total degree at most 7 (field entries are degree <= 4,
 their derivatives degree <= 3); the default sweeps use well over 7 samples
-per chart.
+per chart.  On P(M_2) the tests also prove it: the Jacobiators of the
+splitting field, of the mixed field on every pair and triple of charts and
+of the pair-group field on every pair of charts are zero polynomials.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -40,9 +52,9 @@ from wonderland.geometry import (
     ProductChart,
     ProjMatrixPoint,
     flat_from_mat2,
-    mat2_from_flat,
+    flat_mul2,
 )
-from wonderland.linalg import Bivector, qstr
+from wonderland.linalg import Bivector, qstr, wedge_sum
 from wonderland.poly import MultiPoly
 
 Q = Fraction
@@ -148,33 +160,27 @@ class BivectorField:
         return out
 
 
-def wedge_entries_half_sum(dim, pairs, coefs=None):
-    """Polynomial entries sum coef * (X ^ Y) from (X, Y) vector-field pairs."""
-    variables = None
-    for X, Y in pairs:
-        variables = X[0].variables
-        break
-    ent = [[MultiPoly.zero(variables) for _ in range(dim)] for _ in range(dim)]
-    for idx, (X, Y) in enumerate(pairs):
-        c = Fraction(1, 2) if coefs is None else coefs[idx]
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                t = (X[a] * Y[b] - X[b] * Y[a]) * c
-                if not t.is_zero():
-                    ent[a][b] = ent[a][b] + t
-                    ent[b][a] = ent[b][a] - t
-    return ent
+def polynomial_field(chart, factor_charts, ambs, wedges):
+    """The bivector field of a wedge list whose legs were computed at the
+    factor charts' parametrized representatives ``ambs``: each leg is
+    projected there and a None leg is zero on its factor."""
+    zero = MultiPoly.zero(chart.variables)
+
+    def proj(legs):
+        out = []
+        for fc, amb, leg in zip(factor_charts, ambs, legs):
+            out.extend([zero] * fc.dim if leg is None else fc.project_normalized(amb, leg))
+        return out
+
+    wedges = [(c, proj(u), proj(w)) for c, u, w in wedges]
+    return BivectorField(chart, wedge_sum(chart.dim, wedges, zero))
 
 
 def splitting_bivector_field(model, chart, splitting):
     """The splitting's bivector field on a compactification chart:
     (1/2) sum_i lambda(x_i) ^ lambda(y_i), exact polynomial entries."""
-    pairs = []
-    for i in range(splitting.half_dim):
-        X = model.infinitesimal_field(chart, splitting.x_basis[i])
-        Y = model.infinitesimal_field(chart, splitting.y_basis[i])
-        pairs.append((X, Y))
-    return BivectorField(chart, wedge_entries_half_sum(chart.dim, pairs))
+    amb = chart.ambient_polys()
+    return polynomial_field(chart, [chart], [amb], mixed_wedges(model, splitting, [amb]))
 
 
 def pair_group_field(model, chart_pair, splitting):
@@ -182,96 +188,28 @@ def pair_group_field(model, chart_pair, splitting):
     translate of the wedge minus the left translate."""
     if len(chart_pair.factors) != 2:
         raise ValueError("the group bivector lives on a two-factor chart")
-    variables = chart_pair.variables
-    amb1 = chart_pair.ambient_polys(0)
-    amb2 = chart_pair.ambient_polys(1)
-
-    def project(vflat, amb, factor):
-        chart = chart_pair.factors[factor]
-        vk = vflat[chart.norm_index]
-        return [vflat[p] - vk * amb[p] for p in chart.positions]
-
-    def translate(elem6, side):
-        a, b = model.elem_matrices(elem6)
-        H1 = [[amb1[0], amb1[1]], [amb1[2], amb1[3]]]
-        H2 = [[amb2[0], amb2[1]], [amb2[2], amb2[3]]]
-
-        def mul(const, polys, reverse):
-            out = []
-            for i in range(2):
-                for j in range(2):
-                    acc = MultiPoly.zero(variables)
-                    for m in range(2):
-                        c = const.data[m][j] if reverse else const.data[i][m]
-                        p = polys[i][m] if reverse else polys[m][j]
-                        if c != 0:
-                            acc = acc + p * c
-                    out.append(acc)
-            return out
-
-        # side 'R': tangent a*H; side 'L': tangent H*a
-        v1 = mul(a, H1, reverse=(side == "L"))
-        v2 = mul(b, H2, reverse=(side == "L"))
-        return project(v1, amb1, 0) + project(v2, amb2, 1)
-
-    pairs = []
-    coefs = []
-    for i in range(splitting.half_dim):
-        xi, yi = splitting.x_basis[i], splitting.y_basis[i]
-        pairs.append((translate(xi, "R"), translate(yi, "R")))
-        coefs.append(Fraction(1, 2))
-        pairs.append((translate(xi, "L"), translate(yi, "L")))
-        coefs.append(Fraction(-1, 2))
-    return BivectorField(chart_pair, wedge_entries_half_sum(chart_pair.dim, pairs, coefs))
+    ambs = [chart_pair.ambient_polys(0), chart_pair.ambient_polys(1)]
+    return polynomial_field(
+        chart_pair, chart_pair.factors, ambs, pi_wedges(model, splitting, *ambs)
+    )
 
 
 def mixed_product_field(model, splitting, factor_charts, n=None):
     """The product field on compactification factors plus cross terms.
 
     Block-diagonal copies of the one-factor field; for factors j < k the
-    cross block couples lambda(y_i) on factor j with lambda(x_i) on factor k,
-    with the sign fixed by MIXED_CROSS_SIGN.  ``factor_charts`` is either a
-    list of per-factor charts or a single chart replicated n times.
+    cross block couples lambda(y_i) on factor j with lambda(x_i) on factor k
+    (see ``mixed_wedges``).  ``factor_charts`` is either a list of
+    per-factor charts or a single chart replicated n times.
     """
     if n is not None:
         factor_charts = [factor_charts] * n
     factor_charts = list(factor_charts)
-    n = len(factor_charts)
-    if n < 1:
+    if not factor_charts:
         raise ValueError("n must be >= 1")
     chart = ProductChart(factor_charts)
-    lam_x, lam_y = [], []
-    for l in range(n):
-        off = chart.offsets[l]
-        lx, ly = [], []
-        for i in range(splitting.half_dim):
-            lx.append(
-                model.infinitesimal_field(factor_charts[l], splitting.x_basis[i], chart.variables, off)
-            )
-            ly.append(
-                model.infinitesimal_field(factor_charts[l], splitting.y_basis[i], chart.variables, off)
-            )
-        lam_x.append(lx)
-        lam_y.append(ly)
-
-    def embed(vec, l):
-        out = [MultiPoly.zero(chart.variables) for _ in range(chart.dim)]
-        off = chart.offsets[l]
-        for m, p in enumerate(vec):
-            out[off + m] = p
-        return out
-
-    pairs, coefs = [], []
-    for l in range(n):
-        for i in range(splitting.half_dim):
-            pairs.append((embed(lam_x[l][i], l), embed(lam_y[l][i], l)))
-            coefs.append(Fraction(1, 2))
-    for j in range(n):
-        for k in range(j + 1, n):
-            for i in range(splitting.half_dim):
-                pairs.append((embed(lam_y[j][i], j), embed(lam_x[k][i], k)))
-                coefs.append(Fraction(MIXED_CROSS_SIGN))
-    return BivectorField(chart, wedge_entries_half_sum(chart.dim, pairs, coefs))
+    ambs = [chart.ambient_polys(l) for l in range(len(factor_charts))]
+    return polynomial_field(chart, factor_charts, ambs, mixed_wedges(model, splitting, ambs))
 
 
 def mixed_value_in_charts(model, splitting, points, charts):
@@ -285,14 +223,6 @@ def mixed_value_in_charts(model, splitting, points, charts):
 # pointwise values and pushforwards (used to transport both sides of the
 # action identities into the chart at the image point)
 # ---------------------------------------------------------------------------
-
-
-def _flat_mul(a, flat):
-    return flat_from_mat2(a * mat2_from_flat(flat))
-
-
-def _flat_mul_right(flat, b):
-    return flat_from_mat2(mat2_from_flat(flat) * b)
 
 
 def mixed_wedges(model, splitting, reps, cross_sign=None):
@@ -332,18 +262,22 @@ def pi_wedges_matrices(model, splitting, G, H):
 
 
 def pi_wedges(model, splitting, rep_g, rep_h):
-    """Pointwise wedge list of the pair-group bivector at flat 2x2 reps."""
-    G = mat2_from_flat(rep_g)
-    H = mat2_from_flat(rep_h)
+    """Pair-group bivector wedges at flat 2x2 representatives, over any
+    ring: legs (a G, b H) on the right and (G a, H b) on the left.  A
+    component whose algebra element is zero is None."""
+    reps = (rep_g, rep_h)
+
+    def legs(elem):
+        flats = [flat_from_mat2(m) for m in model.elem_matrices(elem)]
+        right = tuple(flat_mul2(a, r) if any(a) else None for a, r in zip(flats, reps))
+        left = tuple(flat_mul2(r, a) if any(a) else None for a, r in zip(flats, reps))
+        return right, left
+
     out = []
-    for c, u, w in pi_wedges_matrices(model, splitting, G, H):
-        out.append(
-            (
-                c,
-                (flat_from_mat2(u[0]), flat_from_mat2(u[1])),
-                (flat_from_mat2(w[0]), flat_from_mat2(w[1])),
-            )
-        )
+    for x, y in zip(splitting.x_basis, splitting.y_basis):
+        (xr, xl), (yr, yl) = legs(x), legs(y)
+        out.append((Fraction(1, 2), xr, yr))
+        out.append((Fraction(-1, 2), xl, yl))
     return out
 
 
@@ -386,24 +320,16 @@ def multiplicativity_residual(model, splitting, pair1, pair2):
     reps = [pg, ph]
     lhs = project_wedges(charts, reps, pi_wedges(model, splitting, pg, ph))
 
-    def push_left(wedges):
-        out = []
-        for c, u, w in wedges:
-            nu = (_flat_mul(pair1.g, u[0]), _flat_mul(pair1.h, u[1]))
-            nw = (_flat_mul(pair1.g, w[0]), _flat_mul(pair1.h, w[1]))
-            out.append((c, nu, nw))
-        return out
+    def push(wedges, maps):
+        def legs(u):
+            return tuple(None if v is None else f(v) for f, v in zip(maps, u))
 
-    def push_right(wedges):
-        out = []
-        for c, u, w in wedges:
-            nu = (_flat_mul_right(u[0], pair2.g), _flat_mul_right(u[1], pair2.h))
-            nw = (_flat_mul_right(w[0], pair2.g), _flat_mul_right(w[1], pair2.h))
-            out.append((c, nu, nw))
-        return out
+        return [(c, legs(u), legs(w)) for c, u, w in wedges]
 
-    t1 = project_wedges(charts, reps, push_left(pi_wedges(model, splitting, g2, h2)))
-    t2 = project_wedges(charts, reps, push_right(pi_wedges(model, splitting, g1, h1)))
+    left = (lambda v: flat_mul2(g1, v), lambda v: flat_mul2(h1, v))
+    right = (lambda v: flat_mul2(v, g2), lambda v: flat_mul2(v, h2))
+    t1 = project_wedges(charts, reps, push(pi_wedges(model, splitting, g2, h2), left))
+    t2 = project_wedges(charts, reps, push(pi_wedges(model, splitting, g1, h1), right))
     res = (lhs - t1 - t2).entries
     return residual_from_matrix("pi-multiplicativity", {}, res)
 

@@ -13,6 +13,7 @@ from wonderland.geometry import (
     ProjChart,
     ProjLinePoint,
     ProjMatrixPoint,
+    infinitesimal_field,
     segre,
 )
 from wonderland.lie import build_sl, double_algebra, is_lagrangian, sl_coords, sl_matrix_of
@@ -277,16 +278,16 @@ class TestCharts:
 class TestInfinitesimalField:
     def test_zero_element_zero_field(self, ctx):
         ch = ProjChart(0)
-        fld = ctx["model"].infinitesimal_field(ch, [Q(0)] * 6)
+        fld = infinitesimal_field(ctx["model"], ch, [Q(0)] * 6)
         assert all(f.is_zero() for f in fld)
 
     def test_linearity_in_element(self, ctx):
         ch = ProjChart(1)
         st = RationalStream(73)
         u, v = st.vector(6), st.vector(6)
-        fu = ctx["model"].infinitesimal_field(ch, u)
-        fv = ctx["model"].infinitesimal_field(ch, v)
-        fuv = ctx["model"].infinitesimal_field(ch, [a + b for a, b in zip(u, v)])
+        fu = infinitesimal_field(ctx["model"], ch, u)
+        fv = infinitesimal_field(ctx["model"], ch, v)
+        fuv = infinitesimal_field(ctx["model"], ch, [a + b for a, b in zip(u, v)])
         for p, q, r in zip(fu, fv, fuv):
             assert p + q == r
 
@@ -295,7 +296,7 @@ class TestInfinitesimalField:
         ch = ctx["model"].chart_at(I)
         st = RationalStream(79)
         x = st.vector(3)
-        fld = ctx["model"].infinitesimal_field(ch, x + x)
+        fld = infinitesimal_field(ctx["model"], ch, x + x)
         assert [f.eval([0, 0, 0]) for f in fld] == [Q(0)] * 3
 
     def test_flow_consistency_first_order(self, ctx):
@@ -333,7 +334,7 @@ class TestInfinitesimalField:
             curve = tmul(tmul(ga, tmat(Am)), gb)
             flat = [curve[0][0], curve[0][1], curve[1][0], curve[1][1]]
             den = flat[0]
-            fld = model.infinitesimal_field(ch, elem)
+            fld = infinitesimal_field(model, ch, elem)
             for pos, f in zip(ch.positions, fld):
                 frac = RationalFn(flat[pos], den)
                 deriv_at_0 = frac.diff("t").eval([Q(0)])
@@ -345,10 +346,12 @@ class TestInfinitesimalField:
         ch = gr.chart_at(d)
         st = RationalStream(89)
         elem = st.vector(6)
-        fld = gr.infinitesimal_field(ch, elem)
+        fld = infinitesimal_field(gr, ch, elem)
         z = st.vector(9, 3)
         base = ch.rep_rows_at(z)
         ad = ctx["double"].ad(elem)
         vel = [ad.apply_to(r) for r in base]
         want = ch.tangent_project(base, vel)
         assert [f.eval(z) for f in fld] == want
+        mixed = (Matrix([[2, 1, 0], [0, 1, -1], [1, 0, 3]]) * Matrix(base)).data
+        assert ch.tangent_project(mixed, [ad.apply_to(r) for r in mixed]) == want

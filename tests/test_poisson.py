@@ -1,7 +1,7 @@
 """The bivector engine: field constructions and exact identity residuals."""
 
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -203,6 +203,31 @@ class TestJacobi:
         control = _non_poisson_field(RationalStream(181))
         assert not all(j.is_zero() for j in _symbolic_jacobiators(control))
 
+    def test_mixed_and_pair_group_jacobiators_are_zero_polynomials(self, ctx):
+        """On every pair and triple of P(M2) charts the mixed field's
+        coordinate Jacobiators are zero polynomials, and so are the
+        pair-group field's on every pair: a proof on each whole chart."""
+        model, split = ctx["model"], ctx["split"]
+        for n in (2, 3):
+            for ks in product(range(4), repeat=n):
+                fld = mixed_product_field(model, split, [ProjChart(k) for k in ks])
+                assert all(j.is_zero() for j in _symbolic_jacobiators(fld)), ks
+        for ks in product(range(4), repeat=2):
+            pc = ProductChart([ProjChart(k) for k in ks])
+            fld = pair_group_field(model, pc, split)
+            assert all(j.is_zero() for j in _symbolic_jacobiators(fld)), ks
+
+    def test_flipped_cross_sign_jacobiators_are_nonzero(self, ctx, monkeypatch):
+        """Control for the proof above: with the cross-term sign flipped,
+        18 of the 20 two-factor Jacobiators are nonzero polynomials."""
+        import wonderland.poisson as poisson
+
+        monkeypatch.setattr(poisson, "MIXED_CROSS_SIGN", -poisson.MIXED_CROSS_SIGN)
+        fld = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 2)
+        jacs = _symbolic_jacobiators(fld)
+        assert len(jacs) == 20
+        assert sum(not j.is_zero() for j in jacs) == 18
+
     def test_constant_symplectic_field(self, ctx):
         ch = ProjChart(0)
         names = ch.variables
@@ -396,6 +421,39 @@ class TestPointwiseWork:
         half = ctx["split"].half_dim
         assert len(calls) == 2 * half * n
         assert len(wedges) == half * (n + n * (n - 1) // 2)
+
+    def test_pair_group_zero_components_are_never_pushed(self, ctx, monkeypatch):
+        """Two of the standard splitting's y-elements, multiples of (0, f)
+        and (e, 0), have a zero component: every pi_wedges call marks
+        exactly those 4 components None, and multiplicativity_residual
+        multiplies no zero leg."""
+        import wonderland.poisson as poisson
+
+        wedge_lists = []
+        orig_pi = poisson.pi_wedges
+
+        def counted_pi(*args):
+            wedge_lists.append(orig_pi(*args))
+            return wedge_lists[-1]
+
+        products = []
+        orig_mul = poisson.flat_mul2
+
+        def counted_mul(x, y):
+            products.append((x, y))
+            return orig_mul(x, y)
+
+        monkeypatch.setattr(poisson, "pi_wedges", counted_pi)
+        monkeypatch.setattr(poisson, "flat_mul2", counted_mul)
+        st = RationalStream(199)
+        p1 = GroupPair(st.sl2(), st.sl2())
+        p2 = GroupPair(st.sl2(), st.sl2())
+        assert multiplicativity_residual(ctx["model"], ctx["split"], p1, p2).passed
+        assert len(wedge_lists) == 3
+        for wedges in wedge_lists:
+            assert sum(v is None for _, u, w in wedges for v in u + w) == 4
+        assert products
+        assert [xy for xy in products if not (any(xy[0]) and any(xy[1]))] == []
 
     def test_run_all_projects_no_zero_leg(self, monkeypatch):
         from wonderland.reports import ExperimentConfig, run_experiment

@@ -117,19 +117,19 @@ def test_grassmann_action_model():
 
 class TestCli:
     def test_lie_build(self, capsys):
-        assert cli_main(["lie", "build", "--type", "sl", "--n", "2"]) == 0
+        assert cli_main(["lie", "build", "--n", "2"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["dim"] == 3
 
     def test_lie_splitting_standard(self, capsys):
-        assert cli_main(["lie", "splitting", "--standard"]) == 0
+        assert cli_main(["lie", "splitting"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["axioms"] == "verified"
         assert len(obj["x_basis"]) == 3
 
     def test_lie_splitting_user_l2(self, tmp_path, capsys):
         """The JSON interface accepts and validates a user complement."""
-        assert cli_main(["lie", "splitting", "--standard"]) == 0
+        assert cli_main(["lie", "splitting"]) == 0
         ref = json.loads(capsys.readouterr().out)
         payload = tmp_path / "l2.json"
         payload.write_text(json.dumps({"l2_basis": ref["y_basis"]}))
@@ -196,7 +196,7 @@ class TestCli:
 
     def test_invariants_express(self, capsys):
         code = cli_main(
-            ["invariants", "express", "--target", "traba", "--gens", "standard", "--bound", "2"]
+            ["invariants", "express", "--bound", "2"]
         )
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
@@ -204,7 +204,7 @@ class TestCli:
         assert [[0, 0, 2], "1"] in obj["coefficients"]
 
     def test_git_ring(self, capsys):
-        assert cli_main(["git", "ring", "--model", "pgl2", "--r", "1", "--degree", "3"]) == 0
+        assert cli_main(["git", "ring", "--r", "1", "--degree", "3"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert {tuple(d["degree"]): d["dimension"] for d in obj["dimensions"]}[(2,)] == 2
 
@@ -280,7 +280,7 @@ class TestCli:
         assert obj["summary"]["fail"] == 0
 
     def test_git_glue_subcommand(self, capsys):
-        code = cli_main(["git", "glue", "--charts", "tr,det", "--samples", "2", "--seed", "5"])
+        code = cli_main(["git", "glue", "--samples", "2", "--seed", "5"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
 

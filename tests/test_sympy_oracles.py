@@ -6,7 +6,8 @@ the ``MultiPoly`` product, substitution, derivative and evaluation against
 ``sympy.Poly`` and ``expand``.  The product and the evaluation run through
 the ``poly_mul`` and ``poly_eval`` pair kernels, so these are the checks of
 those kernels that are independent of the package's own arithmetic.  The
-tangent projections of both chart kinds are checked by letting SymPy
+tangent projections of both chart kinds, and the polynomial vector field
+of a double element on a Grassmannian chart, are checked by letting SymPy
 differentiate the chart coordinates of the moved point at t = 0.
 """
 
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wonderland.geometry import GrassChart, ProjChart
+from wonderland.geometry import GrassChart, GrassmannModel, ProjChart, infinitesimal_field
+from wonderland.lie import build_sl, double_algebra
 from wonderland.linalg import Matrix
 from wonderland.poly import MultiPoly
 
@@ -181,3 +183,28 @@ def test_proj_tangent_project_matches_sympy(k, center, z, scale, vec):
     moved = [to_sympy(r) + T * to_sympy(v) for r, v in zip(rep, vec)]
     want = [derivative_at_zero(moved[p] / moved[k]) for p in chart.positions]
     assert chart.tangent_project(rep, vec) == want
+
+
+SL2 = build_sl(2)
+DOUBLE, FORM = double_algebra(SL2)
+GRASS = GrassmannModel(SL2, DOUBLE, FORM)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from([(0, 1, 2), (0, 2, 4), (1, 3, 5), (3, 4, 5), (0, 4, 5)]),
+    st.lists(nonzero, min_size=9, max_size=9),
+    st.lists(rationals, min_size=9, max_size=9),
+    st.lists(rationals, min_size=6, max_size=6),
+)
+def test_grassmann_infinitesimal_field_matches_sympy(pivots, center, z, elem):
+    """At chart coordinates z, with R = rep_rows_at(z) and D = ad(elem), the
+    field is the t-derivative at 0 of the free columns of
+    (pivot block)^-1 R(I + t D^T): the chart coordinates of the flowed span."""
+    chart = GrassChart(pivots, 6, [center[3 * i : 3 * i + 3] for i in range(3)])
+    rep = sympy.Matrix([[to_sympy(x) for x in row] for row in chart.rep_rows_at(z)])
+    ad = sympy.Matrix([[to_sympy(x) for x in row] for row in DOUBLE.ad(elem).data])
+    moved = rep * (sympy.eye(6) + T * ad.T)
+    normal = moved.extract([0, 1, 2], list(pivots)).inv() * moved
+    want = [derivative_at_zero(normal[i, j]) for i in range(3) for j in chart.free]
+    assert [f.eval(z) for f in infinitesimal_field(GRASS, chart, elem)] == want
