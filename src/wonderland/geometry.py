@@ -570,9 +570,11 @@ class GrassmannModel:
         return point.mat.data
 
     def flow_tangent(self, elem, rows):
-        """Row velocities of the one-parameter flow of a double element."""
-        ad = self.double.ad([Fraction(x) for x in elem])
-        return [ad.apply_to(list(r)) for r in rows]
+        """Row velocities of the one-parameter flow of a double element:
+        ad_x r = [x, r] for each span row r, by the double's bracket, which
+        visits only nonzero coordinates and structure constants.  Works on
+        rational rows and on ``MultiPoly`` rows alike."""
+        return [self.double.bracket(elem, r) for r in rows]
 
     def differentials(self, pair):
         """(push, orbit) at the pair, on span rows.

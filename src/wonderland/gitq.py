@@ -40,6 +40,8 @@ class GradedInvariantRing:
     """
 
     def __init__(self, sl2, factors, bound=4):
+        if bound < 0:
+            raise ValueError("degree bound must be >= 0")
         self.factors = factors
         self.bound = bound
         self.action = conjugation_action(sl2, factors)

@@ -10,7 +10,7 @@ ad-invariance, isotropy, duality) is checked exactly at construction time.
 from fractions import Fraction
 from functools import lru_cache
 
-from wonderland.linalg import Bivector, Matrix, qparse, qstr, row_span_contains
+from wonderland.linalg import ZERO, Bivector, Matrix, qparse, qstr, row_span_contains
 
 Q = Fraction
 
@@ -217,11 +217,14 @@ def sl_matrix_of(n, coords):
     mats = _sl_basis_cached(n)
     if len(coords) != len(mats):
         raise ValueError("coordinate length mismatch")
-    out = Matrix.zero(n, n)
+    out = [[ZERO] * n for _ in range(n)]
     for c, m in zip(coords, mats):
         if c != 0:
-            out = out + m * c
-    return out
+            for row, mrow in zip(out, m.data):
+                for j, x in enumerate(mrow):
+                    if x:
+                        row[j] += c * x
+    return Matrix(out)
 
 
 def build_sl(n):

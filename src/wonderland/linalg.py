@@ -6,11 +6,16 @@ and converts the rest.  Zero entries made here or coming back from a kernel
 are the one shared ``ZERO``, which the conversion to kernel pairs recognises
 by identity, so a large sparse matrix costs one object per nonzero.  Row
 reduction and products are delegated to the pair kernels in ``backend``,
-whose ``rref_rows`` visits only nonzero entries.  Everything else is thin
-bookkeeping on top.
+whose ``rref_rows`` visits only nonzero entries.  A bivector is assembled
+from its wedges in integers: ``Bivector.from_wedges`` scales every leg to an
+integer vector, sums the integer outer products over one common denominator
+with ``wedge_sum`` (the one wedge assembler, which the polynomial fields use
+over ``MultiPoly`` entries) and makes one ``Fraction`` per nonzero entry.
+Everything else is thin bookkeeping on top.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from wonderland import backend
 
@@ -248,8 +253,25 @@ class Bivector:
 
     @classmethod
     def from_wedges(cls, dim, wedges):
-        """Build sum of coef * (u ^ w) with u ^ w = u(x)w - w(x)u."""
-        return cls(wedge_sum(dim, wedges, ZERO))
+        """Build sum of coef * (u ^ w) with u ^ w = u(x)w - w(x)u.
+
+        The sum is taken in integers: each leg is scaled by the lcm of its
+        denominators, every wedge's coefficient is brought over one common
+        denominator L, ``wedge_sum`` adds the integer outer products, and
+        each nonzero entry becomes one ``Fraction(x, L)``.  Coefficients and
+        leg entries are ``int`` or ``Fraction``."""
+        scaled = []
+        den = 1
+        for coef, u, w in wedges:
+            if coef == 0:
+                continue
+            iu, du = _integer_vector(u)
+            iw, dw = _integer_vector(w)
+            d = coef.denominator * du * dw
+            den = lcm(den, d)
+            scaled.append((coef.numerator, d, iu, iw))
+        ent = wedge_sum(dim, [(n * (den // d), iu, iw) for n, d, iu, iw in scaled], 0)
+        return cls([[Fraction(x, den) if x else ZERO for x in row] for row in ent])
 
     def bracket_eval(self, df, dg):
         """Value of {f,g} from the differentials df, dg at this point."""
@@ -300,15 +322,25 @@ class Bivector:
         return "Bivector(%r)" % (self.entries,)
 
 
+def _integer_vector(vec):
+    """(ints, d) with vec = ints / d, d the lcm of the entries' denominators."""
+    d = 1
+    for x in vec:
+        if x.denominator != 1:
+            d = lcm(d, x.denominator)
+    return [x.numerator * (d // x.denominator) for x in vec], d
+
+
 def wedge_sum(dim, wedges, zero):
-    """Entries of sum coef * (u ^ w) over any ring whose zero is ``zero``.
+    """Entries of sum coef * (u ^ w) over any ring whose zero is ``zero``:
+    integers (``Bivector.from_wedges``), ``Fraction``s or ``MultiPoly``
+    entries (the polynomial fields).  ``coef`` is used as given.
 
     Only the nonzero entries of u and w are visited: each product
     t = coef u[a] w[b] is added at [a][b] and subtracted at [b][a].
     """
     ent = [[zero] * dim for _ in range(dim)]
     for coef, u, w in wedges:
-        coef = Fraction(coef)
         if coef == 0:
             continue
         w_nz = [(b, wb) for b, wb in enumerate(w) if wb != 0]

@@ -54,7 +54,7 @@ from wonderland.geometry import (
     flat_from_mat2,
     flat_mul2,
 )
-from wonderland.linalg import Bivector, qstr, wedge_sum
+from wonderland.linalg import ZERO, Bivector, qstr, wedge_sum
 from wonderland.poly import MultiPoly
 
 Q = Fraction
@@ -120,6 +120,8 @@ class BivectorField:
     def __init__(self, chart, entries):
         self.chart = chart
         self.entries = entries
+        # _derivs[c][i][j] = d/dz_c of entry ij, differentiated on first use
+        self._derivs = None
         k = len(entries)
         for i in range(k):
             for j in range(k):
@@ -131,17 +133,24 @@ class BivectorField:
         return len(self.entries)
 
     def value_at(self, coords):
+        """The bivector at a point; zero entries are not evaluated."""
         return Bivector(
-            [[e.eval(coords) for e in row] for row in self.entries]
+            [[ZERO if e.is_zero() else e.eval(coords) for e in row] for row in self.entries]
         )
 
     def deriv_values(self, coords):
-        """dL[c][i][j] = (d/dz_c of entry ij) at the point."""
-        k = self.dim
-        names = self.chart.variables
+        """dL[c][i][j] = (d/dz_c of entry ij) at the point.
+
+        Each entry is differentiated once per field, at the first call; a
+        zero derivative gives ``ZERO`` without being evaluated."""
+        if self._derivs is None:
+            self._derivs = [
+                [[e.diff(v) for e in row] for row in self.entries]
+                for v in self.chart.variables
+            ]
         return [
-            [[self.entries[i][j].diff(names[c]).eval(coords) for j in range(k)] for i in range(k)]
-            for c in range(len(names))
+            [[ZERO if d.is_zero() else d.eval(coords) for d in row] for row in dc]
+            for dc in self._derivs
         ]
 
     def bracket_poly(self, f, g):

@@ -197,10 +197,17 @@ class MultiPoly:
         ]
 
     def eval(self, point):
-        """Evaluate at a rational point (sequence aligned with variables)."""
+        """Evaluate at a rational point (sequence aligned with variables).
+
+        An ``int`` or ``Fraction`` coordinate is read as it is; anything
+        else is converted to a ``Fraction`` once."""
         if len(point) != len(self.variables):
             raise ValueError("point length mismatch")
-        pairs = tuple((Fraction(x).numerator, Fraction(x).denominator) for x in point)
+        pairs = []
+        for x in point:
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            pairs.append((x.numerator, x.denominator))
         n, d = backend.poly_eval(_pairs(self.terms), pairs)
         return Fraction(n, d)
 

@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ValueError("sample count must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2^64)")
+        if self.degree < 0:
+            raise ValueError("degree must be >= 0")
+        if self.n_factors < 1:
+            raise ValueError("factor count must be >= 1")
 
     def to_json(self):
         return {

@@ -1,8 +1,11 @@
 """The compactification models: points, charts, actions, boundary."""
 
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wonderland.geometry import (
     ChartDomainError,
@@ -355,3 +358,69 @@ class TestInfinitesimalField:
         assert [f.eval(z) for f in fld] == want
         mixed = (Matrix([[2, 1, 0], [0, 1, -1], [1, 0, 3]]) * Matrix(base)).data
         assert ch.tangent_project(mixed, [ad.apply_to(r) for r in mixed]) == want
+
+
+@lru_cache(maxsize=None)
+def _grass_model(n):
+    alg = build_sl(n)
+    double, form = double_algebra(alg)
+    return GrassmannModel(alg, double, form)
+
+
+POLY_VARS = ("s", "t")
+
+
+def _sparse_fractions(size):
+    entry = hst.fractions(min_value=-6, max_value=6, max_denominator=7)
+    return hst.lists(hst.one_of(hst.just(Q(0)), entry), min_size=size, max_size=size)
+
+
+def _poly_row(size):
+    """Rows of affine polynomials c0 + c1 s + c2 t, some of them zero."""
+    entry = hst.builds(
+        lambda c: MultiPoly(POLY_VARS, {(0, 0): c[0], (1, 0): c[1], (0, 1): c[2]}),
+        _sparse_fractions(3),
+    )
+    return hst.lists(entry, min_size=size, max_size=size)
+
+
+def _flow_case(n, row):
+    dim = _grass_model(n).double.dim
+    return hst.tuples(
+        hst.just(n), _sparse_fractions(dim), hst.lists(row(dim), min_size=1, max_size=3)
+    )
+
+
+class TestGrassmannFlowTangent:
+    """``flow_tangent`` brackets each row with the element; the oracle is the
+    dense matrix of ad_x applied to the row."""
+
+    @staticmethod
+    def _check(case):
+        n, elem, rows = case
+        gr = _grass_model(n)
+        ad = gr.double.ad(elem)
+        got = gr.flow_tangent(elem, rows)
+        assert got == [ad.apply_to(list(r)) for r in rows]
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.sampled_from([2, 3]).flatmap(lambda n: _flow_case(n, _sparse_fractions)))
+    def test_rational_rows_match_dense_ad(self, case):
+        self._check(case)
+
+    @settings(max_examples=15, deadline=None)
+    @given(hst.sampled_from([2, 3]).flatmap(lambda n: _flow_case(n, _poly_row)))
+    def test_polynomial_rows_match_dense_ad(self, case):
+        self._check(case)
+
+    def test_chart_rows_at_the_diagonal(self, ctx):
+        """The parametrized rows of the diagonal chart, which the Jacobi
+        field is built from, for every basis element of the double."""
+        gr = ctx["gr"]
+        chart = gr.chart_at(gr.diagonal_point())
+        rows = chart.ambient_polys()
+        for i in range(gr.double.dim):
+            elem = gr.double._basis_vec(i)
+            got = gr.flow_tangent(elem, rows)
+            want = [gr.double.ad(elem).apply_to(r) for r in rows]
+            assert got == want

@@ -84,6 +84,11 @@ class TestGradedRing:
         assert obj["degree_bound"] == 4
         assert [g["name"] for g in obj["generators"]] == ["tr", "det"]
 
+    def test_negative_degree_bound_rejected(self, ctx):
+        for factors in (1, 2):
+            with pytest.raises(ValueError):
+                GradedInvariantRing(ctx["sl2"], factors, -1)
+
     def test_unsupported_factors(self, ctx):
         with pytest.raises(ValueError):
             GradedInvariantRing(ctx["sl2"], 3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from wonderland.linalg import Bivector, Matrix, row_span_contains, same_row_span
+from wonderland.linalg import ZERO, Bivector, Matrix, row_span_contains, same_row_span, wedge_sum
 from wonderland.sampling import RationalStream
 
 
@@ -158,6 +158,86 @@ def wedge_lists(dim):
     coef = hst.fractions(min_value=-3, max_value=3, max_denominator=4)
     wedge = hst.tuples(coef, wedge_vectors(dim), wedge_vectors(dim))
     return hst.tuples(hst.just(dim), hst.lists(wedge, max_size=5))
+
+
+# large pairwise coprime denominators, so the common denominator of a wedge
+# list is a product of several of them
+BIG_DENOMINATORS = [2**61 - 1, 10**9 + 7, 998244353, 65537, 3**20, 1]
+
+
+def integer_assembly_entries():
+    """Leg entries that stress the integer assembly: ints, zeros and
+    Fractions with large coprime denominators."""
+    big = hst.builds(
+        Q,
+        hst.integers(min_value=-(10**12), max_value=10**12),
+        hst.sampled_from(BIG_DENOMINATORS),
+    )
+    small = hst.fractions(min_value=-9, max_value=9, max_denominator=9)
+    return hst.one_of(hst.just(0), hst.integers(-5, 5), small, big)
+
+
+def integer_assembly_lists(dim):
+    entry = integer_assembly_entries()
+    leg = hst.one_of(
+        hst.lists(entry, min_size=dim, max_size=dim),
+        hst.just([0] * dim),
+        hst.just([Q(0)] * dim),
+    )
+    coef = hst.one_of(
+        hst.just(0),
+        hst.just(Q(0)),
+        hst.integers(-3, 3),
+        hst.fractions(min_value=-3, max_value=3, max_denominator=4),
+        hst.builds(Q, hst.integers(-(10**9), 10**9), hst.sampled_from(BIG_DENOMINATORS)),
+    )
+    wedge = hst.tuples(coef, leg, leg)
+    return hst.tuples(hst.just(dim), hst.lists(wedge, max_size=6))
+
+
+def dense_wedge_formula(dim, wedges):
+    return [
+        [
+            sum((Q(c) * (Q(u[a]) * w[b] - Q(w[a]) * u[b]) for c, u, w in wedges), Q(0))
+            for b in range(dim)
+        ]
+        for a in range(dim)
+    ]
+
+
+class TestIntegerWedgeAssembly:
+    """``Bivector.from_wedges`` sums in integers over one common
+    denominator; the oracles are ``wedge_sum`` over Fractions and the dense
+    formula sum c (u[a] w[b] - w[a] u[b])."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(hst.integers(min_value=1, max_value=6).flatmap(integer_assembly_lists))
+    def test_matches_fraction_wedge_sum_and_dense_formula(self, case):
+        dim, wedges = case
+        L = Bivector.from_wedges(dim, wedges)
+        over_fractions = wedge_sum(
+            dim, [(Q(c), [Q(x) for x in u], [Q(x) for x in w]) for c, u, w in wedges], ZERO
+        )
+        assert L.entries == over_fractions
+        assert L.entries == dense_wedge_formula(dim, wedges)
+        assert all(type(x) is Q for row in L.entries for x in row)
+
+    def test_empty_wedge_list(self):
+        assert Bivector.from_wedges(4, []) == Bivector.zero(4)
+
+    def test_coprime_denominators_meet_in_one_entry(self):
+        p, q, r = BIG_DENOMINATORS[:3]
+        u = [Q(1, p), 3, 0]
+        w = [0, Q(2, q), 0]
+        L = Bivector.from_wedges(3, [(Q(5, r), u, w), (0, u, [1, 1, 1]), (2, [0] * 3, w)])
+        assert L.entries[0][1] == Q(10, p * q * r) == -L.entries[1][0]
+        assert L.entries[2] == [0, 0, 0]
+        assert L.entries[1][1] == 0
+
+    def test_cancelling_wedges_give_zero(self):
+        u = [Q(1, 3), Q(-2, 7), 5]
+        w = [Q(4, 11), 0, Q(1, 2)]
+        assert Bivector.from_wedges(3, [(Q(1, 2), u, w), (Q(1, 2), w, u)]).is_zero()
 
 
 class TestBivector:

@@ -465,6 +465,57 @@ class TestPointwiseWork:
         assert [vec for _, vec in calls if all(x == 0 for x in vec)] == []
 
 
+class TestFieldDerivativeWork:
+    """Counted by wrapping ``MultiPoly`` methods: a field differentiates
+    each entry once, and no zero polynomial is evaluated."""
+
+    @staticmethod
+    def _grassmann_jacobi_diffs(monkeypatch, samples):
+        from wonderland.reports import ExperimentConfig, run_experiment
+
+        calls = []
+        orig = MultiPoly.diff
+
+        def counted(self, name):
+            calls.append(name)
+            return orig(self, name)
+
+        monkeypatch.setattr(MultiPoly, "diff", counted)
+        cfg = ExperimentConfig("jacobi", model="sl2-grassmann", samples=samples, seed=17)
+        assert run_experiment(cfg).failed == 0
+        return len(calls)
+
+    def test_grassmann_jacobi_diff_count_does_not_grow_with_samples(self, monkeypatch):
+        one = self._grassmann_jacobi_diffs(monkeypatch, 1)
+        three = self._grassmann_jacobi_diffs(monkeypatch, 3)
+        # one derivative per (coordinate, entry) of the Gr(3,6) chart field
+        assert one == three == 9**3
+
+    @pytest.mark.parametrize("model_key", ["model", "gr"])
+    def test_zero_polynomials_are_never_evaluated(self, ctx, monkeypatch, model_key):
+        model = ctx[model_key]
+        if model_key == "gr":
+            chart = model.chart_at(model.diagonal_point())
+        else:
+            chart = ctx["ch0"]
+        fld = splitting_bivector_field(model, chart, ctx["split"])
+        evaluated = []
+        orig = MultiPoly.eval
+
+        def counted(self, point):
+            evaluated.append(self.is_zero())
+            return orig(self, point)
+
+        monkeypatch.setattr(MultiPoly, "eval", counted)
+        z = RationalStream(211).vector(fld.dim)
+        L = fld.value_at(z).entries
+        dL = fld.deriv_values(z)
+        assert evaluated and not any(evaluated)
+        zeros = sum(e.is_zero() for row in fld.entries for e in row)
+        assert zeros and sum(x == 0 for row in L for x in row) >= zeros
+        assert len(dL) == len(fld.chart.variables)
+
+
 class TestMixedField:
     def test_n1_equals_base_polynomials(self, ctx):
         m1 = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 1)

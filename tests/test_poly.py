@@ -86,6 +86,31 @@ def test_eval_matches_direct_substitution(terms, x, y):
     assert p.eval([x, y]) == want
 
 
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(min_value=-5, max_value=5),
+        max_size=6,
+    ),
+    st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+)
+@settings(max_examples=60)
+def test_eval_same_for_int_fraction_and_mixed_points(terms, ints, as_fraction):
+    p = MultiPoly(VARS, terms)
+    fracs = [Q(x) for x in ints]
+    mixed = [Q(x) if f else x for x, f in zip(ints, as_fraction)]
+    want = p.eval(fracs)
+    assert p.eval(ints) == want
+    assert p.eval(mixed) == want
+    assert p.eval(tuple(mixed)) == want
+
+
+def test_eval_converts_other_coordinates_once():
+    p = MultiPoly(("x", "y"), {(1, 0): Q(2), (0, 2): Q(1)})
+    assert p.eval(["1/2", 0.5]) == p.eval([Q(1, 2), Q(1, 2)]) == Q(5, 4)
+
+
 def test_pow_and_subs():
     x, y, z = MultiPoly.gens(VARS)
     p = (x + y) ** 2

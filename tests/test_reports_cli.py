@@ -30,6 +30,18 @@ def test_seed_outside_64_bits_rejected(seed):
         ExperimentConfig(experiment="jacobi", seed=seed)
 
 
+@pytest.mark.parametrize("n_factors", [0, -1])
+def test_factor_count_below_one_rejected(n_factors):
+    with pytest.raises(ValueError):
+        ExperimentConfig(experiment="diagonal-action", n_factors=n_factors)
+
+
+def test_negative_degree_rejected():
+    with pytest.raises(ValueError):
+        ExperimentConfig(experiment="rank1", degree=-5)
+    assert ExperimentConfig(experiment="rank1", degree=0).degree == 0
+
+
 def test_grassmann_model_rejected_for_pgl2_only_experiments():
     for name in ("diagonal-action", "tangency", "glue", "all"):
         with pytest.raises(ValueError):
@@ -332,6 +344,26 @@ class TestCli:
             ["run", "--experiment", "diagonal-action", "--model", "sl2-grassmann", "--samples", "1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--experiment", "diagonal-action", "--n", "0"],
+            ["run", "--experiment", "diagonal-action", "--n", "-1"],
+            ["poisson", "action", "--n", "0"],
+        ],
+    )
+    def test_factor_count_below_one_exit_code(self, capsys, argv):
+        assert cli_main(argv + ["--samples", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_rank1_degree_exit_code(self, capsys):
+        assert cli_main(["run", "--experiment", "rank1", "--degree", "-5"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_ring_degree_exit_code(self, capsys):
+        assert cli_main(["git", "ring", "--degree", "-1"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
