@@ -13,19 +13,31 @@ Charts are affine: for P(M_2) the chart normalizing one matrix entry to 1,
 for the Grassmannian the [I | C] chart after a column permutation.  Each
 model has one ``flow_tangent``, the ambient tangent of a double element's
 flow at a representative, and each chart one projection formula,
-``project_normalized``, at a representative whose normalizing entry is 1 or
-whose pivot block is I.  Both use only + - x, so they run on rational
-entries and on ``MultiPoly`` entries alike.  ``tangent_project`` normalizes
-a rational representative and projects; ``infinitesimal_field`` runs the
-flow at the chart's parametrized representative, which is already
-normalized, and so gives the exact polynomial vector field on the chart.
+``project_normalized``, at a representative whose normalizing entry is c or
+whose pivot block is c I (c^2 times the chart derivative).  Both use only
++ - x, so they run on ``MultiPoly`` entries (c = 1) and on integers alike.
+``tangent_project_general`` projects a batch of tangents at one rational
+representative: it scales the representative (for the Grassmannian, its
+pivot-normalized form N = P R, P the inverted pivot block, and P itself) to
+integers once per call, scales each tangent to integers, projects over the
+integers and makes one ``Fraction`` per coordinate; ``tangent_project`` is
+its one-tangent form.  ``infinitesimal_field`` runs the flow at the chart's
+parametrized representative, which is already normalized, and so gives the
+exact polynomial vector field on the chart.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from wonderland.lie import sl_coords, sl_matrix_of
-from wonderland.linalg import Matrix, qstr
+from wonderland.linalg import (
+    Matrix,
+    int_mat_mul,
+    integer_rows,
+    integer_vector,
+    qstr,
+    ratio,
+)
 from wonderland.poly import MultiPoly
 
 Q = Fraction
@@ -247,16 +259,34 @@ class ProjChart:
     def tangent_project(self, rep, vec):
         """Project an ambient tangent ``vec`` at representative ``rep`` to
         chart coordinates: the derivative of t -> [rep + t*vec]."""
-        pk = Fraction(rep[self.norm_index])
-        if pk == 0:
+        return self.tangent_project_general(rep, [vec])[0]
+
+    def tangent_project_general(self, rep, vecs):
+        """Project several ambient tangents at one rational representative.
+
+        The representative is scaled to integers once, each tangent is
+        scaled to integers, ``project_normalized`` runs over the integers
+        and each coordinate becomes one ``Fraction``."""
+        r, dr = integer_vector(rep)
+        c = r[self.norm_index]
+        if c == 0:
             raise ChartDomainError("base point outside chart")
-        return self.project_normalized([x / pk for x in rep], [v / pk for v in vec])
+        out = []
+        for vec in vecs:
+            v, dv = integer_vector(vec)
+            den = c * c * dv
+            out.append([ratio(dr * x, den) for x in self.project_normalized(r, v)])
+        return out
 
     def project_normalized(self, rep, vec):
-        """The projection at a representative whose normalizing entry is 1,
-        over any ring: vec[p] - vec[k] rep[p] for p != k."""
-        vk = vec[self.norm_index]
-        return [vec[p] - vk * rep[p] for p in self.positions]
+        """The projection at a representative whose normalizing entry is c,
+        over any ring: c vec[p] - vec[k] rep[p] for p != k.  This is c^2
+        times the chart derivative; at a chart's parametrized
+        representative c = 1 and it is the derivative itself."""
+        c, vk = rep[self.norm_index], vec[self.norm_index]
+        if c == 1:
+            return [vec[p] - vk * rep[p] for p in self.positions]
+        return [c * vec[p] - vk * rep[p] for p in self.positions]
 
     def det_poly(self):
         """det of the parametrized matrix: the boundary divisor in this chart."""
@@ -329,24 +359,43 @@ class GrassChart:
     def tangent_project(self, rep_rows, vel_rows):
         """Project row-velocities ``vel_rows`` (d/dt of the span rows) at a
         representative to chart coordinates, by tangent_project_general."""
-        return self.tangent_project_general(rep_rows, vel_rows)
+        return self.tangent_project_general(rep_rows, [vel_rows])[0]
 
-    def tangent_project_general(self, rep_rows, vel_rows):
-        """Projection for an arbitrary representative of the span: with P
-        the inverse pivot block, P R is normalized and P V moves it."""
+    def tangent_project_general(self, rep_rows, legs):
+        """Project several row-velocities at one rational representative R
+        of the span, which need not be normalized.
+
+        Once per call: P, the inverse of R's pivot block, and N = P R (pivot
+        block I) are scaled to integer matrices Pz = dP P and Nz = c N.  Per
+        leg V, scaled to Vz = dV V: W = Pz Vz = dP dV (P V) in integers, and
+        ``project_normalized(Nz, W)`` = c dP dV times the projection of
+        P V at N, which is the projection of V at R."""
         pinv = Matrix([[row[p] for p in self.pivots] for row in rep_rows]).inverse()
-        return self.project_normalized(
-            (pinv * Matrix(rep_rows)).data, (pinv * Matrix(vel_rows)).data
-        )
+        pz, dp = integer_rows(pinv.data)
+        nz = int_mat_mul(pz, integer_rows(rep_rows)[0])
+        g = gcd(*(x for row in nz for x in row))
+        nz = [[x // g for x in row] for row in nz]
+        scale = nz[0][self.pivots[0]] * dp
+        out = []
+        for vel_rows in legs:
+            vz, dv = integer_rows(vel_rows)
+            den = scale * dv
+            proj = self.project_normalized(nz, int_mat_mul(pz, vz))
+            out.append([ratio(x, den) for x in proj])
+        return out
 
     def project_normalized(self, rep_rows, vel_rows):
-        """The projection at a representative N whose pivot block is I,
-        over any ring: V - V_piv N on the free columns, row-major."""
+        """The projection at a representative N whose pivot block is c I,
+        over any ring: c V - V_piv N on the free columns, row-major.  This
+        is c^2 times the chart derivative; at a chart's parametrized
+        representative c = 1 and it is the derivative itself."""
+        c = rep_rows[0][self.pivots[0]]
+        unit = c == 1
         out = []
         for vel in vel_rows:
             vpiv = [vel[p] for p in self.pivots]
             for j in self.free:
-                acc = vel[j]
+                acc = vel[j] if unit else c * vel[j]
                 for vk, rep in zip(vpiv, rep_rows):
                     acc = acc - vk * rep[j]
                 out.append(acc)
@@ -445,10 +494,16 @@ class Pgl2Model:
         b = sl_matrix_of(2, elem6[3:])
         return a, b
 
+    def elem_flats(self, elem6):
+        """A 6-vector in sl2 (+) sl2 coordinates as a pair of flat 2x2
+        matrices: e E12 + h H + f E21 is (h, e, f, -h)."""
+        e1, h1, f1, e2, h2, f2 = elem6
+        return [h1, e1, f1, -h1], [h2, e2, f2, -h2]
+
     def flow_tangent(self, elem6, rep_flat):
         """Ambient derivative of exp(ta) A exp(-tb) at t = 0: aA - Ab, over
         any ring of entries of A."""
-        a, b = (flat_from_mat2(m) for m in self.elem_matrices(elem6))
+        a, b = self.elem_flats(elem6)
         return [
             p - q for p, q in zip(flat_mul2(a, rep_flat), flat_mul2(rep_flat, b))
         ]
@@ -618,14 +673,11 @@ class GrassmannModel:
     def _action_rows(self, point):
         """The infinitesimal-action map into the tangent space at the point:
         one projected flow tangent per basis element of the double."""
-        chart = self.chart_at(point)
         base = self.rep(point)
-        return Matrix(
-            [
-                chart.tangent_project(base, self.flow_tangent(self.double._basis_vec(i), base))
-                for i in range(self.double.dim)
-            ]
-        )
+        tangents = [
+            self.flow_tangent(self.double._basis_vec(i), base) for i in range(self.double.dim)
+        ]
+        return Matrix(self.chart_at(point).tangent_project_general(base, tangents))
 
     def orbit_dimension(self, point):
         """The dimension of the G x G orbit through the point."""

@@ -29,6 +29,11 @@ class LieAlgebra:
             for row in self.brackets
         ):
             raise ValueError("structure constant tensor has wrong shape")
+        # the nonzero (m, c) of each c_ij, which is all ``bracket`` visits
+        self._nonzero = [
+            [tuple((m, c) for m, c in enumerate(vec) if c != 0) for vec in row]
+            for row in self.brackets
+        ]
         if check:
             self._check_antisymmetry()
             self._check_jacobi()
@@ -68,20 +73,20 @@ class LieAlgebra:
         return [self._basis_vec(i) for i in range(self.dim)]
 
     def bracket(self, x, y):
-        """Bracket of coordinate vectors, by bilinear extension."""
+        """Bracket of coordinate vectors, by bilinear extension over the
+        nonzero coordinates and structure constants only."""
         out = [Fraction(0)] * self.dim
+        y_nz = [(j, yj) for j, yj in enumerate(y) if yj != 0]
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
-            row = self.brackets[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
+            row = self._nonzero[i]
+            for j, yj in y_nz:
                 cij = row[j]
-                f = xi * yj
-                for m in range(self.dim):
-                    if cij[m] != 0:
-                        out[m] += f * cij[m]
+                if cij:
+                    f = xi * yj
+                    for m, c in cij:
+                        out[m] += f * c
         return out
 
     def ad(self, x):

@@ -11,11 +11,16 @@ from its wedges in integers: ``Bivector.from_wedges`` scales every leg to an
 integer vector, sums the integer outer products over one common denominator
 with ``wedge_sum`` (the one wedge assembler, which the polynomial fields use
 over ``MultiPoly`` entries) and makes one ``Fraction`` per nonzero entry.
+The same integer helpers serve the chart projections and the Jacobi sweep:
+``integer_vector`` and ``integer_rows`` scale rational vectors and matrices
+to integers over one lcm denominator, ``int_mat_mul`` multiplies integer
+matrices, and ``ratio`` turns an integer result back into one ``Fraction``.
 Everything else is thin bookkeeping on top.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from wonderland import backend
 
@@ -265,13 +270,13 @@ class Bivector:
         for coef, u, w in wedges:
             if coef == 0:
                 continue
-            iu, du = _integer_vector(u)
-            iw, dw = _integer_vector(w)
+            iu, du = integer_vector(u)
+            iw, dw = integer_vector(w)
             d = coef.denominator * du * dw
             den = lcm(den, d)
             scaled.append((coef.numerator, d, iu, iw))
         ent = wedge_sum(dim, [(n * (den // d), iu, iw) for n, d, iu, iw in scaled], 0)
-        return cls([[Fraction(x, den) if x else ZERO for x in row] for row in ent])
+        return cls([[ratio(x, den) for x in row] for row in ent])
 
     def bracket_eval(self, df, dg):
         """Value of {f,g} from the differentials df, dg at this point."""
@@ -322,13 +327,32 @@ class Bivector:
         return "Bivector(%r)" % (self.entries,)
 
 
-def _integer_vector(vec):
+def integer_vector(vec):
     """(ints, d) with vec = ints / d, d the lcm of the entries' denominators."""
+    (ints,), d = integer_rows([vec])
+    return ints, d
+
+
+def integer_rows(rows):
+    """(int_rows, d) with rows = int_rows / d over one denominator d, the
+    lcm of every entry's denominator; entries are ``int`` or ``Fraction``."""
     d = 1
-    for x in vec:
-        if x.denominator != 1:
-            d = lcm(d, x.denominator)
-    return [x.numerator * (d // x.denominator) for x in vec], d
+    for row in rows:
+        for x in row:
+            if x.denominator != 1:
+                d = lcm(d, x.denominator)
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def int_mat_mul(a, b):
+    """Product of two integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def ratio(n, d):
+    """The rational n / d as a ``Fraction``, or the shared ``ZERO``."""
+    return Fraction(n, d) if n else ZERO
 
 
 def wedge_sum(dim, wedges, zero):

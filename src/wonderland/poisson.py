@@ -11,7 +11,9 @@ algebra element is zero.  The legs are flow tangents or translates, over
 any ring of entries, so the same lists serve two ends:
 
 * pointwise, at rational representatives, ``project_wedges`` projects them
-  with each chart's ``tangent_project`` into a ``Bivector``;
+  into a ``Bivector`` with one batch call of each chart's
+  ``tangent_project_general`` per factor, which normalizes the factor's
+  representative once and projects every distinct leg in integers;
 * symbolically, at the charts' parametrized representatives,
   ``polynomial_field`` projects them with ``project_normalized`` and sums
   them with ``linalg.wedge_sum`` into a ``BivectorField`` of polynomials
@@ -20,7 +22,9 @@ any ring of entries, so the same lists serve two ends:
 
 Identity checks (Jacobi, multiplicativity, the action compatibility
 equation, tangency to the boundary divisor) are all run at rational sample
-points with zero-tolerance residuals.
+points with zero-tolerance residuals.  ``jacobi_sweep`` scales the field
+values and their derivatives at a point to integers over one denominator
+each and sums every coordinate triple's Jacobiator in integers.
 
 The action-compatibility identity pi_X(a.x) = a_* pi_X(x) + (orbit map)_*
 pi_G(a) is computed by one pipeline, ``action_residual``, for both models
@@ -54,7 +58,7 @@ from wonderland.geometry import (
     flat_from_mat2,
     flat_mul2,
 )
-from wonderland.linalg import ZERO, Bivector, qstr, wedge_sum
+from wonderland.linalg import ZERO, Bivector, integer_rows, qstr, ratio, wedge_sum
 from wonderland.poly import MultiPoly
 
 Q = Fraction
@@ -277,7 +281,7 @@ def pi_wedges(model, splitting, rep_g, rep_h):
     reps = (rep_g, rep_h)
 
     def legs(elem):
-        flats = [flat_from_mat2(m) for m in model.elem_matrices(elem)]
+        flats = model.elem_flats(elem)
         right = tuple(flat_mul2(a, r) if any(a) else None for a, r in zip(flats, reps))
         left = tuple(flat_mul2(r, a) if any(a) else None for a, r in zip(flats, reps))
         return right, left
@@ -293,19 +297,28 @@ def pi_wedges(model, splitting, rep_g, rep_h):
 def project_wedges(charts, reps, wedges):
     """Project pointwise wedges into concatenated chart coordinates.
 
-    A leg that is None on a factor (absent there) or has no nonzero entry
-    contributes zeros there without being projected: the projection is
-    linear in the leg.  Grassmannian legs are lists of rows, which ``any``
-    does not look into, so those are always projected."""
+    Each factor's distinct legs are projected by one batch call of its
+    chart's ``tangent_project_general``, which normalizes the factor's
+    representative once.  A leg that is None on a factor (absent there) or
+    has no nonzero entry contributes zeros there without being projected:
+    the projection is linear in the leg.  Grassmannian legs are lists of
+    rows, which ``any`` does not look into, so those are always projected."""
     dim = sum(c.dim for c in charts)
+    projected = []
+    for l, (chart, rep) in enumerate(zip(charts, reps)):
+        legs = {}
+        for _, u, w in wedges:
+            for leg in (u[l], w[l]):
+                if leg is not None and any(leg):
+                    legs[id(leg)] = leg
+        coords = chart.tangent_project_general(rep, list(legs.values())) if legs else []
+        projected.append(dict(zip(legs, coords)))
 
     def proj(legs):
         out = []
-        for chart, rep, leg in zip(charts, reps, legs):
-            if leg is None or not any(leg):
-                out.extend([0] * chart.dim)
-            else:
-                out.extend(chart.tangent_project(rep, leg))
+        for chart, done, leg in zip(charts, projected, legs):
+            coords = None if leg is None else done.get(id(leg))
+            out.extend([0] * chart.dim if coords is None else coords)
         return out
 
     return Bivector.from_wedges(
@@ -435,26 +448,27 @@ def diagonal_action_residual(model, splitting, pair, points, cross_sign=None):
 # ---------------------------------------------------------------------------
 
 
-def jacobi_triple_value(L, dL, i, j, k):
-    """Jacobiator of coordinate functions (z_i, z_j, z_k) from the field
-    values L and entry derivatives dL at one point."""
-    acc = Fraction(0)
-    dim = len(L)
-    for b in range(dim):
-        acc += L[i][b] * dL[b][j][k] + L[j][b] * dL[b][k][i] + L[k][b] * dL[b][i][j]
-    return acc
-
-
 def jacobi_sweep(field, coords):
-    """All coordinate-triple Jacobiator values at one point."""
-    L = field.value_at(coords).entries
-    dL = field.deriv_values(coords)
+    """All coordinate-triple Jacobiator values at one point:
+    sum_b L[i][b] dL[b][j][k] + L[j][b] dL[b][k][i] + L[k][b] dL[b][i][j].
+
+    The field values L and the entry derivatives dL are scaled to integers
+    over one denominator each, the sums run in integers over the nonzero
+    L[i][b] only, and each triple's value becomes one ``Fraction``."""
+    L, dl = integer_rows(field.value_at(coords).entries)
+    dL, dd = integer_rows([row for dc in field.deriv_values(coords) for row in dc])
     dim = field.dim
+    dL = [dL[b * dim : (b + 1) * dim] for b in range(dim)]
+    nz = [[(dL[b], x) for b, x in enumerate(row) if x] for row in L]
+    den = dl * dd
     out = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                out.append(((i, j, k), jacobi_triple_value(L, dL, i, j, k)))
+                acc = sum(x * d[j][k] for d, x in nz[i])
+                acc += sum(x * d[k][i] for d, x in nz[j])
+                acc += sum(x * d[i][j] for d, x in nz[k])
+                out.append(((i, j, k), ratio(acc, den)))
     return out
 
 

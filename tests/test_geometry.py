@@ -302,6 +302,17 @@ class TestInfinitesimalField:
         fld = infinitesimal_field(ctx["model"], ch, x + x)
         assert [f.eval([0, 0, 0]) for f in fld] == [Q(0)] * 3
 
+    def test_elem_flats_are_the_flat_element_matrices(self, ctx):
+        """The flat 2x2 entries read straight from the six coordinates are
+        those of the matrices built from the sl2 basis."""
+        from wonderland.geometry import flat_from_mat2
+
+        st = RationalStream(81)
+        model = ctx["model"]
+        for elem in [st.vector(6) for _ in range(4)] + [[1, 0, 0, 0, 2, 0], [0] * 6]:
+            want = [flat_from_mat2(m) for m in model.elem_matrices(elem)]
+            assert list(model.elem_flats(elem)) == want
+
     def test_flow_consistency_first_order(self, ctx):
         """Oracle: differentiate the exact curve [(1+ta) A (1-tb)] in t as a
         rational function and compare with the field value."""

@@ -1,8 +1,11 @@
 """Lie core: sl_n, Killing form, the double, splittings, the r-tensor."""
 
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wonderland.lie import (
     LieAlgebra,
@@ -19,6 +22,7 @@ from wonderland.lie import (
     standard_splitting,
 )
 from wonderland.linalg import Matrix
+from wonderland.poly import MultiPoly
 from wonderland.sampling import RationalStream
 
 
@@ -42,6 +46,60 @@ def test_sl_bracket_matches_matrix_commutator():
             mx, my = sl_matrix_of(n, x), sl_matrix_of(n, y)
             want = sl_coords(n, mx * my - my * mx)
             assert alg.bracket(x, y) == want
+
+
+@lru_cache(maxsize=None)
+def _algebra(name):
+    """sl2, sl3 and their doubles, built once per test session."""
+    n, doubled = int(name[-1]), name.startswith("d")
+    alg = build_sl(n)
+    return double_algebra(alg)[0] if doubled else alg
+
+
+def _bracket_case(name):
+    dim = _algebra(name).dim
+    entry = hst.one_of(hst.just(Q(0)), hst.fractions(-6, 6, max_denominator=7))
+    vec = hst.lists(entry, min_size=dim, max_size=dim)
+    return hst.tuples(hst.just(name), vec, vec, vec, vec)
+
+
+class TestSparseBracket:
+    """``bracket`` visits only the nonzero structure constants; the oracles
+    are ad(x) applied to y column by column and the dense sum
+    sum_ij x_i y_j c_ij over every structure constant."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.sampled_from(["sl2", "sl3", "dsl2", "dsl3"]).flatmap(_bracket_case))
+    def test_bracket_matches_ad_columns_and_dense_sum(self, case):
+        name, x, y, _, _ = case
+        alg = _algebra(name)
+        dim = alg.dim
+        got = alg.bracket(x, y)
+        ad = alg.ad(x)
+        assert got == [sum((y[j] * ad[m, j] for j in range(dim)), Q(0)) for m in range(dim)]
+        dense = [
+            sum((x[i] * y[j] * alg.brackets[i][j][m] for i in range(dim) for j in range(dim)), Q(0))
+            for m in range(dim)
+        ]
+        assert got == dense
+
+    @settings(max_examples=20, deadline=None)
+    @given(hst.sampled_from(["sl2", "sl3", "dsl2", "dsl3"]).flatmap(_bracket_case))
+    def test_polynomial_entries_expand_bilinearly(self, case):
+        """With x + t x' and y + t y' as ``MultiPoly`` entries the bracket is
+        [x, y] + t ([x', y] + [x, y']) + t^2 [x', y']."""
+        name, x, y, x1, y1 = case
+        alg = _algebra(name)
+        (t,) = MultiPoly.gens(("t",))
+
+        def affine(v, v1):
+            return [a + b * t for a, b in zip(v, v1)]
+
+        got = alg.bracket(affine(x, x1), affine(y, y1))
+        b00, b10 = alg.bracket(x, y), alg.bracket(x1, y)
+        b01, b11 = alg.bracket(x, y1), alg.bracket(x1, y1)
+        want = [a + (b + c) * t + d * t * t for a, b, c, d in zip(b00, b10, b01, b11)]
+        assert [g == w for g, w in zip(got, want)] == [True] * alg.dim
 
 
 def test_sl3_dimension():

@@ -65,21 +65,25 @@ def ctx():
     }
 
 
-def _non_poisson_field(stream):
-    """A bivector on chart 0 with random polynomial entries, not Poisson."""
-    ch = ProjChart(0)
+def _non_poisson_field(stream, chart=None):
+    """A bivector with random polynomial entries, not Poisson, on the given
+    chart (default chart 0); entries i < j are drawn in lexicographic
+    order."""
+    ch = ProjChart(0) if chart is None else chart
     names = ch.variables
 
     def rnd():
         terms = {}
         for _ in range(3):
-            e = tuple(abs(stream.take(9).numerator) % 3 for _ in range(3))
+            e = tuple(abs(stream.take(9).numerator) % 3 for _ in names)
             terms[e] = terms.get(e, Q(0)) + stream.take()
         return MultiPoly(names, terms)
 
-    zero = MultiPoly.zero(names)
-    a, b, c = rnd(), rnd(), rnd()
-    return BivectorField(ch, [[zero, a, b], [-a, zero, c], [-b, -c, zero]])
+    ent = [[MultiPoly.zero(names)] * len(names) for _ in names]
+    for i, j in combinations(range(len(names)), 2):
+        ent[i][j] = rnd()
+        ent[j][i] = -ent[i][j]
+    return BivectorField(ch, ent)
 
 
 def _symbolic_jacobiators(fld):
@@ -173,24 +177,24 @@ class TestJacobi:
 
     def test_general_jacobiator_matches_sweep_formula_on_control_field(self, ctx):
         """Two independent formulas for the coordinate-triple Jacobiator must
-        agree even where they are nonzero, so build a field that is NOT
-        Poisson and compare them there."""
-        from wonderland.poisson import jacobi_triple_value
-
+        agree even where they are nonzero, so build fields that are NOT
+        Poisson (on chart 0 and on a two-factor product chart) and compare
+        every triple of the sweep with the general Jacobiator there."""
         st = RationalStream(181)
-        control = _non_poisson_field(st)
-        x, y, z = MultiPoly.gens(control.chart.variables)
-        found_nonzero = False
-        for _ in range(4):
-            pt = st.vector(3)
-            L = control.value_at(pt).entries
-            dL = control.deriv_values(pt)
-            sweep = jacobi_triple_value(L, dL, 0, 1, 2)
-            general = jacobiator(control, x, y, z, pt)
-            assert sweep == general
-            if sweep != 0:
-                found_nonzero = True
-        assert found_nonzero
+        nonzero = total = 0
+        for chart in (None, ProductChart([ProjChart(0), ProjChart(3)])):
+            control = _non_poisson_field(st, chart)
+            gens = MultiPoly.gens(control.chart.variables)
+            for _ in range(3):
+                pt = st.vector(control.dim)
+                sweep = jacobi_sweep(control, pt)
+                assert [t for t, _ in sweep] == list(combinations(range(control.dim), 3))
+                for (i, j, k), val in sweep:
+                    assert val == jacobiator(control, gens[i], gens[j], gens[k], pt)
+                    nonzero += val != 0
+                    total += 1
+        assert total == 3 * (1 + 20)
+        assert nonzero > total // 2
 
     def test_chart_jacobiator_is_zero_polynomial(self, ctx):
         """On every chart of P(M2) the Jacobiator of the coordinates is the
@@ -393,7 +397,7 @@ class TestActionIdentity:
                 break
         mixed_rows = (mix * src.mat).data
         mixed_vel = (mix * Matrix(vel)).data
-        assert chart.tangent_project_general(mixed_rows, mixed_vel) == direct
+        assert chart.tangent_project_general(mixed_rows, [mixed_vel]) == [direct]
 
 
 class TestPointwiseWork:
@@ -455,14 +459,60 @@ class TestPointwiseWork:
         assert products
         assert [xy for xy in products if not (any(xy[0]) and any(xy[1]))] == []
 
+    def test_p_m2_flow_builds_no_element_matrix(self, ctx, monkeypatch):
+        """``flow_tangent`` and ``pi_wedges`` read the flat entries of a
+        double element from its six coordinates: neither builds an element
+        matrix, and in ``run all`` the only element matrices are the ones
+        ``pi_wedges_matrices`` multiplies in the action residuals."""
+        import wonderland.poisson as poisson
+        from wonderland.reports import ExperimentConfig, run_experiment
+
+        calls = self._record(monkeypatch, Pgl2Model, "elem_matrices")
+        st = RationalStream(211)
+        reps = [list(ProjMatrixPoint(st.nonzero_vector(4)).vec) for _ in range(2)]
+        assert len(mixed_wedges(ctx["model"], ctx["split"], reps)) == 9
+        assert len(pi_wedges(ctx["model"], ctx["split"], *reps)) == 6
+        assert calls == []
+        group_wedges = []
+        orig = poisson.pi_wedges_matrices
+
+        def counted(*args):
+            group_wedges.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(poisson, "pi_wedges_matrices", counted)
+        assert run_experiment(ExperimentConfig("all", samples=2, seed=301)).failed == 0
+        assert len(calls) == 2 * ctx["split"].half_dim * len(group_wedges) == 24
+
+    def test_grassmann_action_residual_inverts_once_per_representative(self, ctx, monkeypatch):
+        """One Gr(3,6) action residual projects three wedge lists (the field
+        at the image, the pushed field and the orbit-pushed group
+        bivector), each with one batch call that inverts the pivot block
+        once; the other six inverses are the pair's, in ``act`` and
+        ``differentials``."""
+        from wonderland.geometry import GrassChart
+        from wonderland.linalg import Matrix
+
+        gr = ctx["gr"]
+        st = RationalStream(5)
+        src = gr.act(GroupPair(st.sl2(), st.sl2()), gr.diagonal_point())
+        pair = GroupPair(st.sl2(), st.sl2())
+        batches = self._record(monkeypatch, GrassChart, "tangent_project_general")
+        inverses = self._record(monkeypatch, Matrix, "inverse")
+        assert poisson_action_residual(gr, ctx["split"], pair, src).passed
+        assert len(batches) == 3
+        assert [len(legs) for _, legs in batches] == [6, 6, 12]
+        assert len(inverses) == 9
+
     def test_run_all_projects_no_zero_leg(self, monkeypatch):
         from wonderland.reports import ExperimentConfig, run_experiment
 
-        calls = self._record(monkeypatch, ProjChart, "tangent_project")
+        calls = self._record(monkeypatch, ProjChart, "tangent_project_general")
         report = run_experiment(ExperimentConfig("all", samples=2, seed=301))
         assert report.failed == 0
         assert calls
-        assert [vec for _, vec in calls if all(x == 0 for x in vec)] == []
+        legs = [vec for _, vecs in calls for vec in vecs]
+        assert [vec for vec in legs if all(x == 0 for x in vec)] == []
 
 
 class TestFieldDerivativeWork:

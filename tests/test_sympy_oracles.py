@@ -163,8 +163,82 @@ def test_grass_tangent_project_general_matches_sympy(pivots, center, rep, vel):
     )
     normal = moved.extract([0, 1, 2], list(pivots)).inv() * moved
     want = [derivative_at_zero(normal[i, j]) for i in range(3) for j in chart.free]
-    assert chart.tangent_project_general(rep, vel) == want
+    assert chart.tangent_project_general(rep, [vel]) == [want]
     assert chart.tangent_project(rep, vel) == want
+
+
+# entries of representatives and legs: zeros, rationals and plain ints
+mixed_entries = st.one_of(st.just(Q(0)), rationals, st.integers(-9, 9))
+
+
+def grass_batch_case(n, pivot_sets):
+    """A chart of Gr(n, 2n), a representative (its pivot block need not be
+    I) and up to four legs at it, some of them zero."""
+    cols = 2 * n
+    rows = st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols), min_size=n, max_size=n)
+    zero_leg = st.just([[0] * cols for _ in range(n)])
+    return st.tuples(
+        pivot_sets,
+        st.lists(rationals, min_size=n * n, max_size=n * n),
+        rows,
+        st.lists(st.one_of(zero_leg, rows), min_size=1, max_size=4),
+    )
+
+
+def check_grass_batch(n, case):
+    """Each leg's projection is the t-derivative at 0 of the free columns of
+    B(t)^-1 (R + tV), B(t) the pivot block of R + tV: by the product rule
+    B^-1 V - B^-1 V_piv B^-1 R, with SymPy's inverse of R's pivot block."""
+    pivots, center, rep, legs = case
+    pivots = tuple(sorted(pivots))
+    r = sympy.Matrix([[to_sympy(Q(x)) for x in row] for row in rep])
+    block = r.extract(list(range(n)), list(pivots))
+    assume(block.det() != 0)
+    binv = block.inv()
+    chart = GrassChart(pivots, 2 * n, [center[n * i : n * i + n] for i in range(n)])
+    want = []
+    for leg in legs:
+        v = sympy.Matrix([[to_sympy(Q(x)) for x in row] for row in leg])
+        d = binv * v - binv * v.extract(list(range(n)), list(pivots)) * binv * r
+        want.append([from_sympy(d[i, j]) for i in range(n) for j in chart.free])
+    got = chart.tangent_project_general(rep, legs)
+    assert got == want
+    assert [chart.tangent_project(rep, leg) for leg in legs] == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(grass_batch_case(3, st.sampled_from([(0, 1, 2), (0, 2, 4), (1, 3, 5), (3, 4, 5), (0, 4, 5)])))
+def test_grass_batch_projection_matches_sympy(case):
+    check_grass_batch(3, case)
+
+
+@settings(max_examples=4, deadline=None)
+@given(grass_batch_case(8, st.lists(st.integers(0, 15), min_size=8, max_size=8, unique=True)))
+def test_grass_batch_projection_matches_sympy_sl3_shape(case):
+    """The 8 x 16 representatives of Gr(8, 16), the sl3 double's shape."""
+    check_grass_batch(8, case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(mixed_entries, min_size=4, max_size=4),
+    st.lists(
+        st.one_of(st.just([0] * 4), st.lists(mixed_entries, min_size=4, max_size=4)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_proj_batch_projection_matches_sympy(k, rep, vecs):
+    """Several tangents at one representative of P(M2), whose normalizing
+    entry need not be 1: each is d/dt (R_p + t v_p) / (R_k + t v_k) at 0."""
+    assume(rep[k] != 0)
+    chart = ProjChart(k)
+    want = []
+    for vec in vecs:
+        moved = [to_sympy(Q(r)) + T * to_sympy(Q(v)) for r, v in zip(rep, vec)]
+        want.append([derivative_at_zero(moved[p] / moved[k]) for p in chart.positions])
+    assert chart.tangent_project_general(rep, vecs) == want
 
 
 @settings(max_examples=60, deadline=None)
