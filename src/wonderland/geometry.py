@@ -23,13 +23,16 @@ integers once per call, scales each tangent to integers, projects over the
 integers and makes one ``Fraction`` per coordinate; ``tangent_project`` is
 its one-tangent form.  ``infinitesimal_field`` runs the flow at the chart's
 parametrized representative, which is already normalized, and so gives the
-exact polynomial vector field on the chart.
+exact polynomial vector field on the chart.  A model's ``differentials(pair)``
+gives the pair's ``push`` on representatives and tangents and its
+``adjoint`` action on double elements; the Grassmannian builds Ad_g and
+Ad_h once per pair for both and for ``act``.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from wonderland.lie import sl_coords, sl_matrix_of
+from wonderland.lie import _sl_basis_cached, sl_coords, sl_matrix_of
 from wonderland.linalg import (
     Matrix,
     int_mat_mul,
@@ -429,10 +432,6 @@ class ProductChart:
         return out
 
 
-def mat2_from_flat(flat):
-    return Matrix([[flat[0], flat[1]], [flat[2], flat[3]]])
-
-
 def flat_from_mat2(m):
     return [m.data[0][0], m.data[0][1], m.data[1][0], m.data[1][1]]
 
@@ -466,22 +465,28 @@ class Pgl2Model:
         return list(point.vec)
 
     def differentials(self, pair):
-        """(push, orbit) at the pair, on flat representatives.
+        """(push, adjoint) at the pair, on flats.
 
         A -> g A h^{-1} is linear, so ``push`` moves representatives and
-        ambient tangents alike; ``orbit(A, U, V)`` is the derivative of the
-        orbit map (u, v) -> u A v^{-1} at (g, h) along the tangent (U, V).
+        ambient tangents alike; ``adjoint(elem6)`` is Ad_(g,h) of a double
+        element, (g a g^{-1}, h b h^{-1}) in sl2 (+) sl2 coordinates.  Both
+        multiply flats only; det g = det h = 1, so the inverses are the
+        adjugates.
         """
-        g, hinv = pair.g, pair.h.inverse()
+        g, h = flat_from_mat2(pair.g), flat_from_mat2(pair.h)
+        ginv = [g[3], -g[1], -g[2], g[0]]
+        hinv = [h[3], -h[1], -h[2], h[0]]
 
         def push(flat):
-            return flat_from_mat2(g * mat2_from_flat(flat) * hinv)
+            return flat_mul2(flat_mul2(g, flat), hinv)
 
-        def orbit(flat, U, V):
-            ah = mat2_from_flat(flat) * hinv
-            return flat_from_mat2(U * ah - g * ah * V * hinv)
+        def adjoint(elem6):
+            a, b = self.elem_flats(elem6)
+            ca = flat_mul2(flat_mul2(g, a), ginv)
+            cb = flat_mul2(flat_mul2(h, b), hinv)
+            return [ca[1], ca[0], ca[2], cb[1], cb[0], cb[2]]
 
-        return push, orbit
+        return push, adjoint
 
     def action_sample(self, point, image):
         """Check name and sample record of an action residual."""
@@ -489,7 +494,8 @@ class Pgl2Model:
 
     # -- elements of the double ------------------------------------------
     def elem_matrices(self, elem6):
-        """A 6-vector in sl2 (+) sl2 coordinates as a pair of 2x2 matrices."""
+        """A 6-vector in sl2 (+) sl2 coordinates as a pair of 2x2 matrices;
+        the reference that ``elem_flats`` is tested against."""
         a = sl_matrix_of(2, elem6[:3])
         b = sl_matrix_of(2, elem6[3:])
         return a, b
@@ -581,44 +587,37 @@ class GrassmannModel:
         self.double = double
         self.form = form
         self.n = alg.dim
+        self._last_pair = None
 
     def diagonal_point(self):
         ident = Matrix.identity(self.n)
         return LagrangianPoint(Matrix([ident.row(i) + ident.row(i) for i in range(self.n)]))
 
-    def elem_matrices(self, elem):
-        """A double element as its pair of matrix-size representatives."""
-        n = self.alg.matrix_size
-        half = self.alg.dim
-        a = sl_matrix_of(n, [Fraction(x) for x in elem[:half]])
-        b = sl_matrix_of(n, [Fraction(x) for x in elem[half:]])
-        return a, b
-
     def adjoint_matrix(self, g):
         """Ad_g on the algebra in its basis (g an SL_n representative)."""
         n = self.alg.matrix_size
         ginv = g.inverse()
-        cols = []
-        for i in range(self.alg.dim):
-            bi = sl_matrix_of(n, self.alg._basis_vec(i))
-            cols.append(sl_coords(n, g * bi * ginv))
+        cols = [sl_coords(n, g * bi * ginv) for bi in _sl_basis_cached(n)]
         return Matrix([[cols[j][m] for j in range(self.alg.dim)] for m in range(self.alg.dim)])
 
-    def _blockdiag(self, a, b):
-        n = self.n
-        block = Matrix.zero(2 * n, 2 * n)
-        for i in range(n):
-            for j in range(n):
-                block.data[i][j] = a.data[i][j]
-                block.data[n + i][n + j] = b.data[i][j]
-        return block
-
-    def pair_block(self, pair):
-        """blockdiag(Ad_g, Ad_h) on the double's coordinates."""
-        return self._blockdiag(self.adjoint_matrix(pair.g), self.adjoint_matrix(pair.h))
+    def _pair_action(self, pair):
+        """(Ad_g, Ad_h, transposed pair block) of the latest pair, built
+        once, so that a residual's ``act`` and ``differentials`` share
+        them."""
+        if self._last_pair is not pair:
+            ad_g, ad_h = self.adjoint_matrix(pair.g), self.adjoint_matrix(pair.h)
+            zero = [0] * self.n
+            block_t = Matrix(
+                [ad_g.col(j) + zero for j in range(self.n)]
+                + [zero + ad_h.col(j) for j in range(self.n)]
+            )
+            self._last_pair = pair
+            self._last_action = (ad_g, ad_h, block_t)
+        return self._last_action
 
     def act(self, pair, point):
-        return LagrangianPoint(point.mat * self.pair_block(pair).transpose())
+        """The span of the rows moved by Ad_g (+) Ad_h."""
+        return LagrangianPoint(point.mat * self._pair_action(pair)[2])
 
     def rep(self, point):
         """The ambient representative: the echelon rows of the span."""
@@ -632,27 +631,23 @@ class GrassmannModel:
         return [self.double.bracket(elem, r) for r in rows]
 
     def differentials(self, pair):
-        """(push, orbit) at the pair, on span rows.
+        """(push, adjoint) at the pair, on span rows.
 
         The pair acts on rows by right multiplication with the transposed
         pair block, so ``push`` moves representatives and row velocities
-        alike; ``orbit(rows, U, V)`` differentiates the pair block along the
-        tangent (U, V), where Ad moves at g along U by ad(U g^{-1}) Ad_g.
+        alike; ``adjoint(elem)`` is Ad_(g,h) of a double element,
+        (Ad_g a, Ad_h b).
         """
-        m = self.alg.matrix_size
-        ad_g, ad_h = self.adjoint_matrix(pair.g), self.adjoint_matrix(pair.h)
-        ginv, hinv = pair.g.inverse(), pair.h.inverse()
-        block_t = self._blockdiag(ad_g, ad_h).transpose()
+        ad_g, ad_h, block_t = self._pair_action(pair)
+        half = self.alg.dim
 
         def push(rows):
             return (Matrix(rows) * block_t).data
 
-        def orbit(rows, U, V):
-            dg = self.alg.ad(sl_coords(m, U * ginv)) * ad_g
-            dh = self.alg.ad(sl_coords(m, V * hinv)) * ad_h
-            return (Matrix(rows) * self._blockdiag(dg, dh).transpose()).data
+        def adjoint(elem):
+            return ad_g.apply_to(elem[:half]) + ad_h.apply_to(elem[half:])
 
-        return push, orbit
+        return push, adjoint
 
     def action_sample(self, point, image):
         """Check name and sample record of an action residual."""

@@ -25,7 +25,7 @@ from wonderland.poisson import (
     mixed_value_in_charts,
     mixed_wedges,
     pi_wedges,
-    project_wedges,
+    projected_bivector,
     residual_from_values,
 )
 
@@ -184,7 +184,7 @@ def product_bivector(model, splitting, pair, points):
         wedges.append((c, pad(u, 2), pad(w, 2)))
     charts = pair_charts + x_charts
     reps = pair_reps + x_reps
-    return charts, reps, project_wedges(charts, reps, wedges)
+    return charts, reps, projected_bivector(charts, reps, wedges)
 
 
 def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2):
@@ -215,7 +215,7 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
     lhs = L.bracket_eval(full1, full2)
 
     pair_reps = reps[:2]
-    Lg = project_wedges(
+    Lg = projected_bivector(
         pair_charts, pair_reps, pi_wedges(model, splitting, pair_reps[0], pair_reps[1])
     )
     g_bracket = Lg.bracket_eval(grad1, grad2)
@@ -346,7 +346,7 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
             routes = []
             for quotient_chart in (chart_f, chart_g):
                 charts = quotient_chart.route_charts()
-                L = project_wedges(charts, reps, wedges)
+                L = projected_bivector(charts, reps, wedges)
                 routes.append((L, [fr.chart_grad_at(charts, pts) for fr in fractions]))
         except ChartDomainError:
             residuals.append(

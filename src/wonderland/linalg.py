@@ -313,16 +313,6 @@ class Bivector:
     def __eq__(self, other):
         return isinstance(other, Bivector) and self.entries == other.entries
 
-    def __sub__(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Bivector(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
     def __repr__(self):
         return "Bivector(%r)" % (self.entries,)
 

@@ -1,6 +1,6 @@
 """Bivector fields on the compactification and their exact identities.
 
-Every bivector here comes from one of two wedge lists.  ``mixed_wedges`` gives
+Every bivector here comes from wedge lists.  ``mixed_wedges`` gives
 (1/2) sum_i lambda(x_i) ^ lambda(y_i) on each compactification factor plus
 the cross terms coupling factors j < k through the dual pair (their sign,
 MIXED_CROSS_SIGN, is forced by requiring the diagonal pair action to be
@@ -10,10 +10,12 @@ on a factor it does not touch, and a pair-group component is None where its
 algebra element is zero.  The legs are flow tangents or translates, over
 any ring of entries, so the same lists serve two ends:
 
-* pointwise, at rational representatives, ``project_wedges`` projects them
-  into a ``Bivector`` with one batch call of each chart's
+* pointwise, at rational representatives, ``project_wedges`` replaces
+  every leg by its chart coordinates, with one batch call of each chart's
   ``tangent_project_general`` per factor, which normalizes the factor's
   representative once and projects every distinct leg in integers;
+  ``Bivector.from_wedges`` then sums the projected wedges in integers
+  (``projected_bivector`` does both);
 * symbolically, at the charts' parametrized representatives,
   ``polynomial_field`` projects them with ``project_normalized`` and sums
   them with ``linalg.wedge_sum`` into a ``BivectorField`` of polynomials
@@ -22,20 +24,29 @@ any ring of entries, so the same lists serve two ends:
 
 Identity checks (Jacobi, multiplicativity, the action compatibility
 equation, tangency to the boundary divisor) are all run at rational sample
-points with zero-tolerance residuals.  ``jacobi_sweep`` scales the field
-values and their derivatives at a point to integers over one denominator
-each and sums every coordinate triple's Jacobiator in integers.
+points with zero-tolerance residuals.  A residual that is a difference of
+bivectors is one signed wedge list, summed by one ``from_wedges``.
+``jacobi_sweep`` reads the field values and their derivatives at a point
+from the field's compiled integer table (one evaluation per distinct
+monomial) and sums every coordinate triple's Jacobiator in integers.
 
 The action-compatibility identity pi_X(a.x) = a_* pi_X(x) + (orbit map)_*
 pi_G(a) is computed by one pipeline, ``action_residual``, for both models
-and any number of factors: ``mixed_wedges`` gives the field at the images
-and at the sources, ``pi_wedges_matrices`` the group bivector, and
-``project_wedges`` projects all three into the charts at the images.  A
-model supplies three methods: ``rep(point)``, an ambient representative;
-``flow_tangent(elem, rep)``, the tangent of a double element's flow there;
-and ``differentials(pair)``, the pushforward of the action and the
-derivative of the orbit map, each built once per residual.  A fourth,
-``action_sample``, names a one-point check and records its sample.
+and any number of factors.  The left side is ``mixed_wedges`` at the
+images' own representatives.  The right side sits at the sources'
+representatives moved by the pair: the field at the sources with every leg
+pushed, and ``orbit_wedges``, the group bivector's legs as flow tangents
+there (the orbit map's derivative at (g, h) along (U, V) is the flow of
+the double element (U g^{-1}, V h^{-1})).  A model supplies:
+
+* ``rep(point)``, an ambient representative, and ``act(pair, point)``;
+* ``flow_tangent(elem, rep)``, the tangent of a double element's flow at a
+  representative;
+* ``differentials(pair)``, a pair (push, adjoint): ``push`` moves
+  representatives and ambient tangents by the action, ``adjoint`` is
+  Ad_(g,h) on a double element; both are built once per residual;
+* ``chart_at(point)`` and ``action_sample(point, image)``, which names a
+  one-point check and records its sample.
 
 Each residual is a fixed polynomial (or rational) function of the sample of
 bounded degree, so exact vanishing at more samples than that bound is strong
@@ -45,11 +56,15 @@ residual polynomial has total degree at most 7 (field entries are degree <= 4,
 their derivatives degree <= 3); the default sweeps use well over 7 samples
 per chart.  On P(M_2) the tests also prove it: the Jacobiators of the
 splitting field, of the mixed field on every pair and triple of charts and
-of the pair-group field on every pair of charts are zero polynomials.
+of the pair-group field on every pair of charts are zero polynomials.  On
+Gr(3, 6) the Jacobiator is not the zero polynomial on a chart, and the
+tests prove instead that it vanishes on the orbit of the diagonal, on the
+chart at the diagonal and on a chart at a boundary point.
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 
 from wonderland.geometry import (
     GroupPair,
@@ -58,7 +73,7 @@ from wonderland.geometry import (
     flat_from_mat2,
     flat_mul2,
 )
-from wonderland.linalg import ZERO, Bivector, integer_rows, qstr, ratio, wedge_sum
+from wonderland.linalg import ZERO, Bivector, integer_vector, qstr, ratio, wedge_sum
 from wonderland.poly import MultiPoly
 
 Q = Fraction
@@ -126,6 +141,7 @@ class BivectorField:
         self.entries = entries
         # _derivs[c][i][j] = d/dz_c of entry ij, differentiated on first use
         self._derivs = None
+        self._compiled = None
         k = len(entries)
         for i in range(k):
             for j in range(k):
@@ -142,20 +158,91 @@ class BivectorField:
             [[ZERO if e.is_zero() else e.eval(coords) for e in row] for row in self.entries]
         )
 
-    def deriv_values(self, coords):
-        """dL[c][i][j] = (d/dz_c of entry ij) at the point.
-
-        Each entry is differentiated once per field, at the first call; a
-        zero derivative gives ``ZERO`` without being evaluated."""
+    def _derivatives(self):
+        """dL[c][i][j] = d/dz_c of entry ij as polynomials; each entry is
+        differentiated once per field, at the first call."""
         if self._derivs is None:
             self._derivs = [
                 [[e.diff(v) for e in row] for row in self.entries]
                 for v in self.chart.variables
             ]
+        return self._derivs
+
+    def deriv_values(self, coords):
+        """dL[c][i][j] = (d/dz_c of entry ij) at the point; a zero
+        derivative gives ``ZERO`` without being evaluated."""
         return [
             [[ZERO if d.is_zero() else d.eval(coords) for d in row] for row in dc]
-            for dc in self._derivs
+            for dc in self._derivatives()
         ]
+
+    def _compile(self):
+        """The entries and their derivatives as integer coefficients over
+        one denominator each, on one table of the monomials that occur.
+
+        Returns (table, D, ([entries], den), (derivs, den)): table[m] lists
+        the (variable, exponent) pairs of monomial m and D - deg m, D the
+        largest degree; each polynomial becomes a list of (monomial index,
+        integer coefficient)."""
+        if self._compiled is None:
+            index = {}
+
+            def compile_mats(mats):
+                den = 1
+                for m in mats:
+                    for row in m:
+                        for p in row:
+                            for c in p.terms.values():
+                                den = lcm(den, c.denominator)
+                return [
+                    [
+                        [
+                            [
+                                (index.setdefault(e, len(index)), c.numerator * (den // c.denominator))
+                                for e, c in p.terms.items()
+                            ]
+                            for p in row
+                        ]
+                        for row in m
+                    ]
+                    for m in mats
+                ], den
+
+            entries = compile_mats([self.entries])
+            derivs = compile_mats(self._derivatives())
+            top = max((sum(e) for e in index), default=0)
+            table = [(tuple((v, k) for v, k in enumerate(e) if k), top - sum(e)) for e in index]
+            self._compiled = table, top, entries, derivs
+        return self._compiled
+
+    def integer_values(self, coords):
+        """((L, dl), (dL, dd)): the field values L / dl and the derivative
+        values dL / dd at a point, L and every dL[c] integer matrices.
+
+        The coordinates are scaled to integers n / q over one denominator;
+        each monomial m of the compiled table is evaluated once, as
+        n^m q^(D - deg m) = q^D z^m, and integer sums over the coefficients
+        give L and dL over the compiled denominators times q^D."""
+        table, top, ((ent,), de), (der, dd) = self._compile()
+        ints, q = integer_vector(coords)
+        pows = [[1, x] for x in ints]
+        qpow = [1]
+        for _ in range(top):
+            qpow.append(qpow[-1] * q)
+        values = []
+        for factors, rest in table:
+            x = qpow[rest]
+            for v, k in factors:
+                pv = pows[v]
+                while len(pv) <= k:
+                    pv.append(pv[-1] * pv[1])
+                x *= pv[k]
+            values.append(x)
+
+        def ev(mat):
+            return [[sum(c * values[m] for m, c in p) for p in row] for row in mat]
+
+        return (ev(ent), de * qpow[top]), ([ev(m) for m in der], dd * qpow[top])
 
     def bracket_poly(self, f, g):
         """{f,g} as a polynomial: sum_ij L_ij df/dz_i dg/dz_j."""
@@ -229,7 +316,7 @@ def mixed_value_in_charts(model, splitting, points, charts):
     """Pointwise mixed bivector at a tuple of points, projected into the
     given per-factor charts (which must contain the points)."""
     reps = [model.rep(p) for p in points]
-    return project_wedges(charts, reps, mixed_wedges(model, splitting, reps))
+    return projected_bivector(charts, reps, mixed_wedges(model, splitting, reps))
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +350,6 @@ def mixed_wedges(model, splitting, reps, cross_sign=None):
     return out
 
 
-def pi_wedges_matrices(model, splitting, G, H):
-    """Pair-group bivector wedges at (G, H), legs as matrix pairs."""
-    out = []
-    for i in range(splitting.half_dim):
-        ax, bx = model.elem_matrices(splitting.x_basis[i])
-        ay, by = model.elem_matrices(splitting.y_basis[i])
-        out.append((Fraction(1, 2), (ax * G, bx * H), (ay * G, by * H)))
-        out.append((Fraction(-1, 2), (G * ax, H * bx), (G * ay, H * by)))
-    return out
-
-
 def pi_wedges(model, splitting, rep_g, rep_h):
     """Pair-group bivector wedges at flat 2x2 representatives, over any
     ring: legs (a G, b H) on the right and (G a, H b) on the left.  A
@@ -295,7 +371,8 @@ def pi_wedges(model, splitting, rep_g, rep_h):
 
 
 def project_wedges(charts, reps, wedges):
-    """Project pointwise wedges into concatenated chart coordinates.
+    """Project pointwise wedges into concatenated chart coordinates: the
+    wedge list with every leg replaced by its coordinate list.
 
     Each factor's distinct legs are projected by one batch call of its
     chart's ``tangent_project_general``, which normalizes the factor's
@@ -303,7 +380,6 @@ def project_wedges(charts, reps, wedges):
     has no nonzero entry contributes zeros there without being projected:
     the projection is linear in the leg.  Grassmannian legs are lists of
     rows, which ``any`` does not look into, so those are always projected."""
-    dim = sum(c.dim for c in charts)
     projected = []
     for l, (chart, rep) in enumerate(zip(charts, reps)):
         legs = {}
@@ -321,9 +397,55 @@ def project_wedges(charts, reps, wedges):
             out.extend([0] * chart.dim if coords is None else coords)
         return out
 
-    return Bivector.from_wedges(
-        dim, [(c, proj(u), proj(w)) for c, u, w in wedges]
-    )
+    return [(c, proj(u), proj(w)) for c, u, w in wedges]
+
+
+def projected_bivector(charts, reps, wedges):
+    """The ``Bivector`` of pointwise wedges in concatenated chart
+    coordinates: ``project_wedges``, then one ``from_wedges``."""
+    return Bivector.from_wedges(sum(c.dim for c in charts), project_wedges(charts, reps, wedges))
+
+
+def _negated(wedges):
+    return [(-c, u, w) for c, u, w in wedges]
+
+
+def _mapped(wedges, maps):
+    """The wedge list with each leg on factor l replaced by maps[l] of it;
+    a leg shared by several wedges is mapped once, and None stays None."""
+    done = {}
+
+    def legs(u):
+        out = []
+        for l, (f, v) in enumerate(zip(maps, u)):
+            if v is not None:
+                key = (l, id(v))
+                if key not in done:
+                    done[key] = f(v)
+                v = done[key]
+            out.append(v)
+        return tuple(out)
+
+    return [(c, legs(u), legs(w)) for c, u, w in wedges]
+
+
+def orbit_wedges(model, splitting, adjoint, reps):
+    """The orbit map's pushforward of the pair-group bivector at a = (g, h),
+    as flow tangents at the moved representatives ``reps``.
+
+    Along (U, V) at (g, h) the orbit map moves a.x by the flow of the double
+    element (U g^{-1}, V h^{-1}).  The right legs (x G, ...) of pi_G(a) so
+    give the flow of x itself, the left legs (G x, ...) the flow of
+    Ad_a x = ``adjoint(x)``; every leg acts on all factors at once."""
+
+    def legs(elem):
+        return tuple(model.flow_tangent(elem, r) for r in reps)
+
+    out = []
+    for x, y in zip(splitting.x_basis, splitting.y_basis):
+        out.append((Fraction(1, 2), legs(x), legs(y)))
+        out.append((Fraction(-1, 2), legs(adjoint(x)), legs(adjoint(y))))
+    return out
 
 
 def multiplicativity_residual(model, splitting, pair1, pair2):
@@ -339,20 +461,12 @@ def multiplicativity_residual(model, splitting, pair1, pair2):
         model.chart_at(ProjMatrixPoint(prod_g)),
         model.chart_at(ProjMatrixPoint(prod_h)),
     ]
-    reps = [pg, ph]
-    lhs = project_wedges(charts, reps, pi_wedges(model, splitting, pg, ph))
-
-    def push(wedges, maps):
-        def legs(u):
-            return tuple(None if v is None else f(v) for f, v in zip(maps, u))
-
-        return [(c, legs(u), legs(w)) for c, u, w in wedges]
-
     left = (lambda v: flat_mul2(g1, v), lambda v: flat_mul2(h1, v))
     right = (lambda v: flat_mul2(v, g2), lambda v: flat_mul2(v, h2))
-    t1 = project_wedges(charts, reps, push(pi_wedges(model, splitting, g2, h2), left))
-    t2 = project_wedges(charts, reps, push(pi_wedges(model, splitting, g1, h1), right))
-    res = (lhs - t1 - t2).entries
+    t1 = _mapped(pi_wedges(model, splitting, g2, h2), left)
+    t2 = _mapped(pi_wedges(model, splitting, g1, h1), right)
+    wedges = pi_wedges(model, splitting, pg, ph) + _negated(t1 + t2)
+    res = projected_bivector(charts, [pg, ph], wedges).entries
     return residual_from_matrix("pi-multiplicativity", {}, res)
 
 
@@ -360,34 +474,26 @@ def action_residual(model, splitting, pair, points, cross_sign=None):
     """The action-compatibility identity pi_X(a.x) = a_* pi_X(x) +
     (orbit map)_* pi_G(a) on a tuple of factors carrying the mixed field.
 
-    Returns the image points and the entries of lhs - t1 - t2, all three
-    projected into the charts at the images.  The model supplies ``rep``,
-    ``flow_tangent`` and ``differentials``: the action's derivative in the
-    point (which also moves the representatives) and the orbit map's
-    derivative along the pair-group wedge legs."""
+    Returns the image points and the entries of lhs - t1 - t2 in the charts
+    at the images.  lhs is the field at the images' own representatives;
+    t1, the field at the sources pushed by the action, and t2, the group
+    bivector's orbit legs (``orbit_wedges``), both sit at the pushed source
+    representatives, so they are projected together, one batch per factor.
+    The three signed wedge lists are summed by one ``from_wedges``."""
     images = [model.act(pair, p) for p in points]
     charts = [model.chart_at(im) for im in images]
     img_reps = [model.rep(im) for im in images]
     lhs = project_wedges(
         charts, img_reps, mixed_wedges(model, splitting, img_reps, cross_sign)
     )
-    push, orbit = model.differentials(pair)
+    push, adjoint = model.differentials(pair)
     src_reps = [model.rep(p) for p in points]
     reps = [push(r) for r in src_reps]
-
-    def pushed(legs):
-        return tuple(None if v is None else push(v) for v in legs)
-
-    def orbit_pushed(leg):
-        return tuple(orbit(r, *leg) for r in src_reps)
-
-    w1 = mixed_wedges(model, splitting, src_reps, cross_sign)
-    t1 = project_wedges(charts, reps, [(c, pushed(u), pushed(w)) for c, u, w in w1])
-    w2 = pi_wedges_matrices(model, splitting, pair.g, pair.h)
-    t2 = project_wedges(
-        charts, reps, [(c, orbit_pushed(u), orbit_pushed(w)) for c, u, w in w2]
-    )
-    return images, (lhs - t1 - t2).entries
+    t1 = _mapped(mixed_wedges(model, splitting, src_reps, cross_sign), [push] * len(reps))
+    t2 = orbit_wedges(model, splitting, adjoint, reps)
+    rhs = project_wedges(charts, reps, t1 + t2)
+    dim = sum(c.dim for c in charts)
+    return images, Bivector.from_wedges(dim, lhs + _negated(rhs)).entries
 
 
 def poisson_action_residual(model, splitting, pair, point):
@@ -452,13 +558,12 @@ def jacobi_sweep(field, coords):
     """All coordinate-triple Jacobiator values at one point:
     sum_b L[i][b] dL[b][j][k] + L[j][b] dL[b][k][i] + L[k][b] dL[b][i][j].
 
-    The field values L and the entry derivatives dL are scaled to integers
-    over one denominator each, the sums run in integers over the nonzero
-    L[i][b] only, and each triple's value becomes one ``Fraction``."""
-    L, dl = integer_rows(field.value_at(coords).entries)
-    dL, dd = integer_rows([row for dc in field.deriv_values(coords) for row in dc])
+    The field values L and the entry derivatives dL come from the field's
+    compiled integer table (``BivectorField.integer_values``), the sums run
+    in integers over the nonzero L[i][b] only, and each triple's value
+    becomes one ``Fraction``."""
+    (L, dl), (dL, dd) = field.integer_values(coords)
     dim = field.dim
-    dL = [dL[b * dim : (b + 1) * dim] for b in range(dim)]
     nz = [[(dL[b], x) for b, x in enumerate(row) if x] for row in L]
     den = dl * dd
     out = []

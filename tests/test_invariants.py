@@ -381,10 +381,10 @@ class TestPointwiseGradients:
     @staticmethod
     def symbolic_bracket(ctx, pts, charts, f, g):
         from wonderland.geometry import ProductChart
-        from wonderland.poisson import mixed_wedges, project_wedges
+        from wonderland.poisson import mixed_wedges, projected_bivector
 
         reps = [list(p.vec) for p in pts]
-        L = project_wedges(charts, reps, mixed_wedges(ctx["model"], ctx["split"], reps))
+        L = projected_bivector(charts, reps, mixed_wedges(ctx["model"], ctx["split"], reps))
         pc = ProductChart(charts)
         z = pc.coords_of(pts)
         return L.bracket_eval(f.restrict(pc).grad_at(z), g.restrict(pc).grad_at(z))

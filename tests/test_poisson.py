@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wonderland.geometry import (
     GroupPair,
@@ -27,7 +29,7 @@ from wonderland.poisson import (
     multiplicativity_residual,
     pi_wedges,
     poisson_action_residual,
-    project_wedges,
+    projected_bivector,
     tangency_check,
 )
 from wonderland.poly import MultiPoly
@@ -97,6 +99,45 @@ def _symbolic_jacobiators(fld):
     ]
 
 
+@pytest.fixture(scope="module")
+def compiled_fields(ctx):
+    """Fields whose compiled integer evaluation is compared with
+    ``value_at``/``deriv_values``: the Gr(3,6) splitting field on the
+    diagonal chart (whose Jacobiator is nonzero off the orbit), the mixed
+    two-factor field on P(M2), and non-Poisson control fields on chart 0
+    and on the Gr(3,6) chart."""
+    gr_chart = ctx["gr"].chart_at(ctx["gr"].diagonal_point())
+    st = RationalStream(223)
+    return [
+        splitting_bivector_field(ctx["gr"], gr_chart, ctx["split"]),
+        mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 2),
+        _non_poisson_field(st),
+        _non_poisson_field(st, gr_chart),
+    ]
+
+
+class TestCompiledField:
+    coordinate = hst.one_of(
+        hst.just(0),
+        hst.integers(-9, 9),
+        hst.builds(Q, hst.integers(-40, 40), hst.integers(1, 12)),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(hst.data())
+    def test_integer_values_match_value_at_and_deriv_values(self, compiled_fields, data):
+        """Entry by entry, L / dl and dL / dd of ``integer_values`` are the
+        values of ``value_at`` and ``deriv_values``, at points with zero,
+        ``int`` and ``Fraction`` coordinates; the Gr(3,6) field has zero
+        entries and zero derivatives, which must come out as 0."""
+        for fld in compiled_fields:
+            z = data.draw(hst.lists(self.coordinate, min_size=fld.dim, max_size=fld.dim))
+            (L, dl), (dL, dd) = fld.integer_values(z)
+            assert [[Q(x, dl) for x in row] for row in L] == fld.value_at(z).entries
+            want = fld.deriv_values(z)
+            assert [[[Q(x, dd) for x in row] for row in dc] for dc in dL] == want
+
+
 class TestSplittingField:
     def test_vanishes_at_identity(self, ctx):
         I = ProjMatrixPoint([1, 0, 0, 1])
@@ -136,7 +177,7 @@ class TestSplittingField:
         for _ in range(4):
             z = st.vector(3)
             rep = ch.rep_at(z)
-            pt = project_wedges(
+            pt = projected_bivector(
                 [ch], [rep], mixed_wedges(ctx["model"], ctx["split"], [rep])
             )
             assert ctx["field0"].value_at(z).entries == pt.entries
@@ -284,7 +325,7 @@ class TestJacobi:
 class TestPiField:
     def test_vanishes_at_identity(self, ctx):
         fI = [Q(1), Q(0), Q(0), Q(1)]
-        val = project_wedges(
+        val = projected_bivector(
             [ProjChart(0), ProjChart(0)],
             [fI, fI],
             pi_wedges(ctx["model"], ctx["split"], fI, fI),
@@ -304,7 +345,7 @@ class TestPiField:
                 continue
             zg = [x / fg[0] for x in fg[1:]]
             zh = [x / fh[0] for x in fh[1:]]
-            want = project_wedges(
+            want = projected_bivector(
                 [ProjChart(0), ProjChart(0)], [fg, fh], pi_wedges(ctx["model"], ctx["split"], fg, fh)
             )
             assert fld.value_at(zg + zh).entries == want.entries
@@ -460,11 +501,9 @@ class TestPointwiseWork:
         assert [xy for xy in products if not (any(xy[0]) and any(xy[1]))] == []
 
     def test_p_m2_flow_builds_no_element_matrix(self, ctx, monkeypatch):
-        """``flow_tangent`` and ``pi_wedges`` read the flat entries of a
-        double element from its six coordinates: neither builds an element
-        matrix, and in ``run all`` the only element matrices are the ones
-        ``pi_wedges_matrices`` multiplies in the action residuals."""
-        import wonderland.poisson as poisson
+        """``flow_tangent``, ``pi_wedges`` and the action residuals' orbit
+        legs read the flat entries of a double element from its six
+        coordinates: ``run all`` builds no element matrix at all."""
         from wonderland.reports import ExperimentConfig, run_experiment
 
         calls = self._record(monkeypatch, Pgl2Model, "elem_matrices")
@@ -472,24 +511,16 @@ class TestPointwiseWork:
         reps = [list(ProjMatrixPoint(st.nonzero_vector(4)).vec) for _ in range(2)]
         assert len(mixed_wedges(ctx["model"], ctx["split"], reps)) == 9
         assert len(pi_wedges(ctx["model"], ctx["split"], *reps)) == 6
-        assert calls == []
-        group_wedges = []
-        orig = poisson.pi_wedges_matrices
-
-        def counted(*args):
-            group_wedges.append(args)
-            return orig(*args)
-
-        monkeypatch.setattr(poisson, "pi_wedges_matrices", counted)
         assert run_experiment(ExperimentConfig("all", samples=2, seed=301)).failed == 0
-        assert len(calls) == 2 * ctx["split"].half_dim * len(group_wedges) == 24
+        assert calls == []
 
     def test_grassmann_action_residual_inverts_once_per_representative(self, ctx, monkeypatch):
-        """One Gr(3,6) action residual projects three wedge lists (the field
-        at the image, the pushed field and the orbit-pushed group
-        bivector), each with one batch call that inverts the pivot block
-        once; the other six inverses are the pair's, in ``act`` and
-        ``differentials``."""
+        """One Gr(3,6) action residual projects two batches: the field at
+        the image, and at the pushed source representative the pushed field
+        (6 legs) together with the group bivector's orbit legs (12 flow
+        tangents).  Each batch inverts the pivot block once; the other two
+        inverses build Ad_g and Ad_h, once for ``act`` and
+        ``differentials`` together."""
         from wonderland.geometry import GrassChart
         from wonderland.linalg import Matrix
 
@@ -499,10 +530,11 @@ class TestPointwiseWork:
         pair = GroupPair(st.sl2(), st.sl2())
         batches = self._record(monkeypatch, GrassChart, "tangent_project_general")
         inverses = self._record(monkeypatch, Matrix, "inverse")
+        adjoints = self._record(monkeypatch, GrassmannModel, "adjoint_matrix")
         assert poisson_action_residual(gr, ctx["split"], pair, src).passed
-        assert len(batches) == 3
-        assert [len(legs) for _, legs in batches] == [6, 6, 12]
-        assert len(inverses) == 9
+        assert [len(legs) for _, legs in batches] == [6, 18]
+        assert len(inverses) == 4
+        assert adjoints == [(pair.g,), (pair.h,)]
 
     def test_run_all_projects_no_zero_leg(self, monkeypatch):
         from wonderland.reports import ExperimentConfig, run_experiment

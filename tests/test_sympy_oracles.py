@@ -12,17 +12,29 @@ differentiate the chart coordinates of the moved point at t = 0.
 """
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wonderland.geometry import GrassChart, GrassmannModel, ProjChart, infinitesimal_field
-from wonderland.lie import build_sl, double_algebra
+from wonderland.geometry import (
+    GrassChart,
+    GrassmannModel,
+    GroupPair,
+    Pgl2Model,
+    ProjChart,
+    ProjMatrixPoint,
+    infinitesimal_field,
+)
+from wonderland.lie import build_sl, double_algebra, standard_splitting
 from wonderland.linalg import Matrix
+from wonderland.poisson import splitting_bivector_field
 from wonderland.poly import MultiPoly
 
 sympy = pytest.importorskip("sympy")
+from sympy import QQ  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
 
 NAMES = ("x", "y", "z")
 SYMBOLS = sympy.symbols(NAMES)
@@ -282,3 +294,170 @@ def test_grassmann_infinitesimal_field_matches_sympy(pivots, center, z, elem):
     normal = moved.extract([0, 1, 2], list(pivots)).inv() * moved
     want = [derivative_at_zero(normal[i, j]) for i in range(3) for j in chart.free]
     assert [f.eval(z) for f in infinitesimal_field(GRASS, chart, elem)] == want
+
+
+# -- orbit legs of the action residual --------------------------------------
+#
+# pi_G at (g, h) has right legs (a g, b h) and left legs (g a, h b) for a
+# double element x = (a, b); the orbit map (u, v) -> (u, v).p moves along
+# them.  Here SymPy differentiates the action itself at (g + tU, h + tV),
+# with sl2 coordinates (e, h, f) read as the matrix [[h, e], [f, -h]].
+
+
+def sl2_matrix(a, b, c):
+    """The SL2 matrix [[a, b], [c, (1 + bc)/a]]."""
+    return [[a, b], [c, (1 + b * c) / a]]
+
+
+sl2_pairs = st.tuples(*[st.tuples(nonzero, rationals, rationals)] * 2)
+sides = st.sampled_from(["right", "left"])
+
+
+def sym_matrix(rows):
+    return sympy.Matrix([[to_sympy(Q(x)) for x in row] for row in rows])
+
+
+def sl2_sym(coords):
+    e, h, f = (to_sympy(Q(x)) for x in coords)
+    return sympy.Matrix([[h, e], [f, -h]])
+
+
+def sl2_coords_sym(m):
+    return [m[0, 1], m[0, 0], m[1, 0]]
+
+
+def inverse(m):
+    """The inverse of a 2x2 SymPy matrix in t, as adjugate over determinant."""
+    return m.adjugate() / m.det()
+
+
+def orbit_case(pair, elem, side):
+    """The model's pair, and the SymPy curves g + tU, h + tV along the
+    right or left leg of ``elem``."""
+    gh = [sl2_matrix(*p) for p in pair]
+    g, h = (sym_matrix(m) for m in gh)
+    a, b = sl2_sym(elem[:3]), sl2_sym(elem[3:])
+    U, V = (a * g, b * h) if side == "right" else (g * a, h * b)
+    return GroupPair(*gh), g + T * U, h + T * V
+
+
+@settings(max_examples=30, deadline=None)
+@given(sl2_pairs, st.lists(mixed_entries, min_size=4, max_size=4), st.lists(rationals, min_size=6, max_size=6), sides)
+def test_p_m2_orbit_legs_match_sympy(pair, flat, elem, side):
+    """d/dt (g + tU) A (h + tV)^-1 at t = 0 is the flow tangent, at the
+    pushed representative g A h^-1, of x for a right leg and of
+    Ad_(g,h) x for a left leg."""
+    model = Pgl2Model(SL2)
+    gp, gt, ht = orbit_case(pair, elem, side)
+    moved = gt * sympy.Matrix(2, 2, [to_sympy(Q(x)) for x in flat]) * inverse(ht)
+    want = [derivative_at_zero(moved[i, j]) for i in range(2) for j in range(2)]
+    push, adjoint = model.differentials(gp)
+    x = elem if side == "right" else adjoint(elem)
+    assert model.flow_tangent(x, push(flat)) == want
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    sl2_pairs,
+    st.lists(st.lists(mixed_entries, min_size=6, max_size=6), min_size=3, max_size=3),
+    st.lists(rationals, min_size=6, max_size=6),
+    sides,
+)
+def test_grassmann_orbit_legs_match_sympy(pair, rows, elem, side):
+    """A span row (r1, r2) moves to (g r1 g^-1, h r2 h^-1); at (g + tU,
+    h + tV) its t-derivative at 0 is the flow tangent, at the pushed rows,
+    of x for a right leg and of Ad_(g,h) x for a left leg."""
+    gp, gt, ht = orbit_case(pair, elem, side)
+    gi, hi = inverse(gt), inverse(ht)
+
+    def moved(r):
+        halves = sl2_coords_sym(gt * sl2_sym(r[:3]) * gi) + sl2_coords_sym(ht * sl2_sym(r[3:]) * hi)
+        return [derivative_at_zero(x) for x in halves]
+
+    push, adjoint = GRASS.differentials(gp)
+    x = elem if side == "right" else adjoint(elem)
+    assert GRASS.flow_tangent(x, push(rows)) == [moved(r) for r in rows]
+
+
+# -- the Gr(3,6) Jacobiator on the orbit closure ------------------------------
+
+
+def ring_jacobiators(fld):
+    """The coordinate-triple Jacobiators sum_b L[i][b] d_b L[j][k] + cyclic,
+    i < j < k, computed in a SymPy polynomial ring from the field's entries."""
+    R, *zs = ring(",".join(fld.chart.variables), QQ)
+    L = [
+        [R({e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()}) for p in row]
+        for row in fld.entries
+    ]
+    dim = len(L)
+    dL = [[[L[i][j].diff(z) for j in range(dim)] for i in range(dim)] for z in zs]
+    return [
+        sum(
+            (L[i][b] * dL[b][j][k] + L[j][b] * dL[b][k][i] + L[k][b] * dL[b][i][j] for b in range(dim)),
+            R.zero,
+        )
+        for i, j, k in combinations(range(dim), 3)
+    ]
+
+
+def substituted_numerators(jacs, nums, den):
+    """den^D J(nums / den) for each J, D the largest degree of the J's."""
+    top = max(sum(e) for J in jacs for e in J.keys())
+    S = den.ring
+    cache = {}
+
+    def mono(e):
+        if e not in cache:
+            v = next((v for v, k in enumerate(e) if k), None)
+            if v is None:
+                cache[e] = S.one
+            else:
+                rest = list(e)
+                rest[v] -= 1
+                cache[e] = mono(tuple(rest)) * nums[v]
+        return cache[e]
+
+    return [sum((mono(e) * c * den ** (top - sum(e)) for e, c in J.items()), S.zero) for J in jacs]
+
+
+@pytest.mark.parametrize("where", ["diagonal", "boundary"])
+def test_grassmann_jacobiator_vanishes_on_the_orbit(where):
+    """The orbit of the diagonal is the set of graphs [I | Ad_k^T], k in GL2.
+    With k = [[a, b], [c, 1]], dense in PGL2, the rows delta [I | Ad_k^T] =
+    [delta I | Q] are polynomial in (a, b, c), delta = a - bc, and a
+    chart's coordinates there are (adj(P) F - det(P) center) / det P, P and
+    F the pivot and free columns.  Substituted into each of the 84
+    Jacobiators, with det P cleared, they give the zero polynomial: the
+    splitting field is Poisson on the chart's part of the orbit closure.
+    Covered: the chart at the diagonal and the chart at the boundary point
+    [E11].  The Jacobiators are not zero polynomials on the chart (70 of 84
+    are nonzero), and the same substitution without the chart's center
+    leaves nonzero numerators."""
+    model = Pgl2Model(SL2)
+    point = GRASS.diagonal_point() if where == "diagonal" else model.lagrangian_of(ProjMatrixPoint([1, 0, 0, 0]))
+    chart = GRASS.chart_at(point)
+    assert (chart.pivots == (0, 1, 2)) == (where == "diagonal")
+    jacs = ring_jacobiators(splitting_bivector_field(GRASS, chart, standard_splitting(SL2)))
+    assert len(jacs) == 84 and sum(1 for J in jacs if J) == 70
+
+    S = ring("a,b,c", QQ)[0]
+    a, b, c = S.symbols
+    k, adj = sympy.Matrix([[a, b], [c, 1]]), sympy.Matrix([[1, -b], [-c, a]])
+    delta = a - b * c
+    basis = [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]]
+    Qrows = [sl2_coords_sym(k * sympy.Matrix(m) * adj) for m in basis]
+    rows = sympy.Matrix([[delta if j == i else 0 for j in range(3)] + Qrows[i] for i in range(3)])
+    P = rows.extract([0, 1, 2], list(chart.pivots))
+    F = rows.extract([0, 1, 2], chart.free)
+    det = P.det()
+    center = sym_matrix(chart.center_block)
+    det_p = S(sympy.expand(det))
+    adj_f = P.adjugate() * F
+
+    def numerators(coords):
+        nums = [S(sympy.expand(coords[i, m])) for i in range(3) for m in range(3)]
+        return substituted_numerators(jacs, nums, det_p)
+
+    assert all(x == 0 for x in numerators(adj_f - det * center))
+    assert any(x != 0 for x in numerators(adj_f))
