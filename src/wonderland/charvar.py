@@ -8,7 +8,6 @@ the strata carry invariants of the induced mixed action.  The rank-one
 model is worked out explicitly on the closure of the diagonal torus.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from wonderland.geometry import ProjLinePoint
@@ -94,12 +93,12 @@ def trace_point(point):
     return (tr(a), tr(b), tr(ab))
 
 
-@dataclass
 class BoundaryStratum:
     """Per-factor classification of a tuple in the compactified model."""
 
-    factors: list
-    signature: tuple
+    def __init__(self, factors, signature):
+        self.factors = factors
+        self.signature = signature
 
     def to_json(self):
         out = []

@@ -19,14 +19,26 @@ whose pivot block is c I (c^2 times the chart derivative).  Both use only
 ``tangent_project_general`` projects a batch of tangents at one rational
 representative: it scales the representative (for the Grassmannian, its
 pivot-normalized form N = P R, P the inverted pivot block, and P itself) to
-integers once per call, scales each tangent to integers, projects over the
-integers and makes one ``Fraction`` per coordinate; ``tangent_project`` is
-its one-tangent form.  ``infinitesimal_field`` runs the flow at the chart's
+integers once per call, scales each tangent to integers (a no-op for the
+integer legs the Poisson residuals hand it), projects over the integers
+and makes one ``Fraction`` per coordinate; ``tangent_project`` is its
+one-tangent form.  ``infinitesimal_field`` runs the flow at the chart's
 parametrized representative, which is already normalized, and so gives the
-exact polynomial vector field on the chart.  A model's ``differentials(pair)``
-gives the pair's ``push`` on representatives and tangents and its
-``adjoint`` action on double elements; the Grassmannian builds Ad_g and
-Ad_h once per pair for both and for ``act``.
+exact polynomial vector field on the chart.
+
+Pointwise, no denominator is carried from flow to projection.  The
+projection is projective: scaling a representative and every tangent at it
+by one nonzero c (on the Grassmannian, each row of both by its own d_i)
+leaves it unchanged.  So ``rep`` hands out integer representatives (the
+primitive P(M_2) vector; the echelon rows, each scaled to integers), a
+model's ``differentials(pair)`` gives the pair's ``push`` on
+representatives and tangents and its ``adjoint`` action on double elements
+as integer maps that both multiply by one declared scale s (P(M_2) scales g
+and h over one denominator d, s = d^2; the Grassmannian builds
+B = d (Ad_g (+) Ad_h)^T once per pair for both and for ``act``, s = d),
+and flow tangents of integer double elements at integer representatives
+are integer vectors.  The denominators that remain (the splitting's, and
+s for legs made from ``adjoint``) live in the wedge coefficients.
 """
 
 from fractions import Fraction
@@ -53,23 +65,13 @@ class ChartDomainError(ValueError):
 def _primitive(values):
     """Scale a rational vector to a primitive integer vector, first nonzero
     entry positive.  Canonical representative for projective points."""
-    fr = [Fraction(v) for v in values]
-    if all(x == 0 for x in fr):
+    ints, _ = integer_vector([v if type(v) in (int, Fraction) else Fraction(v) for v in values])
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no projective class")
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 class ProjLinePoint:
@@ -457,36 +459,39 @@ class Pgl2Model:
 
     # -- group action ---------------------------------------------------
     def act(self, pair, point):
-        """(g, h) . [A] = [g A h^{-1}]."""
-        return ProjMatrixPoint(pair.g * point.matrix * pair.h.inverse())
+        """(g, h) . [A] = [g A h^{-1}], by the integer ``push``."""
+        return ProjMatrixPoint(self.differentials(pair)[0](point.vec))
 
     def rep(self, point):
         """The ambient representative: the flat primitive entries."""
         return list(point.vec)
 
     def differentials(self, pair):
-        """(push, adjoint) at the pair, on flats.
+        """(push, adjoint, s) at the pair, on flats, in integers.
 
-        A -> g A h^{-1} is linear, so ``push`` moves representatives and
-        ambient tangents alike; ``adjoint(elem6)`` is Ad_(g,h) of a double
-        element, (g a g^{-1}, h b h^{-1}) in sl2 (+) sl2 coordinates.  Both
-        multiply flats only; det g = det h = 1, so the inverses are the
-        adjugates.
+        g and h are scaled over one denominator d to integer flats G = d g
+        and H = d h; det g = det h = 1, so adj(G) = d g^{-1} and
+        adj(H) = d h^{-1}.  ``push(A)`` = G A adj(H) = s g A h^{-1} with
+        s = d^2: it is linear, so it moves representatives and ambient
+        tangents alike, and the common scale leaves every chart projection
+        unchanged.  ``adjoint(elem6)`` = (G a adj(G), H b adj(H)) in
+        sl2 (+) sl2 coordinates is s Ad_(g,h) of a double element, both
+        components over the one scale s.
         """
-        g, h = flat_from_mat2(pair.g), flat_from_mat2(pair.h)
-        ginv = [g[3], -g[1], -g[2], g[0]]
-        hinv = [h[3], -h[1], -h[2], h[0]]
+        (g, h), d = integer_rows([flat_from_mat2(pair.g), flat_from_mat2(pair.h)])
+        gadj = [g[3], -g[1], -g[2], g[0]]
+        hadj = [h[3], -h[1], -h[2], h[0]]
 
         def push(flat):
-            return flat_mul2(flat_mul2(g, flat), hinv)
+            return flat_mul2(flat_mul2(g, flat), hadj)
 
         def adjoint(elem6):
             a, b = self.elem_flats(elem6)
-            ca = flat_mul2(flat_mul2(g, a), ginv)
-            cb = flat_mul2(flat_mul2(h, b), hinv)
+            ca = flat_mul2(flat_mul2(g, a), gadj)
+            cb = flat_mul2(flat_mul2(h, b), hadj)
             return [ca[1], ca[0], ca[2], cb[1], cb[0], cb[2]]
 
-        return push, adjoint
+        return push, adjoint, d * d
 
     def action_sample(self, point, image):
         """Check name and sample record of an action residual."""
@@ -601,27 +606,31 @@ class GrassmannModel:
         return Matrix([[cols[j][m] for j in range(self.alg.dim)] for m in range(self.alg.dim)])
 
     def _pair_action(self, pair):
-        """(Ad_g, Ad_h, transposed pair block) of the latest pair, built
-        once, so that a residual's ``act`` and ``differentials`` share
-        them."""
+        """(B, d) of the latest pair, built once, so that a residual's
+        ``act`` and ``differentials`` share it: B = d (Ad_g (+) Ad_h)^T is
+        the transposed pair block scaled to integers over one
+        denominator d.  A row (or a double element) r moves to r B."""
         if self._last_pair is not pair:
-            ad_g, ad_h = self.adjoint_matrix(pair.g), self.adjoint_matrix(pair.h)
-            zero = [0] * self.n
-            block_t = Matrix(
-                [ad_g.col(j) + zero for j in range(self.n)]
-                + [zero + ad_h.col(j) for j in range(self.n)]
+            ad, d = integer_rows(
+                self.adjoint_matrix(pair.g).data + self.adjoint_matrix(pair.h).data
             )
+            zero = [0] * self.n
+            block_t = [list(col) + zero for col in zip(*ad[: self.n])] + [
+                zero + list(col) for col in zip(*ad[self.n :])
+            ]
             self._last_pair = pair
-            self._last_action = (ad_g, ad_h, block_t)
+            self._last_action = (block_t, d)
         return self._last_action
 
     def act(self, pair, point):
         """The span of the rows moved by Ad_g (+) Ad_h."""
-        return LagrangianPoint(point.mat * self._pair_action(pair)[2])
+        return LagrangianPoint(int_mat_mul(self.rep(point), self._pair_action(pair)[0]))
 
     def rep(self, point):
-        """The ambient representative: the echelon rows of the span."""
-        return point.mat.data
+        """The ambient representative: the echelon rows of the span, each
+        scaled to integers.  Scaling a row scales its flow tangent alike,
+        so it changes neither the span nor any chart projection."""
+        return [integer_vector(row)[0] for row in point.mat.data]
 
     def flow_tangent(self, elem, rows):
         """Row velocities of the one-parameter flow of a double element:
@@ -631,23 +640,24 @@ class GrassmannModel:
         return [self.double.bracket(elem, r) for r in rows]
 
     def differentials(self, pair):
-        """(push, adjoint) at the pair, on span rows.
+        """(push, adjoint, d) at the pair, on integer span rows.
 
         The pair acts on rows by right multiplication with the transposed
-        pair block, so ``push`` moves representatives and row velocities
-        alike; ``adjoint(elem)`` is Ad_(g,h) of a double element,
-        (Ad_g a, Ad_h b).
+        pair block, here its integer multiple B = d (Ad_g (+) Ad_h)^T, so
+        ``push`` moves representatives and row velocities alike, all by
+        the scale d, which leaves every chart projection unchanged.  A
+        double element is a row too: ``adjoint(elem)`` = elem B is
+        d Ad_(g,h) of it, d (Ad_g a, Ad_h b).
         """
-        ad_g, ad_h, block_t = self._pair_action(pair)
-        half = self.alg.dim
+        block_t, d = self._pair_action(pair)
 
         def push(rows):
-            return (Matrix(rows) * block_t).data
+            return int_mat_mul(rows, block_t)
 
         def adjoint(elem):
-            return ad_g.apply_to(elem[:half]) + ad_h.apply_to(elem[half:])
+            return int_mat_mul([elem], block_t)[0]
 
-        return push, adjoint
+        return push, adjoint, d
 
     def action_sample(self, point, image):
         """Check name and sample record of an action residual."""
@@ -669,8 +679,9 @@ class GrassmannModel:
         """The infinitesimal-action map into the tangent space at the point:
         one projected flow tangent per basis element of the double."""
         base = self.rep(point)
+        dim = self.double.dim
         tangents = [
-            self.flow_tangent(self.double._basis_vec(i), base) for i in range(self.double.dim)
+            self.flow_tangent([int(i == j) for j in range(dim)], base) for i in range(dim)
         ]
         return Matrix(self.chart_at(point).tangent_project_general(base, tangents))
 

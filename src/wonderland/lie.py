@@ -10,7 +10,15 @@ ad-invariance, isotropy, duality) is checked exactly at construction time.
 from fractions import Fraction
 from functools import lru_cache
 
-from wonderland.linalg import ZERO, Bivector, Matrix, qparse, qstr, row_span_contains
+from wonderland.linalg import (
+    ZERO,
+    Bivector,
+    Matrix,
+    integer_vector,
+    qparse,
+    qstr,
+    row_span_contains,
+)
 
 Q = Fraction
 
@@ -29,9 +37,14 @@ class LieAlgebra:
             for row in self.brackets
         ):
             raise ValueError("structure constant tensor has wrong shape")
-        # the nonzero (m, c) of each c_ij, which is all ``bracket`` visits
+        # the nonzero (m, c) of each c_ij, which is all ``bracket`` visits;
+        # an integral c is kept as an ``int``, so brackets of integer
+        # vectors stay in integers
         self._nonzero = [
-            [tuple((m, c) for m, c in enumerate(vec) if c != 0) for vec in row]
+            [
+                tuple((m, c.numerator if c.denominator == 1 else c) for m, c in enumerate(vec) if c)
+                for vec in row
+            ]
             for row in self.brackets
         ]
         if check:
@@ -74,8 +87,9 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """Bracket of coordinate vectors, by bilinear extension over the
-        nonzero coordinates and structure constants only."""
-        out = [Fraction(0)] * self.dim
+        nonzero coordinates and structure constants only.  Over ``int``
+        vectors and integral structure constants the result is ``int``s."""
+        out = [0] * self.dim
         y_nz = [(j, yj) for j, yj in enumerate(y) if yj != 0]
         for i, xi in enumerate(x):
             if xi == 0:
@@ -359,6 +373,13 @@ class DoubleSplitting:
         self.x_basis = [[Fraction(v) for v in vec] for vec in x_basis]
         self.y_basis = [[Fraction(v) for v in vec] for vec in y_basis]
         self.validate()
+        # the dual pairs as integer vectors: x_i = ix / dx, y_i = iy / dy,
+        # stored as (ix, iy, dx dy), so (1/2) x_i ^ y_i = ix ^ iy / (2 dx dy)
+        self.integer_pairs = []
+        for x, y in zip(self.x_basis, self.y_basis):
+            ix, dx = integer_vector(x)
+            iy, dy = integer_vector(y)
+            self.integer_pairs.append((ix, iy, dx * dy))
 
     @property
     def half_dim(self):

@@ -325,12 +325,19 @@ def integer_vector(vec):
 
 def integer_rows(rows):
     """(int_rows, d) with rows = int_rows / d over one denominator d, the
-    lcm of every entry's denominator; entries are ``int`` or ``Fraction``."""
+    lcm of every entry's denominator; entries are ``int`` or ``Fraction``.
+    Rows whose entries are all ``int`` come back as they are, with d = 1;
+    no caller mutates what it gets."""
     d = 1
+    exact = True
     for row in rows:
         for x in row:
-            if x.denominator != 1:
-                d = lcm(d, x.denominator)
+            if type(x) is not int:
+                exact = False
+                if x.denominator != 1:
+                    d = lcm(d, x.denominator)
+    if exact:
+        return rows, 1
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 

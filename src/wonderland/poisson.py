@@ -10,7 +10,7 @@ on a factor it does not touch, and a pair-group component is None where its
 algebra element is zero.  The legs are flow tangents or translates, over
 any ring of entries, so the same lists serve two ends:
 
-* pointwise, at rational representatives, ``project_wedges`` replaces
+* pointwise, at integer representatives, ``project_wedges`` replaces
   every leg by its chart coordinates, with one batch call of each chart's
   ``tangent_project_general`` per factor, which normalizes the factor's
   representative once and projects every distinct leg in integers;
@@ -21,6 +21,16 @@ any ring of entries, so the same lists serve two ends:
   them with ``linalg.wedge_sum`` into a ``BivectorField`` of polynomials
   (``splitting_bivector_field``, ``mixed_product_field``,
   ``pair_group_field``).
+
+Every leg is an integer vector pointwise (and has integer coefficients
+symbolically): the legs are built from the splitting's dual pairs scaled
+to integers once (``DoubleSplitting.integer_pairs``, x_i = ix / dx and
+y_i = iy / dy), so a wedge (1/2) x_i ^ y_i is listed as
+(1 / (2 dx dy)) ix ^ iy.  Denominators live in the wedge coefficients and
+in projectively scaled representatives: a representative and every leg
+pushed or flowed with it may carry a common integer scale, which the
+chart projection ignores, and the orbit legs made from ``adjoint`` (which
+multiplies by the pair's scale s) have their coefficients divided by s^2.
 
 Identity checks (Jacobi, multiplicativity, the action compatibility
 equation, tangency to the boundary divisor) are all run at rational sample
@@ -39,12 +49,14 @@ pushed, and ``orbit_wedges``, the group bivector's legs as flow tangents
 there (the orbit map's derivative at (g, h) along (U, V) is the flow of
 the double element (U g^{-1}, V h^{-1})).  A model supplies:
 
-* ``rep(point)``, an ambient representative, and ``act(pair, point)``;
+* ``rep(point)``, an integer ambient representative, and
+  ``act(pair, point)``;
 * ``flow_tangent(elem, rep)``, the tangent of a double element's flow at a
   representative;
-* ``differentials(pair)``, a pair (push, adjoint): ``push`` moves
+* ``differentials(pair)``, a triple (push, adjoint, s): ``push`` moves
   representatives and ambient tangents by the action, ``adjoint`` is
-  Ad_(g,h) on a double element; both are built once per residual;
+  Ad_(g,h) on a double element, both in integers and both times the one
+  scale s; they are built once per residual;
 * ``chart_at(point)`` and ``action_sample(point, image)``, which names a
   one-point check and records its sample.
 
@@ -62,7 +74,6 @@ tests prove instead that it vanishes on the orbit of the diagonal, on the
 chart at the diagonal and on a chart at a boundary point.
 """
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
 
@@ -73,7 +84,15 @@ from wonderland.geometry import (
     flat_from_mat2,
     flat_mul2,
 )
-from wonderland.linalg import ZERO, Bivector, integer_vector, qstr, ratio, wedge_sum
+from wonderland.linalg import (
+    ZERO,
+    Bivector,
+    integer_rows,
+    integer_vector,
+    qstr,
+    ratio,
+    wedge_sum,
+)
 from wonderland.poly import MultiPoly
 
 Q = Fraction
@@ -84,15 +103,17 @@ Q = Fraction
 MIXED_CROSS_SIGN = -1
 
 
-@dataclass
 class IdentityResidual:
     """Outcome of one exact identity check at one sample."""
 
-    name: str
-    sample: dict
-    residual: str
-    passed: bool
-    details: dict = dc_field(default_factory=dict)
+    __slots__ = ("name", "sample", "residual", "passed", "details")
+
+    def __init__(self, name, sample, residual, passed, details=None):
+        self.name = name
+        self.sample = sample
+        self.residual = residual
+        self.passed = passed
+        self.details = details or {}
 
     def to_json(self):
         out = {
@@ -333,20 +354,21 @@ def mixed_wedges(model, splitting, reps, cross_sign=None):
     it does not touch."""
     sign = MIXED_CROSS_SIGN if cross_sign is None else cross_sign
     n = len(reps)
-    xs = [[model.flow_tangent(x, rep) for x in splitting.x_basis] for rep in reps]
-    ys = [[model.flow_tangent(y, rep) for y in splitting.y_basis] for rep in reps]
+    pairs = splitting.integer_pairs
+    xs = [[model.flow_tangent(x, rep) for x, _, _ in pairs] for rep in reps]
+    ys = [[model.flow_tangent(y, rep) for _, y, _ in pairs] for rep in reps]
 
     def emb(vec, l):
         return tuple(vec if m == l else None for m in range(n))
 
     out = []
     for l in range(n):
-        for i in range(splitting.half_dim):
-            out.append((Fraction(1, 2), emb(xs[l][i], l), emb(ys[l][i], l)))
+        for i, (_, _, d) in enumerate(pairs):
+            out.append((Fraction(1, 2 * d), emb(xs[l][i], l), emb(ys[l][i], l)))
     for j in range(n):
         for k in range(j + 1, n):
-            for i in range(splitting.half_dim):
-                out.append((Fraction(sign), emb(ys[j][i], j), emb(xs[k][i], k)))
+            for i, (_, _, d) in enumerate(pairs):
+                out.append((Fraction(sign, d), emb(ys[j][i], j), emb(xs[k][i], k)))
     return out
 
 
@@ -363,10 +385,10 @@ def pi_wedges(model, splitting, rep_g, rep_h):
         return right, left
 
     out = []
-    for x, y in zip(splitting.x_basis, splitting.y_basis):
+    for x, y, d in splitting.integer_pairs:
         (xr, xl), (yr, yl) = legs(x), legs(y)
-        out.append((Fraction(1, 2), xr, yr))
-        out.append((Fraction(-1, 2), xl, yl))
+        out.append((Fraction(1, 2 * d), xr, yr))
+        out.append((Fraction(-1, 2 * d), xl, yl))
     return out
 
 
@@ -429,38 +451,41 @@ def _mapped(wedges, maps):
     return [(c, legs(u), legs(w)) for c, u, w in wedges]
 
 
-def orbit_wedges(model, splitting, adjoint, reps):
+def orbit_wedges(model, splitting, adjoint, scale, reps):
     """The orbit map's pushforward of the pair-group bivector at a = (g, h),
     as flow tangents at the moved representatives ``reps``.
 
     Along (U, V) at (g, h) the orbit map moves a.x by the flow of the double
     element (U g^{-1}, V h^{-1}).  The right legs (x G, ...) of pi_G(a) so
     give the flow of x itself, the left legs (G x, ...) the flow of
-    Ad_a x = ``adjoint(x)``; every leg acts on all factors at once."""
+    Ad_a x; ``adjoint(x)`` is ``scale`` times that, so a left wedge's
+    coefficient is divided by scale^2.  Every leg acts on all factors at
+    once."""
 
     def legs(elem):
         return tuple(model.flow_tangent(elem, r) for r in reps)
 
     out = []
-    for x, y in zip(splitting.x_basis, splitting.y_basis):
-        out.append((Fraction(1, 2), legs(x), legs(y)))
-        out.append((Fraction(-1, 2), legs(adjoint(x)), legs(adjoint(y))))
+    for x, y, d in splitting.integer_pairs:
+        out.append((Fraction(1, 2 * d), legs(x), legs(y)))
+        out.append((Fraction(-1, 2 * d * scale * scale), legs(adjoint(x)), legs(adjoint(y))))
     return out
 
 
 def multiplicativity_residual(model, splitting, pair1, pair2):
     """Exact residual of the group-bivector multiplicativity at two pair
     elements: value at the product minus left-translate of the second minus
-    right-translate of the first, in the product chart at the product."""
-    g1, h1 = flat_from_mat2(pair1.g), flat_from_mat2(pair1.h)
-    g2, h2 = flat_from_mat2(pair2.g), flat_from_mat2(pair2.h)
-    prod_g = pair1.g * pair2.g
-    prod_h = pair1.h * pair2.h
-    pg, ph = flat_from_mat2(prod_g), flat_from_mat2(prod_h)
-    charts = [
-        model.chart_at(ProjMatrixPoint(prod_g)),
-        model.chart_at(ProjMatrixPoint(prod_h)),
-    ]
+    right-translate of the first, in the product chart at the product.
+
+    The four matrices are scaled to integer flats over one denominator d
+    and their products represent g1 g2 and h1 h2: every leg on a factor
+    then carries the factor's scale d^2 together with its representative,
+    which leaves the chart projections unchanged."""
+    (g1, h1, g2, h2), _ = integer_rows(
+        [flat_from_mat2(m) for m in (pair1.g, pair1.h, pair2.g, pair2.h)]
+    )
+    pg, ph = flat_mul2(g1, g2), flat_mul2(h1, h2)
+    charts = [model.chart_at(ProjMatrixPoint(pg)), model.chart_at(ProjMatrixPoint(ph))]
     left = (lambda v: flat_mul2(g1, v), lambda v: flat_mul2(h1, v))
     right = (lambda v: flat_mul2(v, g2), lambda v: flat_mul2(v, h2))
     t1 = _mapped(pi_wedges(model, splitting, g2, h2), left)
@@ -486,11 +511,11 @@ def action_residual(model, splitting, pair, points, cross_sign=None):
     lhs = project_wedges(
         charts, img_reps, mixed_wedges(model, splitting, img_reps, cross_sign)
     )
-    push, adjoint = model.differentials(pair)
+    push, adjoint, scale = model.differentials(pair)
     src_reps = [model.rep(p) for p in points]
     reps = [push(r) for r in src_reps]
     t1 = _mapped(mixed_wedges(model, splitting, src_reps, cross_sign), [push] * len(reps))
-    t2 = orbit_wedges(model, splitting, adjoint, reps)
+    t2 = orbit_wedges(model, splitting, adjoint, scale, reps)
     rhs = project_wedges(charts, reps, t1 + t2)
     dim = sum(c.dim for c in charts)
     return images, Bivector.from_wedges(dim, lhs + _negated(rhs)).entries

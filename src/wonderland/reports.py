@@ -9,7 +9,6 @@ stderr) so files can be compared directly.
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from wonderland import __version__
@@ -78,17 +77,28 @@ KNOWN_MODELS = ("pgl2-projective", "sl2-grassmann")
 GRASSMANN_EXPERIMENTS = ("jacobi", "action")
 
 
-@dataclass
 class ExperimentConfig:
-    experiment: str
-    model: str = "pgl2-projective"
-    samples: int = 20
-    seed: int = 42
-    degree: int = 4
-    n_factors: int = 2
-    out: str = ""
+    """One experiment's parameters, validated on construction; the class
+    attributes are the defaults."""
 
-    def __post_init__(self):
+    model = "pgl2-projective"
+    samples = 20
+    seed = 42
+    degree = 4
+    n_factors = 2
+    out = ""
+
+    def __init__(
+        self, experiment, model=model, samples=samples, seed=seed, degree=degree,
+        n_factors=n_factors, out=out,
+    ):
+        self.experiment = experiment
+        self.model = model
+        self.samples = samples
+        self.seed = seed
+        self.degree = degree
+        self.n_factors = n_factors
+        self.out = out
         if self.experiment not in KNOWN_EXPERIMENTS:
             raise ValueError("unknown experiment %r" % self.experiment)
         if self.model not in KNOWN_MODELS:
@@ -118,11 +128,11 @@ class ExperimentConfig:
         }
 
 
-@dataclass
 class ExperimentReport:
-    config: ExperimentConfig
-    checks: list
-    wall_time: float = 0.0
+    def __init__(self, config, checks, wall_time=0.0):
+        self.config = config
+        self.checks = checks
+        self.wall_time = wall_time
 
     @property
     def passed(self):

@@ -4,11 +4,12 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from wonderland.geometry import (
     ChartDomainError,
+    GrassChart,
     GrassmannModel,
     GroupPair,
     LagrangianPoint,
@@ -434,4 +435,59 @@ class TestGrassmannFlowTangent:
             elem = gr.double._basis_vec(i)
             got = gr.flow_tangent(elem, rows)
             want = [gr.double.ad(elem).apply_to(r) for r in rows]
+            assert got == want
+
+
+_scale_rationals = hst.builds(Q, hst.integers(-12, 12), hst.integers(1, 7))
+_nonzero_scales = _scale_rationals.filter(lambda x: x != 0)
+
+
+def _grass_scale_case(n):
+    """A Gr(n, 2n) chart with some pivot set, a representative whose pivot
+    block is invertible, two legs, a scale c and a diagonal D."""
+    cols = 2 * n
+    rows = hst.lists(hst.lists(_scale_rationals, min_size=cols, max_size=cols), min_size=n, max_size=n)
+    return hst.tuples(
+        hst.lists(hst.integers(0, cols - 1), min_size=n, max_size=n, unique=True),
+        rows,
+        hst.lists(rows, min_size=1, max_size=2),
+        _nonzero_scales,
+        hst.lists(_nonzero_scales, min_size=n, max_size=n),
+    )
+
+
+class TestProjectionScaleInvariance:
+    """``tangent_project_general`` is projective: scaling the representative
+    and every leg by the same nonzero c, and on the Grassmannian each row of
+    both by the same nonzero d_i, leaves every projection unchanged.  The
+    integer legs and representatives of the Poisson residuals rely on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hst.integers(0, 3),
+        hst.lists(_scale_rationals, min_size=4, max_size=4),
+        hst.lists(hst.lists(_scale_rationals, min_size=4, max_size=4), min_size=1, max_size=3),
+        _nonzero_scales,
+    )
+    def test_proj_chart(self, k, rep, vecs, c):
+        assume(rep[k] != 0)
+        chart = ProjChart(k)
+        scaled = chart.tangent_project_general([c * x for x in rep], [[c * x for x in v] for v in vecs])
+        assert scaled == chart.tangent_project_general(rep, vecs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.sampled_from([2, 3]).flatmap(_grass_scale_case))
+    def test_grass_chart(self, case):
+        pivots, rep, legs, c, diag = case
+        n = len(rep)
+        pivots = tuple(sorted(pivots))
+        assume(Matrix([[row[p] for p in pivots] for row in rep]).det() != 0)
+        chart = GrassChart(pivots, 2 * n)
+        want = chart.tangent_project_general(rep, legs)
+
+        def times(scales, rows):
+            return [[s * x for x in row] for s, row in zip(scales, rows)]
+
+        for scales in ([c] * n, diag):
+            got = chart.tangent_project_general(times(scales, rep), [times(scales, v) for v in legs])
             assert got == want

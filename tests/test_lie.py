@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -100,6 +101,43 @@ class TestSparseBracket:
         b01, b11 = alg.bracket(x, y1), alg.bracket(x1, y1)
         want = [a + (b + c) * t + d * t * t for a, b, c, d in zip(b00, b10, b01, b11)]
         assert [g == w for g, w in zip(got, want)] == [True] * alg.dim
+
+
+def _int_bracket_case(name):
+    dim = _algebra(name).dim
+    vec = hst.lists(hst.one_of(hst.just(0), hst.integers(-9, 9)), min_size=dim, max_size=dim)
+    return hst.tuples(hst.just(name), vec, vec)
+
+
+def _sympy_sl3(coords):
+    """The SymPy 3 x 3 matrix of sl3 coordinates, read off the basis names:
+    Eij the elementary matrix, Hk = E_kk - E_(k+1)(k+1)."""
+    m = sympy.zeros(3, 3)
+    for name, c in zip(build_sl(3).names, coords):
+        if name[0] == "E":
+            m[int(name[1]) - 1, int(name[2]) - 1] += c
+        else:
+            k = int(name[1]) - 1
+            m[k, k] += c
+            m[k + 1, k + 1] -= c
+    return m
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.sampled_from(["sl3", "dsl3"]).flatmap(_int_bracket_case))
+def test_bracket_of_int_vectors_is_int(case):
+    """The structure constants of sl3 and of its double are integers, so a
+    bracket of ``int`` vectors is ``int``s; it equals the bracket of the
+    same vectors as ``Fraction``s and, summand by summand of the double, the
+    SymPy matrix commutator."""
+    name, x, y = case
+    alg = _algebra(name)
+    got = alg.bracket(x, y)
+    assert all(type(v) is int for v in got)
+    assert got == alg.bracket([Q(v) for v in x], [Q(v) for v in y])
+    for lo in range(0, alg.dim, 8):
+        a, b = _sympy_sl3(x[lo : lo + 8]), _sympy_sl3(y[lo : lo + 8])
+        assert a * b - b * a == _sympy_sl3(got[lo : lo + 8])
 
 
 def test_sl3_dimension():

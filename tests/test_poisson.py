@@ -536,6 +536,43 @@ class TestPointwiseWork:
         assert len(inverses) == 4
         assert adjoints == [(pair.g,), (pair.h,)]
 
+    def test_run_all_multiplies_integer_flats(self, monkeypatch):
+        """Every flat product of ``run all`` runs on ``int`` entries, or on
+        ``MultiPoly`` entries for the symbolic fields: the splitting's
+        pairs, the group pairs and the representatives are scaled to
+        integers once, and no ``Fraction`` reaches ``flat_mul2``."""
+        import wonderland.geometry as geometry
+        import wonderland.poisson as poisson
+        from wonderland.reports import ExperimentConfig, run_experiment
+
+        types = []
+        orig = geometry.flat_mul2
+
+        def recorded(x, y):
+            types.append({type(v) for v in list(x) + list(y)})
+            return orig(x, y)
+
+        monkeypatch.setattr(geometry, "flat_mul2", recorded)
+        monkeypatch.setattr(poisson, "flat_mul2", recorded)
+        assert run_experiment(ExperimentConfig("all", samples=2, seed=301)).failed == 0
+        assert {int} in types
+        assert [t for t in types if not t <= {int, MultiPoly}] == []
+
+    def test_grassmann_brackets_integer_rows(self, ctx, monkeypatch):
+        """In one Gr(3,6) action residual every element and row that
+        ``flow_tangent`` brackets is ``int``: the splitting's pairs, the
+        echelon rows and the pair block are scaled to integers once."""
+        from wonderland.lie import LieAlgebra
+
+        gr = ctx["gr"]
+        st = RationalStream(5)
+        src = gr.act(GroupPair(st.sl2(), st.sl2()), gr.diagonal_point())
+        pair = GroupPair(st.sl2(), st.sl2())
+        calls = self._record(monkeypatch, LieAlgebra, "bracket")
+        assert poisson_action_residual(gr, ctx["split"], pair, src).passed
+        assert calls
+        assert {type(v) for x, y in calls for v in x + y} == {int}
+
     def test_run_all_projects_no_zero_leg(self, monkeypatch):
         from wonderland.reports import ExperimentConfig, run_experiment
 

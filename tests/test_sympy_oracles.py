@@ -346,14 +346,16 @@ def orbit_case(pair, elem, side):
 def test_p_m2_orbit_legs_match_sympy(pair, flat, elem, side):
     """d/dt (g + tU) A (h + tV)^-1 at t = 0 is the flow tangent, at the
     pushed representative g A h^-1, of x for a right leg and of
-    Ad_(g,h) x for a left leg."""
+    Ad_(g,h) x for a left leg.  ``push`` and ``adjoint`` each multiply by
+    the declared integer scale s, so the model's tangent is s (right) or
+    s^2 (left) times the derivative."""
     model = Pgl2Model(SL2)
     gp, gt, ht = orbit_case(pair, elem, side)
     moved = gt * sympy.Matrix(2, 2, [to_sympy(Q(x)) for x in flat]) * inverse(ht)
     want = [derivative_at_zero(moved[i, j]) for i in range(2) for j in range(2)]
-    push, adjoint = model.differentials(gp)
-    x = elem if side == "right" else adjoint(elem)
-    assert model.flow_tangent(x, push(flat)) == want
+    push, adjoint, s = model.differentials(gp)
+    x, k = (elem, s) if side == "right" else (adjoint(elem), s * s)
+    assert model.flow_tangent(x, push(flat)) == [k * w for w in want]
 
 
 @settings(max_examples=10, deadline=None)
@@ -366,7 +368,8 @@ def test_p_m2_orbit_legs_match_sympy(pair, flat, elem, side):
 def test_grassmann_orbit_legs_match_sympy(pair, rows, elem, side):
     """A span row (r1, r2) moves to (g r1 g^-1, h r2 h^-1); at (g + tU,
     h + tV) its t-derivative at 0 is the flow tangent, at the pushed rows,
-    of x for a right leg and of Ad_(g,h) x for a left leg."""
+    of x for a right leg and of Ad_(g,h) x for a left leg, times the
+    declared scale d of ``push`` (right) or d^2 (left)."""
     gp, gt, ht = orbit_case(pair, elem, side)
     gi, hi = inverse(gt), inverse(ht)
 
@@ -374,9 +377,9 @@ def test_grassmann_orbit_legs_match_sympy(pair, rows, elem, side):
         halves = sl2_coords_sym(gt * sl2_sym(r[:3]) * gi) + sl2_coords_sym(ht * sl2_sym(r[3:]) * hi)
         return [derivative_at_zero(x) for x in halves]
 
-    push, adjoint = GRASS.differentials(gp)
-    x = elem if side == "right" else adjoint(elem)
-    assert GRASS.flow_tangent(x, push(rows)) == [moved(r) for r in rows]
+    push, adjoint, d = GRASS.differentials(gp)
+    x, k = (elem, d) if side == "right" else (adjoint(elem), d * d)
+    assert GRASS.flow_tangent(x, push(rows)) == [[k * v for v in moved(r)] for r in rows]
 
 
 # -- the Gr(3,6) Jacobiator on the orbit closure ------------------------------
