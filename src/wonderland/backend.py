@@ -1,14 +1,19 @@
-"""Exact rational kernels for row reduction, matrix products and sparse
-polynomials.
+"""Exact kernels for row reduction, matrix products and sparse polynomials.
 
-Rationals are reduced ``(num, den)`` int pairs with ``den > 0``, which avoids
-the per-operation overhead of ``fractions.Fraction`` in the inner loops;
-``linalg`` and ``poly`` convert their ``Fraction`` entries to pairs at the
-call.  ``rref_rows`` takes and returns dense rows but eliminates over the
-nonzero entries only, on integer rows; its output is the unique RREF.
+Row reduction and matrix products are integer kernels.  ``rref_rows`` takes
+sparse integer rows ``{column: int}`` and returns one primitive integer row
+per pivot; it visits only nonzero entries.  ``mat_mul`` multiplies integer
+matrices given as lists of rows.  ``linalg`` scales its ``Fraction`` rows to
+integers on the way in and forms ``Fraction``s on the way out.
+
+The polynomial kernels work on rationals as reduced ``(num, den)`` int pairs
+with ``den > 0``, which avoids the per-operation overhead of
+``fractions.Fraction`` in their inner loops; ``poly`` converts its
+coefficients to pairs at the call.
 """
 
 from math import gcd
+from operator import mul
 
 # the kernel implementation's name, recorded with benchmark results
 BACKEND = "pure"
@@ -50,22 +55,10 @@ def q_mul(a, b):
     return ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
 
 
-def _primitive(row):
-    """The nonzero entries of a pair row as ``{column: int}``: the row scaled
-    by the lcm of its denominators and divided by the gcd of the result, or
-    None for a zero row."""
-    nz = [(j, x) for j, x in enumerate(row) if x[0]]
-    if not nz:
-        return None
-    den = 1
-    for _, (_, d) in nz:
-        if d != 1:
-            den = den // gcd(den, d) * d
-    out = {j: n * (den // d) for j, (n, d) in nz}
-    g = gcd(*out.values())
-    if g > 1:
-        out = {j: v // g for j, v in out.items()}
-    return out
+def _divided(row):
+    """The integer row ``{column: int}`` divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
 def _eliminate(r, p, c):
@@ -84,37 +77,30 @@ def _eliminate(r, p, c):
             out[k] = x
         else:
             out.pop(k, None)
-    if out:
-        g = gcd(*out.values())
-        if g > 1:
-            out = {k: v // g for k, v in out.items()}
-    return out
+    return _divided(out) if out else out
 
 
 def rref_rows(rows):
-    """Reduced row echelon form over the rationals, exact.
+    """Reduced row echelon form over the rationals, exact, on integer rows.
 
-    ``rows`` is a list of rows of (num, den) pairs.  Returns
-    ``(new_rows, rank, pivot_columns)``: the rank nonzero rows of the RREF in
-    pivot order, each pivot 1 with zeros above and below, then ``nr - rank``
-    zero rows.  The RREF of a row space is unique, so the output does not
-    depend on the elimination order.
+    ``rows`` are sparse integer rows ``{column: int}`` holding only nonzero
+    entries; a row may be scaled by any nonzero rational without changing
+    the result.  Returns ``(rows, pivots)``: one primitive integer row per
+    pivot column, in pivot order, with a positive pivot and zero at every
+    other pivot column.  Dividing each row by its pivot gives the rank
+    nonzero rows of the RREF, which is unique, so the output does not
+    depend on the elimination order.  Rows of the output may be rows of the
+    input; no caller mutates either.
 
-    Elimination visits only nonzero entries.  Each row becomes a primitive
-    integer row ``{column: int}``, so the sweep is fraction-free as in
-    Bareiss (1968), with rows kept primitive instead of divided by the last
-    pivot; no rational is formed until the end.  Rows are inserted sparsest
-    first: a row is reduced by the pivot row of its leading column until it
-    is zero or leads in a new column.  Back substitution, last pivot first,
-    then clears the other pivot columns, and each row is divided by its
-    pivot.
+    Elimination is fraction-free as in Bareiss (1968), with rows kept
+    primitive instead of divided by the last pivot.  Rows are inserted
+    sparsest first: a row is reduced by the pivot row of its leading column
+    until it is zero or leads in a new column.  Back substitution, last
+    pivot first, then clears the other pivot columns.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    sparse = [r for r in map(_primitive, rows) if r]
-    sparse.sort(key=len)
     lead = {}
-    for r in sparse:
+    for r in sorted(filter(None, rows), key=len):
+        r = _divided(r)
         while r:
             c = min(r)
             p = lead.get(c)
@@ -133,37 +119,14 @@ def rref_rows(rows):
     out = []
     for c in pivots:
         r = lead[c]
-        pc = r[c]
-        dense = [ZERO] * nc
-        for k, v in r.items():
-            g = gcd(v, pc)
-            n, d = v // g, pc // g
-            dense[k] = (-n, -d) if d < 0 else (n, d)
-        out.append(dense)
-    out.extend([ZERO] * nc for _ in range(nr - len(pivots)))
-    return out, len(pivots), pivots
+        out.append(r if r[c] > 0 else {k: -v for k, v in r.items()})
+    return out, pivots
 
 
 def mat_mul(a, b):
-    """Exact product of two pair-matrices (lists of rows of pairs)."""
-    nr = len(a)
-    inner = len(b)
-    nc = len(b[0]) if inner else 0
-    out = []
-    for i in range(nr):
-        ai = a[i]
-        row = []
-        for j in range(nc):
-            acc = ZERO
-            for k in range(inner):
-                x = ai[k]
-                if x[0] != 0:
-                    y = b[k][j]
-                    if y[0] != 0:
-                        acc = q_add(acc, q_mul(x, y))
-            row.append(acc)
-        out.append(row)
-    return out
+    """Product of two integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def poly_mul(ta, tb):

@@ -44,10 +44,10 @@ s for legs made from ``adjoint``) live in the wedge coefficients.
 from fractions import Fraction
 from math import gcd
 
+from wonderland.backend import mat_mul
 from wonderland.lie import _sl_basis_cached, sl_coords, sl_matrix_of
 from wonderland.linalg import (
     Matrix,
-    int_mat_mul,
     integer_rows,
     integer_vector,
     qstr,
@@ -211,10 +211,10 @@ class ProjChart:
     at the origin reproduces the center representative exactly.
     """
 
-    def __init__(self, norm_index, center_offsets=None, prefix=""):
+    def __init__(self, norm_index, center_offsets=None):
         self.norm_index = norm_index
         self.positions = [i for i in range(4) if i != norm_index]
-        self.variables = tuple(prefix + FLAT_NAMES[i] for i in self.positions)
+        self.variables = tuple(FLAT_NAMES[i] for i in self.positions)
         if center_offsets is None:
             center_offsets = [Fraction(0)] * 3
         self.center_offsets = [Fraction(x) for x in center_offsets]
@@ -306,13 +306,13 @@ class GrassChart:
     block, row-major.
     """
 
-    def __init__(self, pivots, ambient_cols, center_block=None, prefix=""):
+    def __init__(self, pivots, ambient_cols, center_block=None):
         self.pivots = tuple(pivots)
         self.ambient_cols = ambient_cols
         self.n = len(self.pivots)
         self.free = [j for j in range(ambient_cols) if j not in set(self.pivots)]
         self.variables = tuple(
-            "%sc%d_%d" % (prefix, i, j) for i in range(self.n) for j in self.free
+            "c%d_%d" % (i, j) for i in range(self.n) for j in self.free
         )
         if center_block is None:
             center_block = [[Fraction(0)] * len(self.free) for _ in range(self.n)]
@@ -377,7 +377,7 @@ class GrassChart:
         P V at N, which is the projection of V at R."""
         pinv = Matrix([[row[p] for p in self.pivots] for row in rep_rows]).inverse()
         pz, dp = integer_rows(pinv.data)
-        nz = int_mat_mul(pz, integer_rows(rep_rows)[0])
+        nz = mat_mul(pz, integer_rows(rep_rows)[0])
         g = gcd(*(x for row in nz for x in row))
         nz = [[x // g for x in row] for row in nz]
         scale = nz[0][self.pivots[0]] * dp
@@ -385,7 +385,7 @@ class GrassChart:
         for vel_rows in legs:
             vz, dv = integer_rows(vel_rows)
             den = scale * dv
-            proj = self.project_normalized(nz, int_mat_mul(pz, vz))
+            proj = self.project_normalized(nz, mat_mul(pz, vz))
             out.append([ratio(x, den) for x in proj])
         return out
 
@@ -624,7 +624,7 @@ class GrassmannModel:
 
     def act(self, pair, point):
         """The span of the rows moved by Ad_g (+) Ad_h."""
-        return LagrangianPoint(int_mat_mul(self.rep(point), self._pair_action(pair)[0]))
+        return LagrangianPoint(mat_mul(self.rep(point), self._pair_action(pair)[0]))
 
     def rep(self, point):
         """The ambient representative: the echelon rows of the span, each
@@ -652,10 +652,10 @@ class GrassmannModel:
         block_t, d = self._pair_action(pair)
 
         def push(rows):
-            return int_mat_mul(rows, block_t)
+            return mat_mul(rows, block_t)
 
         def adjoint(elem):
-            return int_mat_mul([elem], block_t)[0]
+            return mat_mul([elem], block_t)[0]
 
         return push, adjoint, d
 

@@ -367,13 +367,17 @@ def trace_generators(sl2, r):
 
 NO_EXPRESSION = None
 
+# sample points beyond one per monomial in the fit, and held out to verify it
+EXTRA_SAMPLES = 6
 
-def express_in_generators(f, gens, bound, sampler, extra=6, symbolic=None):
+
+def express_in_generators(f, gens, bound, sampler, symbolic=None):
     """Match ``f`` against monomials in ``gens`` of total degree <= bound.
 
     ``f`` and ``gens`` are evaluated at points supplied by ``sampler`` (a
     callable returning domain points); an exact linear solve either yields
-    coefficients, verified on extra held-out samples, or NO-EXPRESSION.
+    coefficients, verified on ``EXTRA_SAMPLES`` held-out samples, or
+    NO-EXPRESSION.
     When ``symbolic`` is True (polynomial inputs over one domain), the
     expansion is additionally compared against ``f`` symbolically.
     """
@@ -407,7 +411,7 @@ def express_in_generators(f, gens, bound, sampler, extra=6, symbolic=None):
         sol = m.solve(rhs)
         return m, sol
 
-    n = len(monos) + extra
+    n = len(monos) + EXTRA_SAMPLES
     m, sol = attempt(n)
     if sol is not None and m.rank() < len(monos):
         m, sol = attempt(2 * n)
@@ -423,7 +427,7 @@ def express_in_generators(f, gens, bound, sampler, extra=6, symbolic=None):
         if expansion != f:
             return NO_EXPRESSION
     else:
-        for _ in range(extra):
+        for _ in range(EXTRA_SAMPLES):
             pt = sampler()
             gvals = [eval_at(g, pt) for g in gen_polys]
             want = eval_at(f, pt)

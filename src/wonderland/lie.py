@@ -26,7 +26,7 @@ Q = Fraction
 class LieAlgebra:
     """Lie algebra given by structure constants c[i][j] = [b_i, b_j]."""
 
-    def __init__(self, names, brackets, check=True):
+    def __init__(self, names, brackets):
         self.names = tuple(names)
         self.dim = len(self.names)
         self.brackets = [
@@ -47,9 +47,8 @@ class LieAlgebra:
             ]
             for row in self.brackets
         ]
-        if check:
-            self._check_antisymmetry()
-            self._check_jacobi()
+        self._check_antisymmetry()
+        self._check_jacobi()
 
     def _check_antisymmetry(self):
         for i in range(self.dim):

@@ -2,25 +2,31 @@
 
 Entries are ``fractions.Fraction``; all arithmetic is exact, there is no
 floating-point mode.  ``Matrix`` keeps entries that are already ``Fraction``
-and converts the rest.  Zero entries made here or coming back from a kernel
-are the one shared ``ZERO``, which the conversion to kernel pairs recognises
-by identity, so a large sparse matrix costs one object per nonzero.  Row
-reduction and products are delegated to the pair kernels in ``backend``,
-whose ``rref_rows`` visits only nonzero entries.  A bivector is assembled
-from its wedges in integers: ``Bivector.from_wedges`` scales every leg to an
-integer vector, sums the integer outer products over one common denominator
-with ``wedge_sum`` (the one wedge assembler, which the polynomial fields use
-over ``MultiPoly`` entries) and makes one ``Fraction`` per nonzero entry.
-The same integer helpers serve the chart projections and the Jacobi sweep:
-``integer_vector`` and ``integer_rows`` scale rational vectors and matrices
-to integers over one lcm denominator, ``int_mat_mul`` multiplies integer
-matrices, and ``ratio`` turns an integer result back into one ``Fraction``.
+and converts the rest.  Zero entries made here are the one shared ``ZERO``,
+so a large sparse matrix costs one object per nonzero.
+
+Row reduction and products run in integers.  ``_scaled_rows`` turns each
+row into a sparse integer row ``{column: int}`` over its own denominator in
+one scan, skipping the shared ``ZERO`` by identity; ``backend.rref_rows``
+reduces those rows and returns one primitive integer row per pivot, and
+``backend.mat_mul`` multiplies integer matrices.  A ``Fraction`` is made
+only for an entry of a result.  ``kernel_basis`` reads the null space off
+the pivot rows in integers and echelonizes it with a second ``rref_rows``
+call.
+
+A bivector is assembled from its wedges in integers: ``Bivector.from_wedges``
+scales every leg to an integer vector, sums the integer outer products over
+one common denominator with ``wedge_sum`` (the one wedge assembler, which
+the polynomial fields use over ``MultiPoly`` entries) and makes one
+``Fraction`` per nonzero entry.  The same integer helpers serve the chart
+projections and the Jacobi sweep: ``integer_vector`` and ``integer_rows``
+scale rational vectors and matrices to integers over one lcm denominator,
+and ``ratio`` turns an integer result back into one ``Fraction``.
 Everything else is thin bookkeeping on top.
 """
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from wonderland import backend
 
@@ -29,6 +35,9 @@ ZERO = Fraction(0)
 _ZERO_PAIR = (0, 1)
 
 
+# ``_to_pairs`` and ``_from_pairs`` have no caller: the benchmark tracer
+# counts them by name for ``convert.calls``, so they stay until that counter
+# is retired.
 def _to_pairs(rows):
     return [
         [_ZERO_PAIR if x is ZERO else (x.numerator, x.denominator) for x in row]
@@ -38,6 +47,45 @@ def _to_pairs(rows):
 
 def _from_pairs(rows):
     return [[Fraction(n, d) if n else ZERO for (n, d) in row] for row in rows]
+
+
+def _scaled_rows(rows):
+    """``(ints, dens)``: each row of ``Fraction`` or ``int`` entries as a
+    sparse integer row ``{column: int}`` of its nonzero entries, with
+    ``rows[i][j] == ints[i].get(j, 0) / dens[i]``.  One scan per row: the
+    shared ``ZERO`` is skipped by identity, and each other entry's numerator
+    and denominator are read once; the row's denominator grows to the lcm
+    of its entries' as they come."""
+    ints, dens = [], []
+    for row in rows:
+        out = {}
+        d = 1
+        for j, x in [(j, x) for j, x in enumerate(row) if x is not ZERO]:
+            n = x.numerator
+            if n:
+                e = x.denominator
+                if d % e:
+                    m = lcm(d, e) // d
+                    d *= m
+                    for k in out:
+                        out[k] *= m
+                out[j] = n * (d // e)
+        ints.append(out)
+        dens.append(d)
+    return ints, dens
+
+
+def _fraction_rows(rows, pivots, cols):
+    """The RREF rows as dense ``Fraction`` rows: each primitive pivot row
+    from ``backend.rref_rows`` divided by its pivot."""
+    out = []
+    for r, c in zip(rows, pivots):
+        pc = r[c]
+        dense = [ZERO] * cols
+        for k, v in r.items():
+            dense[k] = Fraction(v, pc)
+        out.append(dense)
+    return out
 
 
 def qstr(x: Fraction) -> str:
@@ -119,8 +167,15 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            prod = backend.mat_mul(_to_pairs(self.data), _to_pairs(other.data))
-            return Matrix(_from_pairs(prod))
+            # rows of self over their own denominators, other over one
+            a, da = _scaled_rows(self.data)
+            b, db = _scaled_rows(other.data)
+            den = lcm(*db)
+            prod = backend.mat_mul(
+                [[r.get(k, 0) for k in range(self.cols)] for r in a],
+                [[r.get(j, 0) * (den // d) for j in range(other.cols)] for r, d in zip(b, db)],
+            )
+            return Matrix([[ratio(x, d * den) for x in row] for row, d in zip(prod, da)])
         return Matrix([[x * Fraction(other) for x in row] for row in self.data])
 
     def __rmul__(self, scalar):
@@ -140,8 +195,10 @@ class Matrix:
 
     def rref(self):
         """Return (R, rank, pivot_columns) with R in reduced row echelon form."""
-        rows, rank, pivots = backend.rref_rows(_to_pairs(self.data))
-        return Matrix(_from_pairs(rows)), rank, pivots
+        rows, pivots = backend.rref_rows(_scaled_rows(self.data)[0])
+        red = _fraction_rows(rows, pivots, self.cols)
+        red += [[ZERO] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix(red), len(pivots), pivots
 
     def rank(self):
         return self.rref()[1]
@@ -151,21 +208,26 @@ class Matrix:
 
         Vectors are returned as rows whose own matrix is in reduced row
         echelon form (leading entry 1), so the output is reproducible.
+
+        The vectors are read off the pivot rows in integers: for a free
+        column f, entry L at f and -r[f] L / r[p] at the pivot p of each
+        pivot row r with r[f] != 0, L the lcm of those pivots.  A second
+        ``rref_rows`` call echelonizes them.
         """
-        red, rank, pivots = self.rref()
+        rows, pivots = backend.rref_rows(_scaled_rows(self.data)[0])
         pivset = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivset]
+        entries = {f: [] for f in range(self.cols) if f not in pivset}
+        for r, p in zip(rows, pivots):
+            for f, v in r.items():
+                if f != p:
+                    entries[f].append((p, v, r[p]))
         raw = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -red.data[i][f]
-            raw.append(v)
-        if not raw:
-            return []
-        canon, _, _ = Matrix(raw).rref()
-        return [canon.row(i) for i in range(len(raw))]
+        for f, col in entries.items():
+            den = lcm(*(c for _, _, c in col))
+            vec = {p: -v * (den // c) for p, v, c in col}
+            vec[f] = den
+            raw.append(vec)
+        return _fraction_rows(*backend.rref_rows(raw), self.cols)
 
     def det(self):
         """Exact determinant by fraction-style Gaussian elimination."""
@@ -198,24 +260,29 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = Matrix([row + ident for row, ident in zip(self.data, Matrix.identity(n).data)])
-        red, rank, _ = aug.rref()
-        if rank < n:
+        # [A | I]: row i carries its scale d_i into the identity block
+        ints, dens = _scaled_rows(self.data)
+        for i, (r, d) in enumerate(zip(ints, dens)):
+            r[n + i] = d
+        rows, pivots = backend.rref_rows(ints)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([red.row(i)[n:] for i in range(n)])
+        return Matrix([row[n:] for row in _fraction_rows(rows, pivots, 2 * n)])
 
     def solve(self, rhs):
         """Solve A x = rhs exactly; returns one solution (free vars set to 0)
         or None if inconsistent.  ``rhs`` is a list of Fractions."""
         if len(rhs) != self.rows:
             raise ValueError("length mismatch")
-        aug = Matrix([row + [b] for row, b in zip(self.data, rhs)])
-        red, rank, pivots = aug.rref()
-        if self.cols in pivots:
+        n = self.cols
+        rows, pivots = backend.rref_rows(
+            _scaled_rows([row + [b] for row, b in zip(self.data, rhs)])[0]
+        )
+        if n in pivots:
             return None
-        x = [Fraction(0)] * self.cols
-        for i, p in enumerate(pivots):
-            x[p] = red.data[i][self.cols]
+        x = [ZERO] * n
+        for r, p in zip(rows, pivots):
+            x[p] = ratio(r.get(n, 0), r[p])
         return x
 
     def to_json(self):
@@ -341,12 +408,6 @@ def integer_rows(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def int_mat_mul(a, b):
-    """Product of two integer matrices given as lists of rows."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
 def ratio(n, d):
     """The rational n / d as a ``Fraction``, or the shared ``ZERO``."""
     return Fraction(n, d) if n else ZERO
@@ -379,16 +440,11 @@ def wedge_sum(dim, wedges, zero):
 
 def row_span_contains(span_rows, vec):
     """True iff vec lies in the row span of span_rows (all exact)."""
-    base = Matrix(span_rows)
-    _, rank, _ = base.rref()
-    ext = Matrix(list(span_rows) + [list(vec)])
-    _, rank2, _ = ext.rref()
-    return rank2 == rank
+    rows, pivots = backend.rref_rows(_scaled_rows(span_rows)[0])
+    return len(backend.rref_rows(rows + _scaled_rows([vec])[0])[1]) == len(pivots)
 
 
 def same_row_span(rows_a, rows_b):
-    ra = Matrix(rows_a).rref()[0]
-    rb = Matrix(rows_b).rref()[0]
-    na = [r for r in ra.data if any(x != 0 for x in r)]
-    nb = [r for r in rb.data if any(x != 0 for x in r)]
-    return na == nb
+    """True iff the two row lists span the same space: the primitive pivot
+    rows of ``rref_rows`` are canonical."""
+    return backend.rref_rows(_scaled_rows(rows_a)[0]) == backend.rref_rows(_scaled_rows(rows_b)[0])

@@ -41,7 +41,7 @@ from wonderland.charvar import (
     rank1_compactified_model,
     trace_point,
 )
-from wonderland.lie import build_sl, double_algebra, standard_splitting
+from wonderland.lie import build_sl, standard_splitting
 from wonderland.linalg import Matrix, qstr
 from wonderland.poisson import (
     IdentityResidual,
@@ -86,11 +86,10 @@ class ExperimentConfig:
     seed = 42
     degree = 4
     n_factors = 2
-    out = ""
 
     def __init__(
         self, experiment, model=model, samples=samples, seed=seed, degree=degree,
-        n_factors=n_factors, out=out,
+        n_factors=n_factors,
     ):
         self.experiment = experiment
         self.model = model
@@ -98,7 +97,6 @@ class ExperimentConfig:
         self.seed = seed
         self.degree = degree
         self.n_factors = n_factors
-        self.out = out
         if self.experiment not in KNOWN_EXPERIMENTS:
             raise ValueError("unknown experiment %r" % self.experiment)
         if self.model not in KNOWN_MODELS:
@@ -163,8 +161,7 @@ class Context:
         self.sl2 = build_sl(2)
         self.model = Pgl2Model(self.sl2)
         self.split = standard_splitting(self.sl2)
-        self.double, self.form = double_algebra(self.sl2)
-        self.grass = GrassmannModel(self.sl2, self.double, self.form)
+        self.grass = GrassmannModel(self.sl2, self.split.double, self.split.form)
 
 
 def _interior_point(stream):

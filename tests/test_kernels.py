@@ -1,6 +1,8 @@
-"""The exact pair kernels against ``Fraction`` arithmetic."""
+"""The exact kernels against ``Fraction`` arithmetic: the integer
+elimination and product kernels, and the pair kernels of the polynomials."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,40 +32,50 @@ def test_q_mul_matches_fraction(a, b):
     assert as_frac(got) == as_frac(a) * as_frac(b)
 
 
+integers = st.integers(min_value=-50, max_value=50)
+
+
+def sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
 @given(
     st.lists(
-        st.lists(rationals, min_size=4, max_size=4),
+        st.lists(integers, min_size=4, max_size=4),
         min_size=3,
         max_size=5,
     )
 )
 @settings(max_examples=40)
 def test_rref_idempotent_and_pivots(rows):
-    red, rank, pivots = backend.rref_rows(rows)
-    red2, rank2, pivots2 = backend.rref_rows(red)
-    assert (red2, rank2, pivots2) == (red, rank, pivots)
-    for r, c in enumerate(pivots):
-        assert red[r][c] == (1, 1)
-        for i in range(len(rows)):
-            if i != r:
-                assert red[i][c] == (0, 1)
+    red, pivots = backend.rref_rows([sparse(r) for r in rows])
+    assert backend.rref_rows(red) == (red, pivots)
+    assert pivots == sorted(set(pivots)) and len(red) == len(pivots)
+    for r, c in zip(red, pivots):
+        assert r[c] > 0 and gcd(*r.values()) == 1 and min(r) == c
+        for k in pivots:
+            assert k == c or k not in r
+    # the pivot rows span the input rows: appending any input row adds no pivot
+    for row in rows:
+        assert backend.rref_rows(red + [sparse(row)])[1] == pivots
 
 
 @given(
     st.lists(
-        st.lists(rationals, min_size=3, max_size=3),
+        st.lists(integers, min_size=3, max_size=3),
         min_size=2,
         max_size=4,
     ),
-    st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=3, max_size=3),
+    st.lists(st.lists(integers, min_size=2, max_size=2), min_size=3, max_size=3),
 )
 @settings(max_examples=30)
 def test_mat_mul_oracle(a, b):
     got = backend.mat_mul(a, b)
+    assert len(got) == len(a)
     for i in range(len(a)):
         for j in range(2):
-            want = sum(as_frac(a[i][k]) * as_frac(b[k][j]) for k in range(3))
-            assert as_frac(got[i][j]) == want
+            want = sum(Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(3))
+            assert got[i][j] == want
 
 
 def _poly_strategy():

@@ -1,5 +1,6 @@
 """Exact linear algebra: rref, kernels, determinants, bivectors."""
 
+from contextlib import contextmanager
 from fractions import Fraction as Q
 from itertools import permutations
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from wonderland import backend, linalg
 from wonderland.linalg import ZERO, Bivector, Matrix, row_span_contains, same_row_span, wedge_sum
 from wonderland.sampling import RationalStream
 
@@ -305,3 +307,107 @@ class TestBivector:
     def test_contract(self):
         L = Bivector([[0, 1], [-1, 0]])
         assert L.contract([Q(1), Q(0)]) == [Q(0), Q(1)]
+
+
+def _refuse(*args):
+    raise AssertionError("pair conversion or pair arithmetic reached from linalg")
+
+
+@contextmanager
+def refusing_pairs():
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((linalg, "_to_pairs"), (linalg, "_from_pairs"), (backend, "q_add"), (backend, "q_mul")):
+            mp.setattr(owner, name, _refuse)
+        yield
+
+
+def gauss_jordan(rows):
+    """RREF with zero rows last, and its pivots, by the textbook sweep on
+    ``Fraction``."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def fraction_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)] for row in a]
+
+
+# the shared ZERO, a separate zero and small rationals
+rational_entries = hst.one_of(
+    hst.just(ZERO), hst.just(Q(0)), hst.builds(Q, hst.integers(-9, 9), hst.integers(1, 6))
+)
+
+
+def rational_rows(n, cols):
+    """n rows of rationals, with an all-``ZERO`` row mixed in."""
+    return hst.lists(
+        hst.lists(rational_entries, min_size=cols, max_size=cols), min_size=n, max_size=n
+    ).flatmap(lambda rows: hst.permutations(rows + [[ZERO] * cols]))
+
+
+class TestIntegerPath:
+    """Elimination and products go from ``Fraction`` rows to the integer
+    kernels and back without the pair conversions or pair arithmetic: with
+    ``_to_pairs``, ``_from_pairs``, ``q_add`` and ``q_mul`` made to raise,
+    every ``Matrix`` operation still agrees with plain ``Fraction``
+    arithmetic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hst.tuples(hst.integers(1, 4), hst.integers(1, 5)).flatmap(
+            lambda nc: hst.tuples(
+                rational_rows(*nc),
+                hst.lists(rational_entries, min_size=nc[0] + 1, max_size=nc[0] + 1),
+                hst.lists(hst.lists(rational_entries, min_size=3, max_size=3), min_size=nc[1], max_size=nc[1]),
+            )
+        )
+    )
+    def test_rref_rank_kernel_solve_product(self, data):
+        rows, rhs, other = data
+        cols = len(rows[0])
+        want, want_pivots = gauss_jordan(rows)
+        with refusing_pairs():
+            m = Matrix(rows)
+            red, rank, pivots = m.rref()
+            kernel = m.kernel_basis()
+            x = m.solve(rhs)
+            prod = m * Matrix(other)
+            assert m.rank() == rank
+        assert red.data == want and pivots == want_pivots and rank == len(want_pivots)
+        assert len(kernel) == cols - rank
+        assert gauss_jordan(kernel)[0] == kernel  # already echelonized, leading ones
+        for v in kernel:
+            assert all(sum((a * b for a, b in zip(row, v)), Q(0)) == 0 for row in rows)
+        if x is None:
+            assert len(gauss_jordan([r + [b] for r, b in zip(rows, rhs)])[1]) > rank
+        else:
+            assert [sum((a * b for a, b in zip(row, x)), Q(0)) for row in rows] == rhs
+        assert prod.data == fraction_product(rows, other)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.integers(1, 4).flatmap(lambda n: rational_rows(n - 1, n)))
+    def test_inverse(self, rows):
+        n = len(rows)
+        m = Matrix(rows)
+        with refusing_pairs():
+            try:
+                inv = m.inverse()
+            except ValueError:
+                inv = None
+        if len(gauss_jordan(rows)[1]) < n:
+            assert inv is None
+        else:
+            assert fraction_product(rows, inv.data) == Matrix.identity(n).data

@@ -7,7 +7,9 @@ here.  ``poisson action --model sl2-grassmann`` is absent because it is a
 usage error (exit 2, nothing on stdout).  ``poisson action`` and
 ``poisson jacobi --model sl2-grassmann`` run the same experiments as
 ``run --experiment diagonal-action`` and ``run --model sl2-grassmann
---experiment jacobi`` and so share their hashes.
+--experiment jacobi`` and so share their hashes.  The ``invariants``,
+``git ring``, ``charvar`` and ``lie`` configs pin what exact elimination
+(``Matrix.rref`` and ``kernel_basis``) puts in a report.
 """
 
 import hashlib
@@ -45,6 +47,16 @@ GOLDEN = {
         "4348e5b8a8239c78e9ed2ac0fc3525604c93595a4a2b55aa82af2252ecf98896",
     "geom orbit-dim --model grassmann --point " + GRASS_DIAGONAL:
         "a8938e932dee1fa1b768f7b95083bdc32329ead9cffc5ae39e6eb7cd4d6ed20f",
+    "invariants --action conj-m2 --degree 6":
+        "937e4102ae96f750b78bf25a27c35f15c0d9ffffd8d80514f6e471fc369ab891",
+    "invariants --action conj-m2x2 --multidegree 3,3":
+        "92b02b2b80c2743fc54f860db2507ec2adb2cdb659022fdf3a6bf189f1dd1d06",
+    "git ring --r 2 --degree 3":
+        "610a3f3cd922df88280f5a1fc8f199e296ffa03fc85cf78a961b91e232b2635d",
+    "charvar rank1":
+        "3df084532e9d2622d08d101ee8c84cd040aae142bd52d45e29b130b86836a822",
+    "lie splitting --n 3":
+        "2f240f8b41581fa25eae574d6fe988177d18043300a49985b705deb0caee5ecc",
 }
 
 
