@@ -55,7 +55,7 @@ def cmd_lie_splitting(args):
 
 def cmd_geom_orbit_dim(args):
     from wonderland.geometry import GrassmannModel, Pgl2Model, LagrangianPoint, ProjMatrixPoint
-    from wonderland.lie import build_sl, double_algebra
+    from wonderland.lie import build_sl, double_algebra, is_lagrangian
 
     sl2 = build_sl(2)
     double, form = double_algebra(sl2)
@@ -68,6 +68,11 @@ def cmd_geom_orbit_dim(args):
         lag = model.lagrangian_of(point, double, form)
     else:
         rows = [[Fraction(str(x)) for x in row] for row in data]
+        if len(rows) != gr.n or any(len(row) != 2 * gr.n for row in rows):
+            raise ValueError("--point needs %d span rows of %d entries" % (gr.n, 2 * gr.n))
+        ok, cert = is_lagrangian(double, form, rows)
+        if not ok:
+            raise ValueError("span is not Lagrangian: %r" % cert)
         lag = LagrangianPoint(rows)
     _print({"orbit_dimension": gr.orbit_dimension(lag)})
     return 0

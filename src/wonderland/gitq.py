@@ -21,7 +21,8 @@ from wonderland.invariants import (
 )
 from wonderland.linalg import qstr
 from wonderland.poisson import (
-    jacobiator,
+    function_jacobiators,
+    mixed_product_field,
     mixed_value_in_charts,
     mixed_wedges,
     pi_wedges,
@@ -299,22 +300,12 @@ def quotient_bracket_table(model, splitting, invariants, samples, conjugators):
 def quotient_jacobi_residual(model, splitting, invariants, points):
     """Jacobi for the induced bracket at one sample, computed upstairs
     through the mixed field on the product chart at the points, over every
-    triple of the given functions."""
-    from wonderland.poisson import mixed_product_field
-
+    triple of the given functions: one sweep of the field, contracted with
+    the functions' chart gradients."""
     charts = [model.chart_at(p) for p in points]
     field = mixed_product_field(model, splitting, charts)
-    pc = field.chart
-    z = pc.coords_of(points)
-    restricted = [f.restrict(pc) for f in invariants]
-    vals = []
-    k = len(restricted)
-    for a in range(k):
-        for b in range(a + 1, k):
-            for c in range(b + 1, k):
-                vals.append(
-                    jacobiator(field, restricted[a], restricted[b], restricted[c], z)
-                )
+    grads = [f.chart_grad_at(charts, points) for f in invariants]
+    vals = function_jacobiators(field, field.chart.coords_of(points), grads)
     return residual_from_values(
         "quotient-jacobi", {"points": [repr(p) for p in points]}, vals
     )

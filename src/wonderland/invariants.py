@@ -381,6 +381,8 @@ def express_in_generators(f, gens, bound, sampler, symbolic=None):
     When ``symbolic`` is True (polynomial inputs over one domain), the
     expansion is additionally compared against ``f`` symbolically.
     """
+    if bound < 0:
+        raise ValueError("degree bound must be >= 0, got %d" % bound)
     gen_polys = [g for _, g in gens] if gens and isinstance(gens[0], tuple) else list(gens)
     if symbolic is None:
         symbolic = all(isinstance(g, MultiPoly) for g in gen_polys) and isinstance(

@@ -443,8 +443,3 @@ def row_span_contains(span_rows, vec):
     rows, pivots = backend.rref_rows(_scaled_rows(span_rows)[0])
     return len(backend.rref_rows(rows + _scaled_rows([vec])[0])[1]) == len(pivots)
 
-
-def same_row_span(rows_a, rows_b):
-    """True iff the two row lists span the same space: the primitive pivot
-    rows of ``rref_rows`` are canonical."""
-    return backend.rref_rows(_scaled_rows(rows_a)[0]) == backend.rref_rows(_scaled_rows(rows_b)[0])

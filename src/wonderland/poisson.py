@@ -38,7 +38,10 @@ points with zero-tolerance residuals.  A residual that is a difference of
 bivectors is one signed wedge list, summed by one ``from_wedges``.
 ``jacobi_sweep`` reads the field values and their derivatives at a point
 from the field's compiled integer table (one evaluation per distinct
-monomial) and sums every coordinate triple's Jacobiator in integers.
+monomial) and sums every coordinate triple's Jacobiator in integers.  It
+is the one Jacobi computation: the Jacobiator of any three functions is
+its contraction with their gradients (``function_jacobiators``), and
+``BivectorField.value_at`` reads the field from the same table.
 
 The action-compatibility identity pi_X(a.x) = a_* pi_X(x) + (orbit map)_*
 pi_G(a) is computed by one pipeline, ``action_residual``, for both models
@@ -75,6 +78,7 @@ chart at the diagonal and on a chart at a boundary point.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from wonderland.geometry import (
@@ -160,8 +164,6 @@ class BivectorField:
     def __init__(self, chart, entries):
         self.chart = chart
         self.entries = entries
-        # _derivs[c][i][j] = d/dz_c of entry ij, differentiated on first use
-        self._derivs = None
         self._compiled = None
         k = len(entries)
         for i in range(k):
@@ -174,28 +176,9 @@ class BivectorField:
         return len(self.entries)
 
     def value_at(self, coords):
-        """The bivector at a point; zero entries are not evaluated."""
-        return Bivector(
-            [[ZERO if e.is_zero() else e.eval(coords) for e in row] for row in self.entries]
-        )
-
-    def _derivatives(self):
-        """dL[c][i][j] = d/dz_c of entry ij as polynomials; each entry is
-        differentiated once per field, at the first call."""
-        if self._derivs is None:
-            self._derivs = [
-                [[e.diff(v) for e in row] for row in self.entries]
-                for v in self.chart.variables
-            ]
-        return self._derivs
-
-    def deriv_values(self, coords):
-        """dL[c][i][j] = (d/dz_c of entry ij) at the point; a zero
-        derivative gives ``ZERO`` without being evaluated."""
-        return [
-            [[ZERO if d.is_zero() else d.eval(coords) for d in row] for row in dc]
-            for dc in self._derivatives()
-        ]
+        """The bivector at a point, read from the compiled integer table."""
+        (L, dl), _ = self.integer_values(coords)
+        return Bivector([[ratio(x, dl) for x in row] for row in L])
 
     def _compile(self):
         """The entries and their derivatives as integer coefficients over
@@ -204,7 +187,8 @@ class BivectorField:
         Returns (table, D, ([entries], den), (derivs, den)): table[m] lists
         the (variable, exponent) pairs of monomial m and D - deg m, D the
         largest degree; each polynomial becomes a list of (monomial index,
-        integer coefficient)."""
+        integer coefficient), and derivs[c][i][j] is d/dz_c of entry ij.
+        Each entry is differentiated once per field, at the first call."""
         if self._compiled is None:
             index = {}
 
@@ -230,7 +214,9 @@ class BivectorField:
                 ], den
 
             entries = compile_mats([self.entries])
-            derivs = compile_mats(self._derivatives())
+            derivs = compile_mats(
+                [[[e.diff(v) for e in row] for row in self.entries] for v in self.chart.variables]
+            )
             top = max((sum(e) for e in index), default=0)
             table = [(tuple((v, k) for v, k in enumerate(e) if k), top - sum(e)) for e in index]
             self._compiled = table, top, entries, derivs
@@ -602,51 +588,29 @@ def jacobi_sweep(field, coords):
     return out
 
 
-def jacobiator(field, f, g, h, coords):
-    """Jacobiator {f,{g,h}} + {g,{h,f}} + {h,{f,g}} at a point.
+def function_jacobiators(field, coords, grads):
+    """The Jacobiator {f,{g,h}} + {g,{h,f}} + {h,{f,g}} at a point of every
+    triple of functions, given by their gradients there, in
+    ``combinations`` order.
 
-    Works for anything with grad_at/hess_at; the inner bracket is
-    differentiated through the product rule, so no symbolic quotients of the
-    chart functions are ever formed.
-    """
-    L = field.value_at(coords).entries
-    dL = field.deriv_values(coords)
-    dim = field.dim
-
-    def data(u):
-        return u.grad_at(coords), u.hess_at(coords)
-
-    dfs = [data(u) for u in (f, g, h)]
-
-    def inner_grad(gg, gh, hg, hh):
-        # gradient of q -> L(dg, dh) at the point
-        out = []
-        for c in range(dim):
-            acc = Fraction(0)
-            for a in range(dim):
-                for b in range(dim):
-                    lab = L[a][b]
-                    term = dL[c][a][b] * gg[a] * gh[b]
-                    if lab != 0:
-                        term += lab * (hg[c][a] * gh[b] + gg[a] * hh[c][b])
-                    acc += term
-            out.append(acc)
-        return out
-
-    total = Fraction(0)
-    order = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    for (fi, gi, hi) in order:
-        gf = dfs[fi][0]
-        gg, hg = dfs[gi]
-        gh, hh = dfs[hi]
-        giu = inner_grad(gg, gh, hg, hh)
-        for a in range(dim):
-            if gf[a] == 0:
-                continue
-            for b in range(dim):
-                if L[a][b] != 0 and giu[b] != 0:
-                    total += L[a][b] * gf[a] * giu[b]
-    return total
+    The Jacobiator of functions is the Schouten trivector (1/2)[pi, pi]
+    contracted with df ^ dg ^ dh: the second derivatives cancel.  So one
+    ``jacobi_sweep`` gives the trivector's coordinate values J_ijk, and each
+    triple's value is the sum over i < j < k of J_ijk det[df, dg, dh] on
+    columns i, j, k."""
+    trivector = [(t, v) for t, v in jacobi_sweep(field, coords) if v]
+    out = []
+    for df, dg, dh in combinations(grads, 3):
+        total = ZERO
+        for (i, j, k), v in trivector:
+            minor = (
+                df[i] * (dg[j] * dh[k] - dg[k] * dh[j])
+                - df[j] * (dg[i] * dh[k] - dg[k] * dh[i])
+                + df[k] * (dg[i] * dh[j] - dg[j] * dh[i])
+            )
+            total += v * minor
+        out.append(total)
+    return out
 
 
 def tangency_check(field, defining, coords, name="tangency"):

@@ -79,11 +79,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
@@ -189,13 +184,6 @@ class MultiPoly:
     def grad_at(self, point):
         return [self.diff(v).eval(point) for v in self.variables]
 
-    def hess_at(self, point):
-        """Second partials at a point: H[c][a] = d2/dz_c dz_a, exact."""
-        firsts = [self.diff(v) for v in self.variables]
-        return [
-            [fa.diff(vc).eval(point) for fa in firsts] for vc in self.variables
-        ]
-
     def eval(self, point):
         """Evaluate at a rational point (sequence aligned with variables).
 
@@ -230,13 +218,6 @@ class MultiPoly:
                     term = term * img**k
             out = out + term
         return out
-
-    def rename(self, variables):
-        """Same terms over a different variable tuple of equal length."""
-        variables = tuple(variables)
-        if len(variables) != len(self.variables):
-            raise ValueError("variable count mismatch")
-        return MultiPoly(variables, dict(self.terms))
 
     # -- io -------------------------------------------------------------
     def __str__(self):
@@ -309,42 +290,6 @@ class RationalFn:
     def variables(self):
         return self.num.variables
 
-    def _coerce(self, other):
-        if isinstance(other, RationalFn):
-            return other
-        if isinstance(other, MultiPoly):
-            return RationalFn(other)
-        return RationalFn(MultiPoly.const(self.variables, other))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
     def diff(self, name):
         """Quotient-rule partial derivative, exact."""
         du = self.num.diff(name)
@@ -366,42 +311,6 @@ class RationalFn:
         du = self.num.grad_at(point)
         dv = self.den.grad_at(point)
         return [(a * v - u * b) / (v * v) for a, b in zip(du, dv)]
-
-    def hess_at(self, point):
-        """Pointwise second partials of num/den, exact.
-
-        d_c d_a (u/v) = (u_ca v^2 - u_c v_a v - u_a v_c v - u v_ca v
-                         + 2 u v_a v_c) / v^3.
-        """
-        u = self.num.eval(point)
-        v = self.den.eval(point)
-        if v == 0:
-            raise ZeroDivisionError("denominator vanishes at sample point")
-        du = self.num.grad_at(point)
-        dv = self.den.grad_at(point)
-        hu = self.num.hess_at(point)
-        hv = self.den.hess_at(point)
-        n = len(self.variables)
-        v2, v3 = v * v, v * v * v
-        return [
-            [
-                (
-                    hu[c][a] * v2
-                    - du[c] * dv[a] * v
-                    - du[a] * dv[c] * v
-                    - u * hv[c][a] * v
-                    + 2 * u * dv[a] * dv[c]
-                )
-                / v3
-                for a in range(n)
-            ]
-            for c in range(n)
-        ]
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
 
     def __str__(self):
         return "(%s) / (%s)" % (self.num, self.den)

@@ -162,6 +162,14 @@ class Context:
         self.model = Pgl2Model(self.sl2)
         self.split = standard_splitting(self.sl2)
         self.grass = GrassmannModel(self.sl2, self.split.double, self.split.form)
+        self._chart_fields = {}
+
+    def chart_field(self, k):
+        """The splitting's bivector field on P(M2) chart k, built on first
+        use and shared by the runners of one report."""
+        if k not in self._chart_fields:
+            self._chart_fields[k] = splitting_bivector_field(self.model, ProjChart(k), self.split)
+        return self._chart_fields[k]
 
 
 def _interior_point(stream):
@@ -180,8 +188,7 @@ def run_jacobi(cfg, ctx):
     checks = []
     if cfg.model == "pgl2-projective":
         for k in range(4):
-            chart = ProjChart(k)
-            fld = splitting_bivector_field(ctx.model, chart, ctx.split)
+            fld = ctx.chart_field(k)
             stream = RationalStream(subseed(cfg.seed, k))
             for s in range(cfg.samples):
                 z = stream.vector(3)
@@ -275,24 +282,19 @@ def run_multiplicativity(cfg, ctx):
 def run_tangency(cfg, ctx):
     checks = []
     stream = RationalStream(subseed(cfg.seed, 4))
-    fields = {}
     done = 0
     while done < cfg.samples:
         p = _boundary_point(stream)
         k = p.chart_index()
         chart = ProjChart(k)
-        if k not in fields:
-            fields[k] = splitting_bivector_field(ctx.model, chart, ctx.split)
         res = tangency_check(
-            fields[k], [chart.det_poly()], chart.coords_of(p), name="tangency/det0"
+            ctx.chart_field(k), [chart.det_poly()], chart.coords_of(p), name="tangency/det0"
         )
         res.sample["sample"] = done
         checks.append(res)
         done += 1
     # negative control: a non-invariant hyperplane must NOT be tangent
     chart = ProjChart(0)
-    if 0 not in fields:
-        fields[0] = splitting_bivector_field(ctx.model, chart, ctx.split)
     from wonderland.poly import MultiPoly
 
     hyper = MultiPoly.var(chart.variables, "b") - 1
@@ -304,7 +306,7 @@ def run_tangency(cfg, ctx):
     while d == 0 or (c == -1 and d == -1):
         d = stream.take()
     control = tangency_check(
-        fields[0], [hyper], [Q(1), c, d], name="tangency/negative-control"
+        ctx.chart_field(0), [hyper], [Q(1), c, d], name="tangency/negative-control"
     )
     checks.append(
         IdentityResidual(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from wonderland import backend, linalg
-from wonderland.linalg import ZERO, Bivector, Matrix, row_span_contains, same_row_span, wedge_sum
+from wonderland.linalg import ZERO, Bivector, Matrix, row_span_contains, wedge_sum
 from wonderland.sampling import RationalStream
 
 
@@ -136,7 +136,6 @@ def test_row_span_helpers():
     rows = [[Q(1), Q(0), Q(2)], [Q(0), Q(1), Q(3)]]
     assert row_span_contains(rows, [Q(2), Q(1), Q(7)])
     assert not row_span_contains(rows, [Q(0), Q(0), Q(1)])
-    assert same_row_span(rows, [[Q(1), Q(1), Q(5)], [Q(1), Q(-1), Q(-1)]])
 
 
 def test_matrix_json_round_trip():

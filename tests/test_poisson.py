@@ -22,8 +22,8 @@ from wonderland.poisson import (
     pair_group_field,
     diagonal_action_residual,
     splitting_bivector_field,
+    function_jacobiators,
     jacobi_sweep,
-    jacobiator,
     mixed_product_field,
     mixed_wedges,
     multiplicativity_residual,
@@ -101,11 +101,11 @@ def _symbolic_jacobiators(fld):
 
 @pytest.fixture(scope="module")
 def compiled_fields(ctx):
-    """Fields whose compiled integer evaluation is compared with
-    ``value_at``/``deriv_values``: the Gr(3,6) splitting field on the
-    diagonal chart (whose Jacobiator is nonzero off the orbit), the mixed
-    two-factor field on P(M2), and non-Poisson control fields on chart 0
-    and on the Gr(3,6) chart."""
+    """Fields whose compiled integer evaluation is compared entry by entry
+    with ``MultiPoly.eval``: the Gr(3,6) splitting field on the diagonal
+    chart (whose Jacobiator is nonzero off the orbit), the mixed two-factor
+    field on P(M2), and non-Poisson control fields on chart 0 and on the
+    Gr(3,6) chart."""
     gr_chart = ctx["gr"].chart_at(ctx["gr"].diagonal_point())
     st = RationalStream(223)
     return [
@@ -125,16 +125,23 @@ class TestCompiledField:
 
     @settings(max_examples=25, deadline=None)
     @given(hst.data())
-    def test_integer_values_match_value_at_and_deriv_values(self, compiled_fields, data):
-        """Entry by entry, L / dl and dL / dd of ``integer_values`` are the
-        values of ``value_at`` and ``deriv_values``, at points with zero,
-        ``int`` and ``Fraction`` coordinates; the Gr(3,6) field has zero
-        entries and zero derivatives, which must come out as 0."""
+    def test_integer_values_match_entrywise_eval(self, compiled_fields, data):
+        """Entry by entry, L / dl and dL / dd of ``integer_values`` and the
+        entries of ``value_at`` are the values of each entry polynomial and
+        of its derivatives, evaluated one by one with ``MultiPoly.eval``, at
+        points with zero, ``int`` and ``Fraction`` coordinates; the Gr(3,6)
+        field has zero entries and zero derivatives, which must come out
+        as 0."""
         for fld in compiled_fields:
             z = data.draw(hst.lists(self.coordinate, min_size=fld.dim, max_size=fld.dim))
+            want = [[p.eval(z) for p in row] for row in fld.entries]
             (L, dl), (dL, dd) = fld.integer_values(z)
-            assert [[Q(x, dl) for x in row] for row in L] == fld.value_at(z).entries
-            want = fld.deriv_values(z)
+            assert [[Q(x, dl) for x in row] for row in L] == want
+            assert fld.value_at(z).entries == want
+            want = [
+                [[p.diff(v).eval(z) for p in row] for row in fld.entries]
+                for v in fld.chart.variables
+            ]
             assert [[[Q(x, dd) for x in row] for row in dc] for dc in dL] == want
 
 
@@ -195,10 +202,16 @@ class TestJacobi:
                     assert val == 0, (k, z, triple)
 
     def test_jacobiator_repeated_arguments(self, ctx):
+        """The Jacobiator is alternating: a repeated argument gives 0, also
+        on a field that is not Poisson."""
         x, y, z = MultiPoly.gens(ctx["ch0"].variables)
         pt = [Q(1), Q(2), Q(-1)]
-        f = x * y + z
-        assert jacobiator(ctx["field0"], f, f, f, pt) == 0
+        df = (x * y + z).grad_at(pt)
+        dg = (x * x - y * z).grad_at(pt)
+        control = _non_poisson_field(RationalStream(181))
+        for fld in (ctx["field0"], control):
+            assert function_jacobiators(fld, pt, [df, df, df]) == [0]
+            assert function_jacobiators(fld, pt, [df, dg, df]) == [0]
 
     def test_jacobiator_random_polynomials(self, ctx):
         """Derivation property: vanishing on coordinates extends to all
@@ -207,34 +220,87 @@ class TestJacobi:
         names = ctx["ch0"].variables
         for _ in range(3):
             polys = []
-            for _ in range(3):
+            for _ in range(4):
                 terms = {}
                 for _ in range(4):
                     e = tuple(abs(st.take(9).numerator) % 3 for _ in range(3))
                     terms[e] = terms.get(e, Q(0)) + st.take()
                 polys.append(MultiPoly(names, terms))
             pt = st.vector(3)
-            assert jacobiator(ctx["field0"], *polys, pt) == 0
+            grads = [p.grad_at(pt) for p in polys]
+            assert function_jacobiators(ctx["field0"], pt, grads) == [0] * 4
 
-    def test_general_jacobiator_matches_sweep_formula_on_control_field(self, ctx):
-        """Two independent formulas for the coordinate-triple Jacobiator must
-        agree even where they are nonzero, so build fields that are NOT
-        Poisson (on chart 0 and on a two-factor product chart) and compare
-        every triple of the sweep with the general Jacobiator there."""
+    def test_function_jacobiators_match_sympy_on_control_fields(self, ctx):
+        """SymPy computes {f,{g,h}} + {g,{h,f}} + {h,{f,g}} straight from
+        the entries of fields that are NOT Poisson, on chart 0 and on a
+        two-factor product chart, for the coordinate functions, random
+        cubics and (on chart 0) one rational function.  Every triple must
+        agree with the contraction of the coordinate sweep, in
+        ``combinations`` order.
+
+        SymPy's rational function field builds each inner bracket {g, h}
+        and differentiates it; the outer bracket needs only its gradient at
+        the point."""
+        sympy = pytest.importorskip("sympy")
+        QQ = sympy.QQ
         st = RationalStream(181)
         nonzero = total = 0
         for chart in (None, ProductChart([ProjChart(0), ProjChart(3)])):
             control = _non_poisson_field(st, chart)
-            gens = MultiPoly.gens(control.chart.variables)
-            for _ in range(3):
-                pt = st.vector(control.dim)
-                sweep = jacobi_sweep(control, pt)
-                assert [t for t, _ in sweep] == list(combinations(range(control.dim), 3))
-                for (i, j, k), val in sweep:
-                    assert val == jacobiator(control, gens[i], gens[j], gens[k], pt)
-                    nonzero += val != 0
-                    total += 1
-        assert total == 3 * (1 + 20)
+            _, *xs = sympy.field(",".join(control.chart.variables), QQ)
+            dim = control.dim
+            zero = xs[0] * 0
+
+            def poly(terms):
+                out = zero
+                for e, c in terms:
+                    term = xs[0] ** 0 * QQ(c.numerator, c.denominator)
+                    for x, k in zip(xs, e):
+                        term = term * x**k
+                    out = out + term
+                return out
+
+            def cubic():
+                exps = [tuple(abs(st.take(9).numerator) % 2 for _ in xs) for _ in range(4)]
+                return poly((e, st.take()) for e in exps)
+
+            L = [[poly(p.terms.items()) for p in row] for row in control.entries]
+            funcs = list(xs) + [cubic(), cubic()]
+            if chart is None:
+                funcs.append(cubic() / (1 + xs[0] ** 2 + xs[-1] ** 2))
+            pt = st.vector(dim)
+            at = [QQ(c.numerator, c.denominator) for c in pt]
+
+            def value(e):
+                v = e.numer(*at) / e.denom(*at)
+                return Q(int(v.numerator), int(v.denominator))
+
+            def grad(e):
+                return [value(e.diff(x)) for x in xs]
+
+            grads = [grad(f) for f in funcs]
+            L_at = [[value(e) for e in row] for row in L]
+            inner = {}
+            for i, j in combinations(range(len(funcs)), 2):
+                bracket = zero
+                for a, b in product(range(dim), repeat=2):
+                    if L[a][b] != 0:
+                        bracket += L[a][b] * funcs[i].diff(xs[a]) * funcs[j].diff(xs[b])
+                inner[i, j] = grad(bracket)
+                inner[j, i] = [-x for x in inner[i, j]]
+
+            def outer(f, g, h):
+                dB = inner[g, h]
+                return sum(L_at[a][b] * grads[f][a] * dB[b] for a, b in product(range(dim), repeat=2))
+
+            got = function_jacobiators(control, pt, grads)
+            triples = list(combinations(range(len(funcs)), 3))
+            assert len(got) == len(triples)
+            for (f, g, h), val in zip(triples, got):
+                assert val == outer(f, g, h) + outer(g, h, f) + outer(h, f, g), (f, g, h)
+                nonzero += val != 0
+                total += 1
+        assert total == 20 + 56
         assert nonzero > total // 2
 
     def test_chart_jacobiator_is_zero_polynomial(self, ctx):
@@ -585,8 +651,8 @@ class TestPointwiseWork:
 
 
 class TestFieldDerivativeWork:
-    """Counted by wrapping ``MultiPoly`` methods: a field differentiates
-    each entry once, and no zero polynomial is evaluated."""
+    """Checked by wrapping ``MultiPoly`` methods: a field differentiates
+    each entry once, and field evaluation calls no ``MultiPoly.eval``."""
 
     @staticmethod
     def _grassmann_jacobi_diffs(monkeypatch, samples):
@@ -612,27 +678,29 @@ class TestFieldDerivativeWork:
 
     @pytest.mark.parametrize("model_key", ["model", "gr"])
     def test_zero_polynomials_are_never_evaluated(self, ctx, monkeypatch, model_key):
+        """Field evaluation reads the compiled integer table only: with
+        ``MultiPoly.eval`` raising, ``value_at``, ``jacobi_sweep`` and
+        ``function_jacobiators`` still run, and the zero entries come out
+        as 0."""
         model = ctx[model_key]
         if model_key == "gr":
             chart = model.chart_at(model.diagonal_point())
         else:
             chart = ctx["ch0"]
         fld = splitting_bivector_field(model, chart, ctx["split"])
-        evaluated = []
-        orig = MultiPoly.eval
+        st = RationalStream(211)
+        z = st.vector(fld.dim)
+        grads = [st.vector(fld.dim) for _ in range(4)]
 
-        def counted(self, point):
-            evaluated.append(self.is_zero())
-            return orig(self, point)
+        def refuse(self, point):
+            raise AssertionError("MultiPoly.eval called")
 
-        monkeypatch.setattr(MultiPoly, "eval", counted)
-        z = RationalStream(211).vector(fld.dim)
+        monkeypatch.setattr(MultiPoly, "eval", refuse)
         L = fld.value_at(z).entries
-        dL = fld.deriv_values(z)
-        assert evaluated and not any(evaluated)
         zeros = sum(e.is_zero() for row in fld.entries for e in row)
         assert zeros and sum(x == 0 for row in L for x in row) >= zeros
-        assert len(dL) == len(fld.chart.variables)
+        assert len(jacobi_sweep(fld, z)) == len(list(combinations(range(fld.dim), 3)))
+        assert len(function_jacobiators(fld, z, grads)) == 4
 
 
 class TestMixedField:
@@ -640,10 +708,7 @@ class TestMixedField:
         m1 = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 1)
         for i in range(3):
             for j in range(3):
-                assert (
-                    m1.entries[i][j].terms
-                    == ctx["field0"].entries[i][j].rename(m1.chart.variables).terms
-                )
+                assert m1.entries[i][j].terms == ctx["field0"].entries[i][j].terms
 
     def test_cross_block_oracle(self, ctx):
         """Term-by-term reconstruction of the cross block at a random point."""

@@ -135,15 +135,11 @@ def test_variable_mismatch_raises():
         p + q
 
 
-def test_grad_and_hess_at():
+def test_grad_at():
     x, y, z = MultiPoly.gens(VARS)
     p = x * x * y + 3 * z
     pt = [Q(2), Q(-1), Q(5)]
     assert p.grad_at(pt) == [Q(-4), Q(4), Q(3)]
-    hess = p.hess_at(pt)
-    assert hess[0][0] == Q(-2)  # d2/dx2 = 2y
-    assert hess[0][1] == hess[1][0] == Q(4)  # d2/dxdy = 2x
-    assert hess[2][2] == 0
 
 
 class TestRationalFn:
@@ -175,19 +171,6 @@ class TestRationalFn:
             pt = [Q(0), Q(0), Q(0)]
         sym = [f.diff(n).eval(pt) for n in VARS]
         assert f.grad_at(pt) == sym
-
-    def test_hess_at_matches_symbolic(self):
-        stream = RationalStream(37)
-        u = make_poly(stream, nterms=3)
-        v = make_poly(stream, nterms=3) + 2
-        f = RationalFn(u, v)
-        pt = [Q(1, 2), Q(-1), Q(1, 3)]
-        assert v.eval(pt) != 0
-        hess = f.hess_at(pt)
-        for c, nc in enumerate(VARS):
-            fc = f.diff(nc)
-            for a, na in enumerate(VARS):
-                assert hess[c][a] == fc.diff(na).eval(pt)
 
     def test_zero_denominator_rejected(self):
         x, y, z = MultiPoly.gens(VARS)

@@ -316,6 +316,24 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "rows", ["[[1,0,0,1,0,0]]", "[[1,0,0],[0,1,0],[0,0,1]]"]
+    )
+    def test_orbit_dim_span_of_wrong_shape_exit_code(self, capsys, rows):
+        code = cli_main(["geom", "orbit-dim", "--model", "grassmann", "--point", rows])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_orbit_dim_non_lagrangian_span_exit_code(self, capsys):
+        rows = "[[1,0,0,0,0,0],[0,1,0,0,0,0],[0,0,1,0,0,0]]"
+        code = cli_main(["geom", "orbit-dim", "--model", "grassmann", "--point", rows])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_express_negative_bound_exit_code(self, capsys):
+        assert cli_main(["invariants", "express", "--bound", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_invariants_without_action_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["invariants"])
