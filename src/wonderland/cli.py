@@ -38,7 +38,10 @@ def cmd_lie_splitting(args):
     if args.l2:
         with open(args.l2) as fh:
             obj = json.load(fh)
-        rows = [[Fraction(str(x)) for x in row] for row in obj["l2_basis"]]
+        rows = obj.get("l2_basis") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError('%s: "l2_basis" must be a list of rows' % args.l2)
+        rows = [[Fraction(str(x)) for x in row] for row in rows]
         s = splitting_from_l2(alg, rows)
     else:
         s = standard_splitting(alg)

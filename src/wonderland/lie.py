@@ -4,16 +4,29 @@ Covers: sl_n in the elementary-matrix basis, the Killing form, the double
 d = g (+) g with its split invariant form, Lagrangian subalgebras, the
 standard splitting with l1 the diagonal copy of g, and the associated
 antisymmetric r-tensor from dual bases.  Every axiom (antisymmetry, Jacobi,
-ad-invariance, isotropy, duality) is checked exactly at construction time.
+ad-invariance, isotropy, duality) is checked exactly at construction time,
+over every basis pair or triple.
+
+The checks read the sparse structure constants: ``LieAlgebra._nonzero``
+holds the nonzero (m, c_ij^m) of each bracket [b_i, b_j], integral
+constants as ``int``, and ``BilinearForm`` holds its Gram matrix as sparse
+integer rows over one denominator.  A check costs one step per product of
+nonzeros, not one per dense entry: Jacobi sums c_ij^m c_mk^p, the Killing
+form is tr(ad_i ad_j) = sum_{p,m} c_ip^m c_jm^p with no ``ad`` matrix, and
+ad-invariance compares <[b_i,b_j],b_k> = sum_m c_ij^m G_mk with its
+transpose in (j, k).  ``build_sl`` takes its constants from sparse products
+of elementary matrices, E_ij E_kl = delta_jk E_il.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from wonderland.linalg import (
     ZERO,
     Bivector,
     Matrix,
+    integer_rows,
     integer_vector,
     qparse,
     qstr,
@@ -30,7 +43,8 @@ class LieAlgebra:
         self.names = tuple(names)
         self.dim = len(self.names)
         self.brackets = [
-            [[Fraction(x) for x in vec] for vec in row] for row in brackets
+            [[x if type(x) is Fraction else Fraction(x) for x in vec] for vec in row]
+            for row in brackets
         ]
         if len(self.brackets) != self.dim or any(
             len(row) != self.dim or any(len(v) != self.dim for v in row)
@@ -51,30 +65,32 @@ class LieAlgebra:
         self._check_jacobi()
 
     def _check_antisymmetry(self):
+        nz = self._nonzero
         for i in range(self.dim):
             for j in range(i, self.dim):
-                for m in range(self.dim):
-                    if self.brackets[i][j][m] != -self.brackets[j][i][m]:
-                        raise ValueError(
-                            "structure constants not antisymmetric at (%d,%d)" % (i, j)
-                        )
+                if nz[i][j] != tuple((m, -c) for m, c in nz[j][i]):
+                    raise ValueError(
+                        "structure constants not antisymmetric at (%d,%d)" % (i, j)
+                    )
 
     def _check_jacobi(self):
-        z = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    if self.jacobi_vector(i, j, k) != z:
-                        raise ValueError(
-                            "Jacobi identity fails at basis triple (%d,%d,%d)" % (i, j, k)
-                        )
+        for i, j, k in combinations(range(self.dim), 3):
+            if any(self.jacobi_vector(i, j, k)):
+                raise ValueError(
+                    "Jacobi identity fails at basis triple (%d,%d,%d)" % (i, j, k)
+                )
 
     def jacobi_vector(self, i, j, k):
-        """[[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j], exactly."""
-        t1 = self.bracket(self.brackets[i][j], self._basis_vec(k))
-        t2 = self.bracket(self.brackets[j][k], self._basis_vec(i))
-        t3 = self.bracket(self.brackets[k][i], self._basis_vec(j))
-        return [a + b + c for a, b, c in zip(t1, t2, t3)]
+        """[[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j], exactly: each
+        term is sum_m c_ab^m [b_m, b_c] = sum_{m,p} c_ab^m c_mc^p b_p over the
+        nonzero constants only."""
+        nz = self._nonzero
+        out = [0] * self.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in nz[a][b]:
+                for p, y in nz[m][c]:
+                    out[p] += x * y
+        return out
 
     def _basis_vec(self, i):
         v = [Fraction(0)] * self.dim
@@ -127,7 +143,11 @@ class LieAlgebra:
 
 
 class BilinearForm:
-    """Symmetric bilinear form given by its gram matrix in the basis."""
+    """Symmetric bilinear form given by its gram matrix in the basis.
+
+    Next to ``gram`` it keeps the same matrix as sparse integer rows
+    ``{column: int}`` over one denominator, which ``value`` and the
+    ad-invariance check read."""
 
     def __init__(self, gram):
         self.gram = gram if isinstance(gram, Matrix) else Matrix(gram)
@@ -135,36 +155,50 @@ class BilinearForm:
             raise ValueError("gram matrix must be square")
         if self.gram != self.gram.transpose():
             raise ValueError("gram matrix must be symmetric")
+        ints, self._den = integer_rows(self.gram.data)
+        self._rows = [{k: g for k, g in enumerate(row) if g} for row in ints]
 
     @property
     def dim(self):
         return self.gram.rows
 
     def value(self, x, y):
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.gram.data[i]
-            for j, yj in enumerate(y):
-                if yj != 0 and row[j] != 0:
-                    acc += xi * row[j] * yj
-        return acc
+        acc = 0
+        for xi, row in zip(x, self._rows):
+            if xi:
+                for k, g in row.items():
+                    yk = y[k]
+                    if yk:
+                        acc += xi * g * yk
+        return Fraction(acc, self._den)
 
     def is_nondegenerate(self):
         return self.gram.det() != 0
 
     def ad_invariance_residuals(self, alg):
-        """<[x,y],z> + <y,[x,z]> over all basis triples; all must be zero."""
+        """<[b_i,b_j],b_k> + <b_j,[b_i,b_k]> over all basis triples, as
+        ((i, j, k), value) for the nonzero ones in (i, j, k) order; all must
+        be zero.
+
+        With P_i[j][k] = <[b_i,b_j],b_k> = sum_m c_ij^m G_mk and G symmetric
+        the residual is P_i[j][k] + P_i[k][j].  P_i is summed over the
+        nonzero constants and Gram entries, and a residual can be nonzero
+        only where P_i or its transpose is, so only those (j, k) are read;
+        every other triple is zero exactly."""
+        if alg.dim != self.dim:
+            raise ValueError("form and algebra dimensions differ")
         res = []
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                for k in range(alg.dim):
-                    v = self.value(alg.brackets[i][j], alg._basis_vec(k)) + self.value(
-                        alg._basis_vec(j), alg.brackets[i][k]
-                    )
-                    if v != 0:
-                        res.append(((i, j, k), v))
+        rows, den = self._rows, self._den
+        for i, brackets in enumerate(alg._nonzero):
+            p = {}
+            for j, cij in enumerate(brackets):
+                for m, c in cij:
+                    for k, g in rows[m].items():
+                        p[j, k] = p.get((j, k), 0) + c * g
+            for j, k in sorted(p.keys() | {(k, j) for j, k in p}):
+                v = p.get((j, k), 0) + p.get((k, j), 0)
+                if v:
+                    res.append(((i, j, k), Fraction(v, den)))
         return res
 
     def check_ad_invariant(self, alg):
@@ -180,22 +214,24 @@ def _sl_basis_layout(n):
     return pos, list(range(n - 1)), neg
 
 
+def _sparse_sl_basis(n):
+    """Basis of sl_n as sparse matrices {(row, col): int}: E_ij (i<j),
+    H_k = E_kk - E_(k+1)(k+1), E_ij (i>j)."""
+    pos, cart, neg = _sl_basis_layout(n)
+    return (
+        [{ij: 1} for ij in pos]
+        + [{(k, k): 1, (k + 1, k + 1): -1} for k in cart]
+        + [{ij: 1} for ij in neg]
+    )
+
+
 def sl_basis_matrices(n):
     """Basis of sl_n: E_ij (i<j), H_k = E_kk - E_(k+1)(k+1), E_ij (i>j)."""
-    pos, cart, neg = _sl_basis_layout(n)
     mats = []
-    for (i, j) in pos:
+    for sparse in _sparse_sl_basis(n):
         m = Matrix.zero(n, n)
-        m.data[i][j] = Fraction(1)
-        mats.append(m)
-    for k in cart:
-        m = Matrix.zero(n, n)
-        m.data[k][k] = Fraction(1)
-        m.data[k + 1][k + 1] = Fraction(-1)
-        mats.append(m)
-    for (i, j) in neg:
-        m = Matrix.zero(n, n)
-        m.data[i][j] = Fraction(1)
+        for (i, j), x in sparse.items():
+            m.data[i][j] = Fraction(x)
         mats.append(m)
     return mats
 
@@ -245,42 +281,67 @@ def sl_matrix_of(n, coords):
     return Matrix(out)
 
 
+def _sparse_commutator(a, b):
+    """AB - BA of sparse matrices, by E_ij E_kl = delta_jk E_il."""
+    out = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            if j == k:
+                out[i, l] = out.get((i, l), 0) + x * y
+            if l == i:
+                out[k, j] = out.get((k, j), 0) - y * x
+    return out
+
+
+def _sparse_sl_coords(n, m):
+    """``sl_coords`` of a traceless sparse matrix."""
+    pos, cart, neg = _sl_basis_layout(n)
+    out = [m.get(ij, 0) for ij in pos]
+    partial = 0
+    for k in cart:
+        partial += m.get((k, k), 0)
+        out.append(partial)
+    out.extend(m.get(ij, 0) for ij in neg)
+    return out
+
+
 def build_sl(n):
     """sl_n from exact matrix commutators; Jacobi is verified on construction.
 
-    The result carries ``matrix_size`` plus the triangular index split
+    The commutators are sparse products of elementary matrices.  The result
+    carries ``matrix_size`` plus the triangular index split
     (positives / cartans / negatives) used by the standard splitting.
     """
     if n < 2:
         raise ValueError("sl_n requires n >= 2")
-    mats = sl_basis_matrices(n)
-    dim = len(mats)
-    br = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            comm = mats[a] * mats[b] - mats[b] * mats[a]
-            row.append(sl_coords(n, comm))
-        br.append(row)
+    mats = _sparse_sl_basis(n)
+    br = [[_sparse_sl_coords(n, _sparse_commutator(a, b)) for b in mats] for a in mats]
     alg = LieAlgebra(sl_names(n), br)
     npos = n * (n - 1) // 2
     alg.matrix_size = n
     alg.positive_indices = list(range(npos))
     alg.cartan_indices = list(range(npos, npos + n - 1))
-    alg.negative_indices = list(range(npos + n - 1, dim))
+    alg.negative_indices = list(range(npos + n - 1, len(mats)))
     return alg
 
 
 def killing_form(alg):
-    """Killing form kappa(x,y) = trace(ad x ad y), with ad-invariance checked."""
-    ads = [alg.ad(alg._basis_vec(i)) for i in range(alg.dim)]
-    gram = Matrix.zero(alg.dim, alg.dim)
+    """Killing form kappa(x,y) = trace(ad x ad y), with ad-invariance checked.
+
+    kappa(b_i, b_j) = sum_{p,m} c_ip^m c_jm^p, summed over the nonzero
+    structure constants."""
+    nz = alg._nonzero
+    lookup = [[dict(c) for c in row] for row in nz]
+    gram = [[0] * alg.dim for _ in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            prod = ads[i] * ads[j]
-            tr = sum((prod.data[m][m] for m in range(alg.dim)), Fraction(0))
-            gram.data[i][j] = tr
-            gram.data[j][i] = tr
+            tr = 0
+            for p, cip in enumerate(nz[i]):
+                for m, c in cip:
+                    d = lookup[j][m].get(p)
+                    if d:
+                        tr += c * d
+            gram[i][j] = gram[j][i] = tr
     form = BilinearForm(gram)
     form.check_ad_invariant(alg)
     return form
@@ -296,7 +357,7 @@ def double_algebra(alg, kform=None):
     n = alg.dim
     dim = 2 * n
     names = tuple(["%s|1" % s for s in alg.names] + ["%s|2" % s for s in alg.names])
-    zero = [Fraction(0)] * dim
+    zero = [ZERO] * dim
 
     def emb(vec, side):
         out = list(zero)
@@ -347,9 +408,12 @@ def is_lagrangian(double, form, vectors):
                 cert["failure"] = "isotropy"
                 cert["witness"] = (i, j, qstr(val))
                 return False, cert
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = double.bracket(vecs[i], vecs[j])
+    # one elimination of the span and every bracket; only a span that is
+    # not closed is searched pair by pair for the first failing bracket
+    pairs = list(combinations(range(n), 2))
+    brackets = [double.bracket(vecs[i], vecs[j]) for i, j in pairs]
+    if Matrix(vecs + brackets).rank() > n:
+        for (i, j), w in zip(pairs, brackets):
             if not row_span_contains(vecs, w):
                 cert["failure"] = "bracket closure"
                 cert["witness"] = (i, j)
@@ -443,10 +507,13 @@ def standard_splitting(alg):
 
 
 def splitting_from_l2(alg, l2_rows):
-    """Splitting with user-supplied l2 basis (validated, then dualized)."""
+    """Splitting with user-supplied l2 basis (validated, then dualized):
+    exactly ``alg.dim`` rows of ``2 * alg.dim`` entries."""
+    n = alg.dim
+    if len(l2_rows) != n or any(len(row) != 2 * n for row in l2_rows):
+        raise ValueError("l2 basis must be %d rows of %d entries" % (n, 2 * n))
     kform = killing_form(alg)
     double, form = double_algebra(alg, kform)
-    n = alg.dim
     x_basis = [list(alg._basis_vec(i)) + list(alg._basis_vec(i)) for i in range(n)]
     l2 = [[Fraction(x) for x in row] for row in l2_rows]
     return _dualize(alg, double, form, x_basis, l2)
@@ -455,9 +522,10 @@ def splitting_from_l2(alg, l2_rows):
 def _dualize(alg, double, form, x_basis, l2_raw):
     n = len(x_basis)
     gram = Matrix([[form.value(x_basis[i], l2_raw[j]) for j in range(n)] for i in range(n)])
-    if gram.det() == 0:
-        raise ValueError("duality system is singular; l2 does not split against l1")
-    coeff = gram.inverse()
+    try:
+        coeff = gram.inverse()
+    except ValueError:
+        raise ValueError("duality system is singular; l2 does not split against l1") from None
     y_basis = []
     for j in range(n):
         v = [Fraction(0)] * (2 * n)

@@ -218,6 +218,32 @@ class TestQuotientTable:
         pts = (ProjMatrixPoint(st.invertible2()), ProjMatrixPoint(st.invertible2()))
         assert quotient_jacobi_residual(ctx["model"], ctx["split"], surr[:3], pts).passed
 
+    def test_quotient_jacobi_sees_flipped_cross_sign(self, ctx, monkeypatch):
+        """Negative control for the check above: on the surrogates the
+        induced bracket vanishes, so a broken mixed field goes unseen there;
+        the non-invariant degree-0 ratios b1/a1, c2/d2, b1/d1, a2/b2 see it.
+        With ``MIXED_CROSS_SIGN`` flipped their Jacobiator is nonzero; with
+        the true sign it is zero, and the surrogates pass either way."""
+        import wonderland.poisson as poisson
+
+        st = RationalStream(337)
+        pts = (ProjMatrixPoint(st.invertible2()), ProjMatrixPoint(st.invertible2()))
+        v = m2_variables(2)
+        ratios = [
+            ProjectiveInvariant(
+                "%s/%s" % (a, b), MultiPoly.var(v, a), MultiPoly.var(v, b), 2
+            )
+            for a, b in (("b1", "a1"), ("c2", "d2"), ("b1", "d1"), ("a2", "b2"))
+        ]
+        surr = pgl2_surrogates(2)[:3]
+        model, split = ctx["model"], ctx["split"]
+        assert quotient_jacobi_residual(model, split, ratios, pts).passed
+        monkeypatch.setattr(poisson, "MIXED_CROSS_SIGN", -poisson.MIXED_CROSS_SIGN)
+        broken = quotient_jacobi_residual(model, split, ratios, pts)
+        assert not broken.passed
+        assert broken.to_json()["residual"] == "8299/303750"
+        assert quotient_jacobi_residual(model, split, surr, pts).passed
+
 
 class TestGlue:
     def _samples(self, count, seed=341):

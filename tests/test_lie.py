@@ -1,7 +1,10 @@
 """Lie core: sl_n, Killing form, the double, splittings, the r-tensor."""
 
+import random
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import combinations
+from unittest import mock
 
 import pytest
 import sympy
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from wonderland.lie import (
+    BilinearForm,
     LieAlgebra,
     _dualize,
     build_sl,
@@ -50,11 +54,16 @@ def test_sl_bracket_matches_matrix_commutator():
 
 
 @lru_cache(maxsize=None)
-def _algebra(name):
-    """sl2, sl3 and their doubles, built once per test session."""
+def _algebra_with_form(name):
+    """sl_n ("sl3") or its double ("dsl3") with its invariant form, the
+    Killing form or the split form, built once per test session."""
     n, doubled = int(name[-1]), name.startswith("d")
     alg = build_sl(n)
-    return double_algebra(alg)[0] if doubled else alg
+    return double_algebra(alg) if doubled else (alg, killing_form(alg))
+
+
+def _algebra(name):
+    return _algebra_with_form(name)[0]
 
 
 def _bracket_case(name):
@@ -109,11 +118,14 @@ def _int_bracket_case(name):
     return hst.tuples(hst.just(name), vec, vec)
 
 
-def _sympy_sl3(coords):
-    """The SymPy 3 x 3 matrix of sl3 coordinates, read off the basis names:
-    Eij the elementary matrix, Hk = E_kk - E_(k+1)(k+1)."""
-    m = sympy.zeros(3, 3)
-    for name, c in zip(build_sl(3).names, coords):
+def _sympy_sl(n, coords):
+    """The SymPy n x n matrix of sl_n coordinates, read off the basis names:
+    Eij the elementary matrix, Hk = E_kk - E_(k+1)(k+1); sl2's e, h, f are
+    E12, H1, E21."""
+    alias = {"e": "E12", "h": "H1", "f": "E21"}
+    m = sympy.zeros(n, n)
+    for name, c in zip(build_sl(n).names, coords):
+        name = alias.get(name, name)
         if name[0] == "E":
             m[int(name[1]) - 1, int(name[2]) - 1] += c
         else:
@@ -136,8 +148,8 @@ def test_bracket_of_int_vectors_is_int(case):
     assert all(type(v) is int for v in got)
     assert got == alg.bracket([Q(v) for v in x], [Q(v) for v in y])
     for lo in range(0, alg.dim, 8):
-        a, b = _sympy_sl3(x[lo : lo + 8]), _sympy_sl3(y[lo : lo + 8])
-        assert a * b - b * a == _sympy_sl3(got[lo : lo + 8])
+        a, b = _sympy_sl(3, x[lo : lo + 8]), _sympy_sl(3, y[lo : lo + 8])
+        assert a * b - b * a == _sympy_sl(3, got[lo : lo + 8])
 
 
 def test_sl3_dimension():
@@ -221,6 +233,32 @@ def test_is_lagrangian_first_factor_false():
     g0 = [list(v) + z3 for v in sl2.basis_vectors()]
     ok, cert = is_lagrangian(double, form, g0)
     assert not ok and cert["failure"] == "isotropy"
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_is_lagrangian_names_first_unclosed_pair(seed):
+    """The graph {(x, x^T)} of transposition in sl3 + sl3 is isotropic, as
+    tr(x^T y^T) = tr(xy), and [(x, x^T), (y, y^T)] = ([x, y], -[x, y]^T)
+    lies in it only when [x, y] = 0.  The certificate names the first pair
+    of the given rows whose matrices do not commute (SymPy)."""
+    sl3 = build_sl(3)
+    double, form = double_algebra(sl3)
+    index = {name: k for k, name in enumerate(sl3.names)}
+    order = list(range(8))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    rows = []
+    for k in order:
+        name = sl3.names[k]
+        t = index["E" + name[2] + name[1]] if name[0] == "E" else k
+        rows.append([Q(int(i == k)) for i in range(8)] + [Q(int(i == t)) for i in range(8)])
+    mats = [_sympy_sl(3, sl3.basis_vectors()[k]) for k in order]
+    want = next(
+        (a, b) for a, b in combinations(range(8), 2) if mats[a] * mats[b] != mats[b] * mats[a]
+    )
+    ok, cert = is_lagrangian(double, form, rows)
+    assert not ok
+    assert cert["failure"] == "bracket closure" and cert["witness"] == want
 
 
 def test_standard_splitting_axioms():
@@ -326,3 +364,183 @@ def test_lie_algebra_json_round_trip():
     again = LieAlgebra.from_json(sl2.to_json())
     assert again.names == sl2.names
     assert again.brackets == sl2.brackets
+
+
+# -- the construction-time checks against dense references --------------------
+#
+# Each reference is written from the definition over the dense structure
+# constant tensor ``brackets`` and the dense Gram matrix, visiting every index
+# whether its entry is zero or not; none shares code with lie.py.
+
+def _plain(rows):
+    """Nested lists of ``Fraction``s with the integral ones as ``int``s, so
+    the dense sums below run at integer speed."""
+    if isinstance(rows, list):
+        return [_plain(r) for r in rows]
+    return rows.numerator if rows.denominator == 1 else rows
+
+
+def _dense_ad_residuals(brackets, gram):
+    """<[b_i,b_j],b_k> + <b_j,[b_i,b_k]> at every basis triple, the nonzero
+    ones in (i, j, k) order."""
+    d = len(gram)
+    c, g = _plain(brackets), _plain(gram)
+    out = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                v = sum(c[i][j][m] * g[m][k] for m in range(d))
+                v += sum(g[j][m] * c[i][k][m] for m in range(d))
+                if v:
+                    out.append(((i, j, k), v))
+    return out
+
+
+def _dense_jacobi(brackets, i, j, k):
+    """[[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j], with
+    [[b_a,b_b],b_c] = sum_m c_ab^m [b_m, b_c] over every m."""
+    d = len(brackets)
+    out = [0] * d
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for m in range(d):
+            for p in range(d):
+                out[p] += brackets[a][b][m] * brackets[m][c][p]
+    return out
+
+
+def _dense_first_failure(brackets):
+    """The message the constructor must raise for this tensor, or None."""
+    d = len(brackets)
+    for i in range(d):
+        for j in range(i, d):
+            if any(brackets[i][j][m] != -brackets[j][i][m] for m in range(d)):
+                return "structure constants not antisymmetric at (%d,%d)" % (i, j)
+    plain = _plain(brackets)
+    for i, j, k in combinations(range(d), 3):
+        if any(_dense_jacobi(plain, i, j, k)):
+            return "Jacobi identity fails at basis triple (%d,%d,%d)" % (i, j, k)
+    return None
+
+
+def _unchecked(names, brackets):
+    """A ``LieAlgebra`` on any tensor, built with the Jacobi check off."""
+    with mock.patch.object(LieAlgebra, "_check_jacobi", lambda self: None):
+        return LieAlgebra(names, brackets)
+
+
+ALGEBRAS = ["sl2", "sl3", "sl4", "dsl2", "dsl3", "dsl4"]
+
+
+class TestAxiomChecksAgainstDenseReference:
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_ad_invariance_matches_dense_sum(self, name):
+        alg, form = _algebra_with_form(name)
+        want = _dense_ad_residuals(alg.brackets, form.gram.data)
+        assert want == []
+        assert form.ad_invariance_residuals(alg) == want
+
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_jacobi_vector_matches_dense_sum(self, name):
+        alg = _algebra(name)
+        plain = _plain(alg.brackets)
+        triples = list(combinations(range(alg.dim), 3))
+        if alg.dim > 16:
+            triples = random.Random(name).sample(triples, 150)
+        for i, j, k in triples:
+            assert alg.jacobi_vector(i, j, k) == _dense_jacobi(plain, i, j, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hst.sampled_from(["sl2", "sl3", "dsl2"]),
+        hst.integers(0, 10**6),
+        hst.integers(0, 10**6),
+        hst.fractions(-5, 5, max_denominator=4).filter(bool),
+    )
+    def test_perturbed_gram_entry(self, name, a, b, delta):
+        """A symmetric change of one Gram entry breaks ad-invariance; the
+        residuals, their order and their values match the dense sum, and
+        the error names the first of them."""
+        alg, form = _algebra_with_form(name)
+        a, b = a % alg.dim, b % alg.dim
+        gram = [list(row) for row in form.gram.data]
+        gram[a][b] += delta
+        if a != b:
+            gram[b][a] += delta
+        bent = BilinearForm(gram)
+        want = _dense_ad_residuals(alg.brackets, gram)
+        got = bent.ad_invariance_residuals(alg)
+        assert want and got == want
+        assert all(type(v) is Q for _, v in got)
+        with pytest.raises(ValueError, match="not ad-invariant") as err:
+            bent.check_ad_invariant(alg)
+        assert str(err.value) == "form is not ad-invariant, e.g. at %r" % ((want[0][0], Q(want[0][1])),)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hst.sampled_from(["sl2", "sl3", "dsl2"]),
+        hst.tuples(*[hst.integers(0, 10**6)] * 3),
+        hst.fractions(-5, 5, max_denominator=3).filter(bool),
+        hst.booleans(),
+    )
+    def test_perturbed_structure_constant(self, name, ijm, delta, mirrored):
+        """One constant c_ij^m changed alone breaks antisymmetry; changed
+        together with c_ji^m it keeps antisymmetry and may break Jacobi.
+        The constructor accepts the tensor or raises exactly as the dense
+        reference does, and ``jacobi_vector`` equals the dense sum at every
+        triple."""
+        alg = _algebra(name)
+        i, j, m = (x % alg.dim for x in ijm)
+        br = [[list(v) for v in row] for row in alg.brackets]
+        br[i][j][m] += delta
+        if mirrored and i != j:
+            br[j][i][m] -= delta
+        want = _dense_first_failure(br)
+        if want is None:
+            LieAlgebra(alg.names, br)
+        else:
+            with pytest.raises(ValueError) as err:
+                LieAlgebra(alg.names, br)
+            assert str(err.value) == want
+        if mirrored and i != j:
+            bent = _unchecked(alg.names, br)
+            for t in combinations(range(alg.dim), 3):
+                assert bent.jacobi_vector(*t) == _dense_jacobi(br, *t)
+
+    def test_negative_controls(self):
+        """[e, f] = h + e, mirrored in [f, e], is antisymmetric but not a
+        Lie bracket; changing c_ef^e alone is not even antisymmetric."""
+        br = [[list(v) for v in row] for row in build_sl(2).brackets]
+        br[0][2][0] += 1
+        with pytest.raises(ValueError, match=r"not antisymmetric at \(0,2\)"):
+            LieAlgebra(("e", "h", "f"), br)
+        br[2][0][0] -= 1
+        with pytest.raises(ValueError, match=r"Jacobi identity fails at basis triple \(0,1,2\)"):
+            LieAlgebra(("e", "h", "f"), br)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_killing_form_is_2n_trace_form(n):
+    """SymPy oracle: the Killing form of sl_n is 2n tr(XY) (Humphreys,
+    Introduction to Lie Algebras, section 6), on the elementary basis."""
+    alg = build_sl(n)
+    mats = [_sympy_sl(n, v) for v in alg.basis_vectors()]
+    gram = killing_form(alg).gram
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert gram[i, j] == 2 * n * (mats[i] * mats[j]).trace()
+
+
+def test_set_up_needs_no_matrix_products_or_ad(monkeypatch):
+    """``build_sl``, the Killing form, the double and the standard splitting
+    read the sparse structure constants: with ``Matrix`` products and
+    ``LieAlgebra.ad`` disabled they still run."""
+
+    def refuse(*args):
+        raise AssertionError("dense matrix product in the Lie set-up")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(LieAlgebra, "ad", refuse)
+    double, form = double_algebra(build_sl(3))
+    assert double.dim == 16 and form.is_nondegenerate()
+    s = standard_splitting(build_sl(3))
+    assert len(s.y_basis) == 8

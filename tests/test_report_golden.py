@@ -9,7 +9,8 @@ usage error (exit 2, nothing on stdout).  ``poisson action`` and
 ``run --experiment diagonal-action`` and ``run --model sl2-grassmann
 --experiment jacobi`` and so share their hashes.  The ``invariants``,
 ``git ring``, ``charvar`` and ``lie`` configs pin what exact elimination
-(``Matrix.rref`` and ``kernel_basis``) puts in a report.
+(``Matrix.rref`` and ``kernel_basis``) puts in a report; the ``lie build``
+configs also pin the sl_n structure constants.
 """
 
 import hashlib
@@ -57,6 +58,12 @@ GOLDEN = {
         "3df084532e9d2622d08d101ee8c84cd040aae142bd52d45e29b130b86836a822",
     "lie splitting --n 3":
         "2f240f8b41581fa25eae574d6fe988177d18043300a49985b705deb0caee5ecc",
+    "lie build --n 3":
+        "40eede4cf71646033cc8e4e5ab0c857d97fb9cedba95a303aa751bb121e5a859",
+    "lie build --n 4":
+        "873113301dc0e93ba05beaa09fccc383bc1359187a2db3e29e602942b5692f86",
+    "lie splitting --n 4":
+        "1192518e3c8a40674537be20c52ba4f3c057e0212c0b92f4875662e5497c0e73",
 }
 
 

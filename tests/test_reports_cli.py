@@ -165,6 +165,32 @@ class TestCli:
         )
         assert cli_main(["lie", "splitting", "--l2", str(payload)]) == 2
 
+    @pytest.mark.parametrize(
+        "case", ["extra row", "too few rows", "short rows", "long rows"]
+    )
+    def test_lie_splitting_rejects_malformed_l2(self, tmp_path, capsys, case):
+        """The complement must be exactly dim rows of 2 dim entries: a valid
+        l2 with one row too many, one row too few or rows of the wrong
+        length is a usage error, not a verified splitting or a traceback."""
+        assert cli_main(["lie", "splitting"]) == 0
+        rows = json.loads(capsys.readouterr().out)["y_basis"]
+        rows = {
+            "extra row": rows + [rows[0]],
+            "too few rows": rows[:-1],
+            "short rows": [row[:-1] for row in rows],
+            "long rows": [row + ["0"] for row in rows],
+        }[case]
+        payload = tmp_path / "l2.json"
+        payload.write_text(json.dumps({"l2_basis": rows}))
+        assert cli_main(["lie", "splitting", "--l2", str(payload)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_lie_splitting_l2_without_key_exit_code(self, tmp_path, capsys):
+        payload = tmp_path / "l2.json"
+        payload.write_text(json.dumps({"basis": [[1, 0, 0, 0, 0, 0]]}))
+        assert cli_main(["lie", "splitting", "--l2", str(payload)]) == 2
+        assert "l2_basis" in capsys.readouterr().err
+
     def test_geom_orbit_dim(self, capsys):
         code = cli_main(
             ["geom", "orbit-dim", "--model", "pgl2", "--point", "[[1,0],[0,1]]"]
