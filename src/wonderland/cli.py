@@ -22,6 +22,10 @@ def _parse_matrix(text):
     return Matrix([[Fraction(str(x)) for x in row] for row in data])
 
 
+def _is_2x2(m):
+    return isinstance(m, list) and len(m) == 2 and all(isinstance(r, list) and len(r) == 2 for r in m)
+
+
 def cmd_lie_build(args):
     from wonderland.lie import build_sl
 
@@ -88,6 +92,8 @@ def cmd_geom_boundary(args):
     model = Pgl2Model(build_sl(2))
     with open(args.sweep) as fh:
         points = json.load(fh)
+    if not isinstance(points, list) or not all(_is_2x2(m) for m in points):
+        raise ValueError("%s: --sweep needs a JSON list of 2x2 matrices" % args.sweep)
     out = []
     for data in points:
         flat = [Fraction(str(x)) for row in data for x in row]
@@ -105,18 +111,17 @@ def cmd_invariants(args):
     from wonderland.invariants import conjugation_action, invariants_of_degree
     from wonderland.lie import build_sl
 
-    sl2 = build_sl(2)
+    if args.action is None:
+        raise ValueError("invariants needs --action conj-m2 or conj-m2x2, or the express subcommand")
     if args.action == "conj-m2":
-        act = conjugation_action(sl2, 1)
-        degree = (args.degree,)
-    elif args.action == "conj-m2x2":
-        act = conjugation_action(sl2, 2)
-        if args.multidegree is None:
-            raise SystemExit(2)
-        degree = tuple(int(x) for x in args.multidegree.split(","))
+        if args.multidegree is not None:
+            raise ValueError("--action conj-m2 takes --degree, not --multidegree")
+        factors, degree = 1, (1 if args.degree is None else args.degree,)
     else:
-        raise SystemExit(2)
-    space = invariants_of_degree(act, degree)
+        if args.multidegree is None or args.degree is not None:
+            raise ValueError("--action conj-m2x2 needs --multidegree p,q and no --degree")
+        factors, degree = 2, tuple(int(x) for x in args.multidegree.split(","))
+    space = invariants_of_degree(conjugation_action(build_sl(2), factors), degree)
     _print(space.to_json())
     return 0
 
@@ -182,8 +187,8 @@ def cmd_charvar_stratify(args):
 
     model = Pgl2Model(build_sl(2))
     data = json.loads(args.tuple)
-    if not data:
-        raise ValueError("--tuple needs at least one matrix")
+    if not isinstance(data, list) or not data or not all(_is_2x2(m) for m in data):
+        raise ValueError("--tuple needs a nonempty JSON list of 2x2 matrices")
     points = [
         ProjMatrixPoint([Fraction(str(x)) for row in m for x in row]) for m in data
     ]
@@ -275,7 +280,7 @@ def build_parser():
     invsub = inv.add_subparsers(dest="sub")
     invsub.required = False
     inv.add_argument("--action", choices=("conj-m2", "conj-m2x2"))
-    inv.add_argument("--degree", type=int, default=1)
+    inv.add_argument("--degree", type=int, help="degree for conj-m2 (default 1)")
     inv.add_argument("--multidegree")
     inv.set_defaults(func=cmd_invariants)
     ex = invsub.add_parser("express")

@@ -44,10 +44,8 @@ class LinearAction:
             for j in range(i + 1, self.alg.dim):
                 comm = self.rho_mats[i] * self.rho_mats[j] - self.rho_mats[j] * self.rho_mats[i]
                 want = Matrix.zero(len(self.variables), len(self.variables))
-                cij = self.alg.brackets[i][j]
-                for k, c in enumerate(cij):
-                    if c != 0:
-                        want = want + self.rho_mats[k] * c
+                for k, c in self.alg._nonzero[i][j]:
+                    want = want + self.rho_mats[k] * c
                 if comm != want:
                     raise ValueError(
                         "action matrices do not represent the bracket at (%d,%d)" % (i, j)

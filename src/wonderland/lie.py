@@ -7,15 +7,20 @@ antisymmetric r-tensor from dual bases.  Every axiom (antisymmetry, Jacobi,
 ad-invariance, isotropy, duality) is checked exactly at construction time,
 over every basis pair or triple.
 
-The checks read the sparse structure constants: ``LieAlgebra._nonzero``
-holds the nonzero (m, c_ij^m) of each bracket [b_i, b_j], integral
-constants as ``int``, and ``BilinearForm`` holds its Gram matrix as sparse
-integer rows over one denominator.  A check costs one step per product of
-nonzeros, not one per dense entry: Jacobi sums c_ij^m c_mk^p, the Killing
-form is tr(ad_i ad_j) = sum_{p,m} c_ip^m c_jm^p with no ``ad`` matrix, and
+An algebra has one representation: its nonzero structure constants.
+``LieAlgebra(names, constants)`` takes them as (i, j, m, c_ij^m) for
+[b_i, b_j] = sum_m c_ij^m b_m, rejects an index outside ``range(dim)`` or a
+repeated (i, j, m), and keeps only the per-pair table ``_nonzero``: the
+nonzero (m, c_ij^m) of each bracket [b_i, b_j], integral constants as
+``int``.  ``structure_constants`` lists them back, and the JSON form is the
+same list.  ``BilinearForm`` holds its Gram matrix as sparse integer rows
+over one denominator.  A check costs one step per product of nonzeros, not
+one per dense entry: Jacobi sums c_ij^m c_mk^p, the Killing form is
+tr(ad_i ad_j) = sum_{p,m} c_ip^m c_jm^p with no ``ad`` matrix, and
 ad-invariance compares <[b_i,b_j],b_k> = sum_m c_ij^m G_mk with its
 transpose in (j, k).  ``build_sl`` takes its constants from sparse products
-of elementary matrices, E_ij E_kl = delta_jk E_il.
+of elementary matrices, E_ij E_kl = delta_jk E_il, and the double shifts
+the constants of g by 0 and by dim g.
 """
 
 from fractions import Fraction
@@ -37,32 +42,45 @@ Q = Fraction
 
 
 class LieAlgebra:
-    """Lie algebra given by structure constants c[i][j] = [b_i, b_j]."""
+    """Lie algebra given by its nonzero structure constants
+    [b_i, b_j] = sum_m c_ij^m b_m, listed as (i, j, m, c_ij^m)."""
 
-    def __init__(self, names, brackets):
+    def __init__(self, names, constants):
         self.names = tuple(names)
         self.dim = len(self.names)
-        self.brackets = [
-            [[x if type(x) is Fraction else Fraction(x) for x in vec] for vec in row]
-            for row in brackets
-        ]
-        if len(self.brackets) != self.dim or any(
-            len(row) != self.dim or any(len(v) != self.dim for v in row)
-            for row in self.brackets
-        ):
-            raise ValueError("structure constant tensor has wrong shape")
-        # the nonzero (m, c) of each c_ij, which is all ``bracket`` visits;
-        # an integral c is kept as an ``int``, so brackets of integer
-        # vectors stay in integers
+        idx = range(self.dim)
+        table = {}
+        for i, j, m, c in constants:
+            if not (i in idx and j in idx and m in idx):
+                raise ValueError(
+                    "structure constant index (%r,%r,%r) outside range(%d)" % (i, j, m, self.dim)
+                )
+            cij = table.setdefault((i, j), {})
+            if m in cij:
+                raise ValueError("structure constant (%d,%d,%d) given twice" % (i, j, m))
+            # an integral c is kept as an ``int``, so brackets of integer
+            # vectors stay in integers
+            if type(c) is not int:
+                c = Fraction(c)
+                c = c.numerator if c.denominator == 1 else c
+            cij[m] = c
+        # the nonzero (m, c) of each c_ij in m order, which is all
+        # ``bracket`` and the checks visit
         self._nonzero = [
-            [
-                tuple((m, c.numerator if c.denominator == 1 else c) for m, c in enumerate(vec) if c)
-                for vec in row
-            ]
-            for row in self.brackets
+            [tuple(sorted((m, c) for m, c in table.get((i, j), {}).items() if c)) for j in idx]
+            for i in idx
         ]
         self._check_antisymmetry()
         self._check_jacobi()
+
+    def structure_constants(self):
+        """The nonzero constants as (i, j, m, c_ij^m), in (i, j, m) order."""
+        return [
+            (i, j, m, c)
+            for i, row in enumerate(self._nonzero)
+            for j, cij in enumerate(row)
+            for m, c in cij
+        ]
 
     def _check_antisymmetry(self):
         nz = self._nonzero
@@ -124,22 +142,15 @@ class LieAlgebra:
         return Matrix([[cols[j][m] for j in range(self.dim)] for m in range(self.dim)])
 
     def to_json(self):
-        sc = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c = self.brackets[i][j][k]
-                    if c != 0:
-                        sc.append([i, j, k, qstr(c)])
+        sc = [[i, j, m, qstr(c)] for i, j, m, c in self.structure_constants()]
         return {"dim": self.dim, "names": list(self.names), "structure_constants": sc}
 
     @classmethod
     def from_json(cls, obj):
-        dim = obj["dim"]
-        br = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in obj["structure_constants"]:
-            br[i][j][k] = qparse(c)
-        return cls(obj["names"], br)
+        names = obj["names"]
+        if obj["dim"] != len(names):
+            raise ValueError("dim %r differs from the %d names" % (obj["dim"], len(names)))
+        return cls(names, [(i, j, m, qparse(c)) for i, j, m, c in obj["structure_constants"]])
 
 
 class BilinearForm:
@@ -293,31 +304,33 @@ def _sparse_commutator(a, b):
     return out
 
 
-def _sparse_sl_coords(n, m):
-    """``sl_coords`` of a traceless sparse matrix."""
-    pos, cart, neg = _sl_basis_layout(n)
-    out = [m.get(ij, 0) for ij in pos]
-    partial = 0
-    for k in cart:
-        partial += m.get((k, k), 0)
-        out.append(partial)
-    out.extend(m.get(ij, 0) for ij in neg)
-    return out
-
-
 def build_sl(n):
     """sl_n from exact matrix commutators; Jacobi is verified on construction.
 
-    The commutators are sparse products of elementary matrices.  The result
-    carries ``matrix_size`` plus the triangular index split
+    The commutators are sparse products of elementary matrices, read off in
+    the basis as sparse coordinates: an off-diagonal entry is the coordinate
+    of its E_ij, and H_k has the partial sum of the diagonal up to k.  The
+    result carries ``matrix_size`` plus the triangular index split
     (positives / cartans / negatives) used by the standard splitting.
     """
     if n < 2:
         raise ValueError("sl_n requires n >= 2")
+    pos, cart, neg = _sl_basis_layout(n)
+    npos = len(pos)
+    index = {ij: k for k, ij in enumerate(pos)}
+    index.update((ij, npos + n - 1 + k) for k, ij in enumerate(neg))
     mats = _sparse_sl_basis(n)
-    br = [[_sparse_sl_coords(n, _sparse_commutator(a, b)) for b in mats] for a in mats]
-    alg = LieAlgebra(sl_names(n), br)
-    npos = n * (n - 1) // 2
+    constants = []
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            comm = _sparse_commutator(a, b)
+            constants.extend((i, j, index[rc], c) for rc, c in comm.items() if rc[0] != rc[1])
+            partial = 0
+            for k in cart:
+                partial += comm.get((k, k), 0)
+                if partial:
+                    constants.append((i, j, npos + k, partial))
+    alg = LieAlgebra(sl_names(n), constants)
     alg.matrix_size = n
     alg.positive_indices = list(range(npos))
     alg.cartan_indices = list(range(npos, npos + n - 1))
@@ -331,16 +344,16 @@ def killing_form(alg):
     kappa(b_i, b_j) = sum_{p,m} c_ip^m c_jm^p, summed over the nonzero
     structure constants."""
     nz = alg._nonzero
+    terms = [[(p, m, c) for p, cip in enumerate(row) for m, c in cip] for row in nz]
     lookup = [[dict(c) for c in row] for row in nz]
     gram = [[0] * alg.dim for _ in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i, alg.dim):
             tr = 0
-            for p, cip in enumerate(nz[i]):
-                for m, c in cip:
-                    d = lookup[j][m].get(p)
-                    if d:
-                        tr += c * d
+            for p, m, c in terms[i]:
+                d = lookup[j][m].get(p)
+                if d:
+                    tr += c * d
             gram[i][j] = gram[j][i] = tr
     form = BilinearForm(gram)
     form.check_ad_invariant(alg)
@@ -357,24 +370,10 @@ def double_algebra(alg, kform=None):
     n = alg.dim
     dim = 2 * n
     names = tuple(["%s|1" % s for s in alg.names] + ["%s|2" % s for s in alg.names])
-    zero = [ZERO] * dim
-
-    def emb(vec, side):
-        out = list(zero)
-        off = 0 if side == 0 else n
-        for i, x in enumerate(vec):
-            out[off + i] = x
-        return out
-
-    br = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            si, sj = i // n, j // n
-            if si != sj:
-                br[i][j] = list(zero)
-            else:
-                br[i][j] = emb(alg.brackets[i % n][j % n], si)
-    double = LieAlgebra(names, br)
+    constants = alg.structure_constants()
+    double = LieAlgebra(
+        names, [(i + off, j + off, m + off, c) for off in (0, n) for i, j, m, c in constants]
+    )
     gram = Matrix.zero(dim, dim)
     for i in range(n):
         for j in range(n):
@@ -485,25 +484,18 @@ def standard_splitting(alg):
     for attr in ("positive_indices", "cartan_indices", "negative_indices"):
         if not hasattr(alg, attr):
             raise ValueError("standard splitting needs the sl_n triangular data")
-    kform = killing_form(alg)
-    double, form = double_algebra(alg, kform)
     n = alg.dim
-
-    def pair(u, v):
-        return list(u) + list(v)
-
-    zero = [Fraction(0)] * n
-    x_basis = [pair(alg._basis_vec(i), alg._basis_vec(i)) for i in range(n)]
-    l2_raw = []
+    l2 = []
     for i in range(n):
-        e = alg._basis_vec(i)
+        row = [0] * (2 * n)
         if i in alg.positive_indices:
-            l2_raw.append(pair(e, zero))
+            row[i] = 1
         elif i in alg.cartan_indices:
-            l2_raw.append(pair(e, [-x for x in e]))
+            row[i], row[n + i] = 1, -1
         else:
-            l2_raw.append(pair(zero, e))
-    return _dualize(alg, double, form, x_basis, l2_raw)
+            row[n + i] = 1
+        l2.append(row)
+    return splitting_from_l2(alg, l2)
 
 
 def splitting_from_l2(alg, l2_rows):
@@ -547,22 +539,3 @@ def r_matrix(splitting):
         for i in range(splitting.half_dim)
     ]
     return Bivector.from_wedges(dim, wedges)
-
-
-def r_pair_eval(splitting, r, u, w):
-    """Evaluate r against the wedge u ^ w through the split form.
-
-    Uses the determinant pairing of a 2-tensor with a wedge, so for
-    u = (v1 + f1), w = (v2 + f2) with v's in l1 and f's in l2 the value is
-    the antisymmetric pairing f1(v2) - f2(v1).
-    """
-    g = splitting.form.gram
-    gu = g.apply_to([Fraction(x) for x in u])
-    gw = g.apply_to([Fraction(x) for x in w])
-    acc = Fraction(0)
-    for a in range(r.dim):
-        for b in range(r.dim):
-            e = r.entries[a][b]
-            if e != 0:
-                acc += e * (gu[a] * gw[b] - gw[a] * gu[b])
-    return acc

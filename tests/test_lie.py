@@ -20,7 +20,6 @@ from wonderland.lie import (
     is_lagrangian,
     killing_form,
     r_matrix,
-    r_pair_eval,
     sl_coords,
     sl_matrix_of,
     splitting_from_l2,
@@ -29,6 +28,28 @@ from wonderland.lie import (
 from wonderland.linalg import Matrix
 from wonderland.poly import MultiPoly
 from wonderland.sampling import RationalStream
+
+
+def _constants(brackets):
+    """A dense tensor c[i][j][m] as the (i, j, m, c) list of its nonzero
+    entries, which is what ``LieAlgebra`` takes."""
+    d = len(brackets)
+    return [
+        (i, j, m, c)
+        for i in range(d)
+        for j in range(d)
+        for m, c in enumerate(brackets[i][j])
+        if c
+    ]
+
+
+def _dense(alg):
+    """The dense tensor c[i][j][m] of ``alg``, zeros included."""
+    d = alg.dim
+    br = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
+    for i, j, m, c in alg.structure_constants():
+        br[i][j][m] = Q(c)
+    return br
 
 
 def test_sl2_bracket_table():
@@ -87,8 +108,9 @@ class TestSparseBracket:
         got = alg.bracket(x, y)
         ad = alg.ad(x)
         assert got == [sum((y[j] * ad[m, j] for j in range(dim)), Q(0)) for m in range(dim)]
+        br = _dense(alg)
         dense = [
-            sum((x[i] * y[j] * alg.brackets[i][j][m] for i in range(dim) for j in range(dim)), Q(0))
+            sum((x[i] * y[j] * br[i][j][m] for i in range(dim) for j in range(dim)), Q(0))
             for m in range(dim)
         ]
         assert got == dense
@@ -173,8 +195,22 @@ def test_jacobi_tensor_exactly_zero():
 def test_invalid_structure_constants_rejected():
     # [x,y] = x is antisymmetry-violating when mirrored incorrectly
     br = [[[Q(0)], [Q(1)]], [[Q(1)], [Q(0)]]]
-    with pytest.raises(ValueError):
-        LieAlgebra(("x", "y"), br)
+    with pytest.raises(ValueError, match=r"not antisymmetric at \(0,1\)"):
+        LieAlgebra(("x", "y"), _constants(br))
+
+
+@pytest.mark.parametrize("ijm", [(0, 2, 0), (2, 0, 1), (0, 1, 2), (-1, 0, 0), (0, 1, 1.5)])
+def test_constant_index_outside_range_rejected(ijm):
+    with pytest.raises(ValueError, match=r"outside range\(2\)"):
+        LieAlgebra(("x", "y"), [(0, 1, 1, 1), (1, 0, 1, -1), (*ijm, 1)])
+
+
+@pytest.mark.parametrize("c", [1, 0, Q(1, 2)])
+def test_repeated_constant_rejected(c):
+    """A second (0, 1, 1) is rejected, not summed or overwritten, even when
+    one of the two values is zero."""
+    with pytest.raises(ValueError, match=r"structure constant \(0,1,1\) given twice"):
+        LieAlgebra(("x", "y"), [(0, 1, 1, 1), (1, 0, 1, -1), (0, 1, 1, c)])
 
 
 def test_killing_form_sl2():
@@ -213,7 +249,7 @@ def test_double_form_structure():
 
 def test_double_rejects_degenerate():
     # the abelian algebra has zero Killing form
-    ab = LieAlgebra(("x",), [[[Q(0)]]])
+    ab = LieAlgebra(("x",), [])
     with pytest.raises(ValueError):
         double_algebra(ab)
 
@@ -326,27 +362,6 @@ def test_r_matrix_basis_independent():
     assert r_matrix(remixed).entries == r.entries
 
 
-def test_r_pair_eval_reproduces_antisymmetric_pairing():
-    """u = v1 + f1, w = v2 + f2 with v in l1, f in l2: value f1(v2) - f2(v1)."""
-    s = standard_splitting(build_sl(2))
-    r = r_matrix(s)
-    st = RationalStream(77)
-    for _ in range(5):
-        a = st.vector(3)  # v1 coefficients over x-basis
-        b = st.vector(3)  # f1 over y-basis
-        c = st.vector(3)  # v2
-        d = st.vector(3)  # f2
-        u = [Q(0)] * 6
-        w = [Q(0)] * 6
-        for i in range(3):
-            for m in range(6):
-                u[m] += a[i] * s.x_basis[i][m] + b[i] * s.y_basis[i][m]
-                w[m] += c[i] * s.x_basis[i][m] + d[i] * s.y_basis[i][m]
-        # f1(v2) = sum b_i c_i under the duality pairing, f2(v1) = sum d_i a_i
-        want = sum(b[i] * c[i] - d[i] * a[i] for i in range(3))
-        assert r_pair_eval(s, r, u, w) == want
-
-
 def test_decompose_round_trip():
     s = standard_splitting(build_sl(2))
     st = RationalStream(88)
@@ -363,13 +378,30 @@ def test_lie_algebra_json_round_trip():
     sl2 = build_sl(2)
     again = LieAlgebra.from_json(sl2.to_json())
     assert again.names == sl2.names
-    assert again.brackets == sl2.brackets
+    assert again.structure_constants() == sl2.structure_constants()
+    # [x, y] = y/2: a non-integral constant goes out as "1/2" and comes back
+    half = LieAlgebra(("x", "y"), [(0, 1, 1, Q(1, 2)), (1, 0, 1, Q(-1, 2))])
+    obj = half.to_json()
+    assert obj == {
+        "dim": 2,
+        "names": ["x", "y"],
+        "structure_constants": [[0, 1, 1, "1/2"], [1, 0, 1, "-1/2"]],
+    }
+    assert LieAlgebra.from_json(obj).structure_constants() == half.structure_constants()
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_from_json_dim_differing_from_names_rejected(dim):
+    obj = build_sl(2).to_json()
+    obj["dim"] = dim
+    with pytest.raises(ValueError, match="differs from the 3 names"):
+        LieAlgebra.from_json(obj)
 
 
 # -- the construction-time checks against dense references --------------------
 #
 # Each reference is written from the definition over the dense structure
-# constant tensor ``brackets`` and the dense Gram matrix, visiting every index
+# constant tensor ``_dense(alg)`` and the dense Gram matrix, visiting every index
 # whether its entry is zero or not; none shares code with lie.py.
 
 def _plain(rows):
@@ -425,7 +457,7 @@ def _dense_first_failure(brackets):
 def _unchecked(names, brackets):
     """A ``LieAlgebra`` on any tensor, built with the Jacobi check off."""
     with mock.patch.object(LieAlgebra, "_check_jacobi", lambda self: None):
-        return LieAlgebra(names, brackets)
+        return LieAlgebra(names, _constants(brackets))
 
 
 ALGEBRAS = ["sl2", "sl3", "sl4", "dsl2", "dsl3", "dsl4"]
@@ -435,14 +467,14 @@ class TestAxiomChecksAgainstDenseReference:
     @pytest.mark.parametrize("name", ALGEBRAS)
     def test_ad_invariance_matches_dense_sum(self, name):
         alg, form = _algebra_with_form(name)
-        want = _dense_ad_residuals(alg.brackets, form.gram.data)
+        want = _dense_ad_residuals(_dense(alg), form.gram.data)
         assert want == []
         assert form.ad_invariance_residuals(alg) == want
 
     @pytest.mark.parametrize("name", ALGEBRAS)
     def test_jacobi_vector_matches_dense_sum(self, name):
         alg = _algebra(name)
-        plain = _plain(alg.brackets)
+        plain = _plain(_dense(alg))
         triples = list(combinations(range(alg.dim), 3))
         if alg.dim > 16:
             triples = random.Random(name).sample(triples, 150)
@@ -467,7 +499,7 @@ class TestAxiomChecksAgainstDenseReference:
         if a != b:
             gram[b][a] += delta
         bent = BilinearForm(gram)
-        want = _dense_ad_residuals(alg.brackets, gram)
+        want = _dense_ad_residuals(_dense(alg), gram)
         got = bent.ad_invariance_residuals(alg)
         assert want and got == want
         assert all(type(v) is Q for _, v in got)
@@ -490,16 +522,16 @@ class TestAxiomChecksAgainstDenseReference:
         triple."""
         alg = _algebra(name)
         i, j, m = (x % alg.dim for x in ijm)
-        br = [[list(v) for v in row] for row in alg.brackets]
+        br = _dense(alg)
         br[i][j][m] += delta
         if mirrored and i != j:
             br[j][i][m] -= delta
         want = _dense_first_failure(br)
         if want is None:
-            LieAlgebra(alg.names, br)
+            LieAlgebra(alg.names, _constants(br))
         else:
             with pytest.raises(ValueError) as err:
-                LieAlgebra(alg.names, br)
+                LieAlgebra(alg.names, _constants(br))
             assert str(err.value) == want
         if mirrored and i != j:
             bent = _unchecked(alg.names, br)
@@ -509,13 +541,13 @@ class TestAxiomChecksAgainstDenseReference:
     def test_negative_controls(self):
         """[e, f] = h + e, mirrored in [f, e], is antisymmetric but not a
         Lie bracket; changing c_ef^e alone is not even antisymmetric."""
-        br = [[list(v) for v in row] for row in build_sl(2).brackets]
+        br = _dense(build_sl(2))
         br[0][2][0] += 1
         with pytest.raises(ValueError, match=r"not antisymmetric at \(0,2\)"):
-            LieAlgebra(("e", "h", "f"), br)
+            LieAlgebra(("e", "h", "f"), _constants(br))
         br[2][0][0] -= 1
         with pytest.raises(ValueError, match=r"Jacobi identity fails at basis triple \(0,1,2\)"):
-            LieAlgebra(("e", "h", "f"), br)
+            LieAlgebra(("e", "h", "f"), _constants(br))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -360,10 +360,29 @@ class TestCli:
         assert cli_main(["invariants", "express", "--bound", "-1"]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_invariants_without_action_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["invariants"])
-        assert exc.value.code == 2
+    def test_invariants_without_action_is_usage_error(self, capsys):
+        assert cli_main(["invariants"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--action" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--action", "conj-m2x2"], "--multidegree"),
+            (["--action", "conj-m2x2", "--multidegree", "1,1", "--degree", "2"], "--degree"),
+            (["--action", "conj-m2", "--multidegree", "1,1"], "--multidegree"),
+        ],
+    )
+    def test_invariants_degree_option_mismatch_is_usage_error(self, capsys, argv, flag):
+        assert cli_main(["invariants"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and flag in err
+
+    def test_invariants_degree_options_still_answer(self, capsys):
+        assert cli_main(["invariants", "--action", "conj-m2"]) == 0
+        assert json.loads(capsys.readouterr().out)["degree"] == [1]
+        assert cli_main(["invariants", "--action", "conj-m2x2", "--multidegree", "1,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["degree"] == [1, 1]
 
     def test_bad_sample_count_via_cli(self, capsys):
         assert cli_main(["run", "--experiment", "jacobi", "--samples", "0"]) == 2
@@ -373,6 +392,22 @@ class TestCli:
 
     def test_empty_stratify_tuple_exit_code(self, capsys):
         assert cli_main(["charvar", "stratify", "--tuple", "[]"]) == 2
+
+    @pytest.mark.parametrize(
+        "text", ["[[1,2],[3]]", "[[1,2],[3,4]]", "[[[1,0],[0]]]", "[[[1,0,0],[0,1,0]]]", "{}", "3"]
+    )
+    def test_stratify_tuple_of_non_2x2_matrices_exit_code(self, capsys, text):
+        assert cli_main(["charvar", "stratify", "--tuple", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "2x2 matrices" in err
+
+    @pytest.mark.parametrize("text", ["[[1,2],[3,4]]", "[[[1,0],[0]]]", "{}"])
+    def test_boundary_sweep_of_non_2x2_matrices_exit_code(self, capsys, tmp_path, text):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(text)
+        assert cli_main(["geom", "boundary", "--sweep", str(sweep)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "2x2 matrices" in err
 
     def test_unknown_glue_charts_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,15 +6,17 @@ them in the package would crash that run.  This reads the tables from the
 tracer file and resolves every name.
 
 ``bench/run.py`` fails a traced run when a metric in its ``MOVERS`` table
-reads zero on a workload, so a refactor that stops calling one would fail
-only there; the last test runs small grassmann reports under ``cProfile``
-and checks that every such target is called.
+or in ``MOVERS_EVERYWHERE`` reads zero on a workload, so a refactor that
+stops calling one would fail only there; the last tests run each
+workload's own set-up and one pass under ``cProfile`` and check that every
+such target is called.
 """
 
 import cProfile
 import importlib
 import importlib.util
 import pstats
+import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -65,36 +67,44 @@ def _code_key(target):
     return (code.co_filename, code.co_firstlineno, code.co_name)
 
 
-def test_grassmann_movers_are_called():
-    from wonderland.reports import ExperimentConfig, run_experiment
-
+def _uncalled_movers(workload_name, monkeypatch):
+    """The movers of one workload (its ``MOVERS`` entry and
+    ``MOVERS_EVERYWHERE``) that its own ``setup()`` and one ``run_pass``
+    from ``bench/workloads.py`` never call under ``cProfile``."""
     tracer = _tracer_tables()
     run = _load("bench_run", BENCH / "run.py")
+    # workloads.py imports the benchmark's oracle as a top-level module
+    monkeypatch.setitem(sys.modules, "oracle", _load("oracle", BENCH / "oracle.py"))
+    workload = _load("bench_workloads", BENCH / "workloads.py").WORKLOADS[workload_name]
     targets = {
         "%s.%s" % (layer, name): ts for layer, fns in tracer.BOUNDARY.items() for name, ts in fns.items()
     }
     targets.update(tracer.COUNTED)
-    movers = {
-        name: targets[name]
-        for name in run.MOVERS["grassmann"] + run.MOVERS_EVERYWHERE
-        if name in targets
-    }
-    assert {
-        "geometry.tangent_project_general",
-        "linalg.from_wedges",
-        "poly.diff",
-        "poisson.poisson_action_residual",
-    } <= set(movers)
+    names = run.MOVERS[workload_name] + run.MOVERS_EVERYWHERE
+    # py.calls counts every Python call, so it has no target of its own
+    assert [name for name in names if name not in targets] == ["py.calls"]
     prof = cProfile.Profile()
     prof.enable()
     try:
-        for experiment in ("jacobi", "action"):
-            cfg = ExperimentConfig(experiment, model="sl2-grassmann", samples=1, seed=5)
-            assert run_experiment(cfg).failed == 0
+        ctx = workload.setup()
+        workload.run_pass(ctx, workload.inputs(5, 0))
     finally:
         prof.disable()
     called = set(pstats.Stats(prof).stats)
-    uncalled = [
-        name for name, ts in movers.items() if not any(_code_key(t) in called for t in ts)
+    return [
+        name
+        for name in names
+        if name in targets and not any(_code_key(t) in called for t in targets[name])
     ]
-    assert uncalled == []
+
+
+def test_run_all_movers_are_called(monkeypatch):
+    assert _uncalled_movers("run-all", monkeypatch) == []
+
+
+def test_invariant_ring_movers_are_called(monkeypatch):
+    assert _uncalled_movers("invariant-ring", monkeypatch) == []
+
+
+def test_grassmann_movers_are_called(monkeypatch):
+    assert _uncalled_movers("grassmann", monkeypatch) == []
