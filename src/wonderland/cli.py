@@ -15,15 +15,19 @@ def _print(obj):
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _parse_matrix(text):
+def _is_2x2(m):
+    return isinstance(m, list) and len(m) == 2 and all(isinstance(r, list) and len(r) == 2 for r in m)
+
+
+def _parse_2x2(text, flag):
+    """The rational 2x2 matrix of a JSON option; any other shape is a
+    usage error."""
     from wonderland.linalg import Matrix
 
     data = json.loads(text)
+    if not _is_2x2(data):
+        raise ValueError("%s needs a JSON 2x2 matrix" % flag)
     return Matrix([[Fraction(str(x)) for x in row] for row in data])
-
-
-def _is_2x2(m):
-    return isinstance(m, list) and len(m) == 2 and all(isinstance(r, list) and len(r) == 2 for r in m)
 
 
 def cmd_lie_build(args):
@@ -67,16 +71,16 @@ def cmd_geom_orbit_dim(args):
     sl2 = build_sl(2)
     double, form = double_algebra(sl2)
     gr = GrassmannModel(sl2, double, form)
-    data = json.loads(args.point)
     if args.model == "pgl2":
         model = Pgl2Model(sl2)
-        flat = [Fraction(str(x)) for row in data for x in row]
-        point = ProjMatrixPoint(flat)
+        point = ProjMatrixPoint(_parse_2x2(args.point, "--point"))
         lag = model.lagrangian_of(point, double, form)
     else:
-        rows = [[Fraction(str(x)) for x in row] for row in data]
-        if len(rows) != gr.n or any(len(row) != 2 * gr.n for row in rows):
+        data = json.loads(args.point)
+        rows_ok = isinstance(data, list) and len(data) == gr.n
+        if not rows_ok or not all(isinstance(row, list) and len(row) == 2 * gr.n for row in data):
             raise ValueError("--point needs %d span rows of %d entries" % (gr.n, 2 * gr.n))
+        rows = [[Fraction(str(x)) for x in row] for row in data]
         ok, cert = is_lagrangian(double, form, rows)
         if not ok:
             raise ValueError("span is not Lagrangian: %r" % cert)
@@ -173,8 +177,8 @@ def cmd_charvar_trace(args):
     from wonderland.charvar import RepresentationPoint, trace_point
     from wonderland.linalg import qstr
 
-    A = _parse_matrix(args.A)
-    B = _parse_matrix(args.B)
+    A = _parse_2x2(args.A, "--A")
+    B = _parse_2x2(args.B, "--B")
     t = trace_point(RepresentationPoint([A, B]))
     _print({"trace_point": [qstr(x) for x in t]})
     return 0

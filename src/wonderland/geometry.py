@@ -19,10 +19,10 @@ whose pivot block is c I (c^2 times the chart derivative).  Both use only
 ``tangent_project_general`` projects a batch of tangents at one rational
 representative: it scales the representative (for the Grassmannian, its
 pivot-normalized form N = P R, P the inverted pivot block, and P itself) to
-integers once per call, scales each tangent to integers (a no-op for the
-integer legs the Poisson residuals hand it), projects over the integers
-and makes one ``Fraction`` per coordinate; ``tangent_project`` is its
-one-tangent form.  ``infinitesimal_field`` runs the flow at the chart's
+integers once per call, scales all the tangents to integers over one
+denominator (a no-op for the integer legs the Poisson residuals hand it),
+projects over the integers and returns integer coordinates over one
+denominator; ``tangent_project`` is its one-tangent ``Fraction`` form.  ``infinitesimal_field`` runs the flow at the chart's
 parametrized representative, which is already normalized, and so gives the
 exact polynomial vector field on the chart.
 
@@ -236,19 +236,12 @@ class ProjChart:
             )
         return out
 
-    def normalized_rep(self, point):
-        """The representative of a point whose normalizing entry is 1;
-        raises ChartDomainError off-chart."""
-        vec = [Fraction(v) for v in point.vec]
-        piv = vec[self.norm_index]
-        if piv == 0:
-            raise ChartDomainError("point lies outside chart %d" % self.norm_index)
-        return [v / piv for v in vec]
-
     def coords_of(self, point):
         """Chart coordinates of a point; raises ChartDomainError off-chart."""
-        rep = self.normalized_rep(point)
-        return [rep[p] - off for p, off in zip(self.positions, self.center_offsets)]
+        piv = point.vec[self.norm_index]
+        if piv == 0:
+            raise ChartDomainError("point lies outside chart %d" % self.norm_index)
+        return [Fraction(point.vec[p], piv) - off for p, off in zip(self.positions, self.center_offsets)]
 
     def point_at(self, coords):
         return ProjMatrixPoint(self.rep_at(coords))
@@ -264,24 +257,22 @@ class ProjChart:
     def tangent_project(self, rep, vec):
         """Project an ambient tangent ``vec`` at representative ``rep`` to
         chart coordinates: the derivative of t -> [rep + t*vec]."""
-        return self.tangent_project_general(rep, [vec])[0]
+        (coords,), den = self.tangent_project_general(rep, [vec])
+        return [ratio(x, den) for x in coords]
 
     def tangent_project_general(self, rep, vecs):
         """Project several ambient tangents at one rational representative.
 
-        The representative is scaled to integers once, each tangent is
-        scaled to integers, ``project_normalized`` runs over the integers
-        and each coordinate becomes one ``Fraction``."""
+        Returns (coords, den): one integer coordinate list per tangent over
+        one denominator.  The representative is scaled to r / dr, with
+        normalizing entry c / dr, and the tangents together to v / dv; the
+        projection is dr ``project_normalized(r, v)`` over den = c^2 dv."""
         r, dr = integer_vector(rep)
         c = r[self.norm_index]
         if c == 0:
             raise ChartDomainError("base point outside chart")
-        out = []
-        for vec in vecs:
-            v, dv = integer_vector(vec)
-            den = c * c * dv
-            out.append([ratio(dr * x, den) for x in self.project_normalized(r, v)])
-        return out
+        vz, dv = integer_rows(vecs)
+        return [[dr * x for x in self.project_normalized(r, v)] for v in vz], c * c * dv
 
     def project_normalized(self, rep, vec):
         """The projection at a representative whose normalizing entry is c,
@@ -364,30 +355,28 @@ class GrassChart:
     def tangent_project(self, rep_rows, vel_rows):
         """Project row-velocities ``vel_rows`` (d/dt of the span rows) at a
         representative to chart coordinates, by tangent_project_general."""
-        return self.tangent_project_general(rep_rows, [vel_rows])[0]
+        (coords,), den = self.tangent_project_general(rep_rows, [vel_rows])
+        return [ratio(x, den) for x in coords]
 
     def tangent_project_general(self, rep_rows, legs):
         """Project several row-velocities at one rational representative R
         of the span, which need not be normalized.
 
-        Once per call: P, the inverse of R's pivot block, and N = P R (pivot
-        block I) are scaled to integer matrices Pz = dP P and Nz = c N.  Per
-        leg V, scaled to Vz = dV V: W = Pz Vz = dP dV (P V) in integers, and
-        ``project_normalized(Nz, W)`` = c dP dV times the projection of
-        P V at N, which is the projection of V at R."""
+        Returns (coords, den): one integer coordinate list per leg over one
+        denominator.  P, the inverse of R's pivot block, and N = P R (pivot
+        block I) are scaled to integer matrices Pz = dP P and Nz = c N, and
+        the legs V together to Vz = dV V.  Per leg, W = Pz Vz = dP dV (P V),
+        and ``project_normalized(Nz, W)`` is den = c dP dV times the
+        projection of P V at N, which is the projection of V at R."""
         pinv = Matrix([[row[p] for p in self.pivots] for row in rep_rows]).inverse()
         pz, dp = integer_rows(pinv.data)
         nz = mat_mul(pz, integer_rows(rep_rows)[0])
         g = gcd(*(x for row in nz for x in row))
         nz = [[x // g for x in row] for row in nz]
-        scale = nz[0][self.pivots[0]] * dp
-        out = []
-        for vel_rows in legs:
-            vz, dv = integer_rows(vel_rows)
-            den = scale * dv
-            proj = self.project_normalized(nz, mat_mul(pz, vz))
-            out.append([ratio(x, den) for x in proj])
-        return out
+        vz, dv = integer_rows([row for vel_rows in legs for row in vel_rows])
+        n = self.n
+        coords = [self.project_normalized(nz, mat_mul(pz, vz[i : i + n])) for i in range(0, len(vz), n)]
+        return coords, nz[0][self.pivots[0]] * dp * dv
 
     def project_normalized(self, rep_rows, vel_rows):
         """The projection at a representative N whose pivot block is c I,
@@ -683,7 +672,7 @@ class GrassmannModel:
         tangents = [
             self.flow_tangent([int(i == j) for j in range(dim)], base) for i in range(dim)
         ]
-        return Matrix(self.chart_at(point).tangent_project_general(base, tangents))
+        return Matrix(self.chart_at(point).tangent_project_general(base, tangents)[0])
 
     def orbit_dimension(self, point):
         """The dimension of the G x G orbit through the point."""

@@ -108,10 +108,7 @@ class AffineChartQuotient:
         self.route = tuple(route)
 
     def value(self, points):
-        flat = []
-        for p in points:
-            flat.extend(Q(x) for x in p.vec)
-        return self.poly.eval(flat)
+        return self.poly.eval([x for p in points for x in p.vec])
 
     def contains(self, points):
         return self.value(points) != 0
@@ -375,12 +372,9 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
 def separation_report(pairs_of_invariants, point_a, point_b):
     """Look for a same-degree invariant pair whose projective values differ
     at the two samples; returns the separating pair or None."""
+    flat_a = [x for p in point_a for x in p.vec]
+    flat_b = [x for p in point_b for x in p.vec]
     for name1, h1, name2, h2 in pairs_of_invariants:
-        flat_a, flat_b = [], []
-        for p in point_a:
-            flat_a.extend(Q(x) for x in p.vec)
-        for p in point_b:
-            flat_b.extend(Q(x) for x in p.vec)
         va = (h1.eval(flat_a), h2.eval(flat_a))
         vb = (h1.eval(flat_b), h2.eval(flat_b))
         if va == (0, 0) or vb == (0, 0):
@@ -396,9 +390,7 @@ def separation_report(pairs_of_invariants, point_a, point_b):
 
 
 def _all_invariants_vanish(pairs, points):
-    flat = []
-    for p in points:
-        flat.extend(Q(x) for x in p.vec)
+    flat = [x for p in points for x in p.vec]
     for _, h1, _, h2 in pairs:
         if h1.eval(flat) != 0 or h2.eval(flat) != 0:
             return False

@@ -8,10 +8,10 @@ floating point: everything is a rational rref.
 
 from fractions import Fraction
 
-from wonderland.geometry import ProductChart
+from wonderland.geometry import ChartDomainError, ProductChart
 from wonderland.linalg import ZERO, Matrix, row_span_contains
 from wonderland.poisson import mixed_value_in_charts, residual_from_values
-from wonderland.poly import MultiPoly, RationalFn, grlex_key
+from wonderland.poly import MonomialTable, MultiPoly, RationalFn, grlex_key
 
 Q = Fraction
 
@@ -470,7 +470,7 @@ class ProjectiveInvariant:
         self.num = num
         self.den = den
         self.factors = factors
-        self._partials = None
+        self._table = None
         v = num.variables
         for l in range(1, factors + 1):
             dn = _factor_degree(num, l)
@@ -480,14 +480,20 @@ class ProjectiveInvariant:
                     "%s is not degree-0 homogeneous in factor %d" % (name, l)
                 )
 
-    def value_at(self, points):
-        flat = []
-        for p in points:
-            flat.extend(Q(x) for x in p.vec)
-        d = self.den.eval(flat)
-        if d == 0:
+    def _values(self, points):
+        """[N, D, dN..., dD...]: num, den and their ambient partials at the
+        points' primitive integer vectors, over one denominator, from one
+        ``MonomialTable`` compiled at the first call."""
+        if self._table is None:
+            self._table = MonomialTable([[self.num, self.den] + self.num.grad() + self.den.grad()])
+        ((values, _),) = self._table.values([x for p in points for x in p.vec])
+        if values[1] == 0:
             raise ZeroDivisionError("%s undefined at sample" % self.name)
-        return self.num.eval(flat) / d
+        return values
+
+    def value_at(self, points):
+        num, den = self._values(points)[:2]
+        return Fraction(num, den)
 
     def _check_factor_count(self, count):
         if count != self.factors:
@@ -513,25 +519,23 @@ class ProjectiveInvariant:
 
         A ProjChart parametrization is affine with unit Jacobian on
         ``chart.positions``, and its center offsets cancel, so by the chain
-        rule the chart gradient is the ambient gradient of num/den at the
-        chart-normalized representative ``vec / vec[norm_index]``, read at
-        the chart positions.  The ambient partials are built once per
-        instance.
-        """
+        rule the chart gradient is the ambient gradient of F = num/den at
+        the chart-normalized representative, read at the chart positions.
+        F has degree 0 in each factor, so its partials along factor l have
+        degree -1 there: at vec / c_l, c_l = vec_l[norm_index], they are c_l
+        times their value at the primitive integer vec.  With N, D, dN_i
+        and dD_i the integers of ``_values`` at vec, entry i of factor l is
+        c_l (dN_i D - N dD_i) / D^2, one ``Fraction`` per entry."""
         self._check_factor_count(len(charts))
-        flat, positions = [], []
+        entries = []
         for l, (chart, p) in enumerate(zip(charts, points)):
-            flat.extend(chart.normalized_rep(p))
-            positions.extend(4 * l + k for k in chart.positions)
-        if self._partials is None:
-            self._partials = (self.num.grad(), self.den.grad())
-        dnum, dden = self._partials
-        u = self.num.eval(flat)
-        v = self.den.eval(flat)
-        if v == 0:
-            raise ZeroDivisionError("%s undefined at sample" % self.name)
-        v2 = v * v
-        return [(dnum[i].eval(flat) * v - u * dden[i].eval(flat)) / v2 for i in positions]
+            c = p.vec[chart.norm_index]
+            if c == 0:
+                raise ChartDomainError("point lies outside chart %d" % chart.norm_index)
+            entries.extend((4 * l + k, c) for k in chart.positions)
+        num, den, *partials = self._values(points)
+        n = len(partials) // 2
+        return [Fraction(c * (partials[i] * den - num * partials[n + i]), den * den) for i, c in entries]
 
 
 def pc_len(pc):

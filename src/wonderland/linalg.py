@@ -5,23 +5,26 @@ floating-point mode.  ``Matrix`` keeps entries that are already ``Fraction``
 and converts the rest.  Zero entries made here are the one shared ``ZERO``,
 so a large sparse matrix costs one object per nonzero.
 
-Row reduction and products run in integers.  ``_scaled_rows`` turns each
+Row reduction, products and determinants run in integers.  ``_scaled_rows`` turns each
 row into a sparse integer row ``{column: int}`` over its own denominator in
 one scan, skipping the shared ``ZERO`` by identity; ``backend.rref_rows``
 reduces those rows and returns one primitive integer row per pivot, and
-``backend.mat_mul`` multiplies integer matrices.  A ``Fraction`` is made
+``backend.mat_mul`` multiplies integer matrices; ``det`` is Bareiss's
+fraction-free elimination.  A ``Fraction`` is made
 only for an entry of a result.  ``kernel_basis`` reads the null space off
 the pivot rows in integers and echelonizes it with a second ``rref_rows``
 call.
 
 A bivector is assembled from its wedges in integers: ``Bivector.from_wedges``
-scales every leg to an integer vector, sums the integer outer products over
+takes integer legs as they are (the chart projections hand it those) and
+scales any rational leg to integers, sums the integer outer products over
 one common denominator with ``wedge_sum`` (the one wedge assembler, which
 the polynomial fields use over ``MultiPoly`` entries) and makes one
 ``Fraction`` per nonzero entry.  The same integer helpers serve the chart
-projections and the Jacobi sweep: ``integer_vector`` and ``integer_rows``
-scale rational vectors and matrices to integers over one lcm denominator,
-and ``ratio`` turns an integer result back into one ``Fraction``.
+projections and ``poly.MonomialTable``: ``integer_vector`` and
+``integer_rows`` scale rational vectors and matrices to integers over one
+lcm denominator, and ``ratio`` turns an integer result back into one
+``Fraction``.
 Everything else is thin bookkeeping on top.
 """
 
@@ -230,31 +233,32 @@ class Matrix:
         return _fraction_rows(*backend.rref_rows(raw), self.cols)
 
     def det(self):
-        """Exact determinant by fraction-style Gaussian elimination."""
+        """Exact determinant by fraction-free elimination (Bareiss, 1968).
+
+        The rows are scaled to integers A / d over one denominator.  Step k
+        replaces each entry below and right of the pivot by
+        (a_ij a_kk - a_ik a_kj) / p, p the previous pivot, an exact integer
+        division; the last pivot is det A, so det = last pivot / d^n."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        a = [list(row) for row in self.data]
-        det = Fraction(1)
-        for c in range(n):
-            pr = -1
-            for i in range(c, n):
-                if a[i][c] != 0:
-                    pr = i
-                    break
-            if pr < 0:
-                return Fraction(0)
-            if pr != c:
-                a[c], a[pr] = a[pr], a[c]
-                det = -det
-            piv = a[c][c]
-            det *= piv
-            for i in range(c + 1, n):
-                if a[i][c] != 0:
-                    f = a[i][c] / piv
-                    for j in range(c, n):
-                        a[i][j] -= f * a[c][j]
-        return det
+        rows, d = integer_rows(self.data)
+        a = [list(row) for row in rows]
+        sign, prev = 1, 1
+        for k in range(n):
+            if not a[k][k]:
+                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if swap is None:
+                    return ZERO
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+            piv = a[k][k]
+            for i in range(k + 1, n):
+                row, aik = a[i], a[i][k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * piv - aik * a[k][j]) // prev
+            prev = piv
+        return Fraction(sign * prev, d**n)
 
     def inverse(self):
         if self.rows != self.cols:

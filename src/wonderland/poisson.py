@@ -13,9 +13,10 @@ any ring of entries, so the same lists serve two ends:
 * pointwise, at integer representatives, ``project_wedges`` replaces
   every leg by its chart coordinates, with one batch call of each chart's
   ``tangent_project_general`` per factor, which normalizes the factor's
-  representative once and projects every distinct leg in integers;
-  ``Bivector.from_wedges`` then sums the projected wedges in integers
-  (``projected_bivector`` does both);
+  representative once and projects every distinct leg to integers over one
+  denominator; over the factors' lcm D every leg is an integer vector and
+  each coefficient is divided by D^2, and ``Bivector.from_wedges`` sums the
+  wedges in integers (``projected_bivector`` does both);
 * symbolically, at the charts' parametrized representatives,
   ``polynomial_field`` projects them with ``project_normalized`` and sums
   them with ``linalg.wedge_sum`` into a ``BivectorField`` of polynomials
@@ -37,7 +38,7 @@ equation, tangency to the boundary divisor) are all run at rational sample
 points with zero-tolerance residuals.  A residual that is a difference of
 bivectors is one signed wedge list, summed by one ``from_wedges``.
 ``jacobi_sweep`` reads the field values and their derivatives at a point
-from the field's compiled integer table (one evaluation per distinct
+from the field's ``poly.MonomialTable`` (one evaluation per distinct
 monomial) and sums every coordinate triple's Jacobiator in integers.  It
 is the one Jacobi computation: the Jacobiator of any three functions is
 its contraction with their gradients (``function_jacobiators``), and
@@ -92,12 +93,11 @@ from wonderland.linalg import (
     ZERO,
     Bivector,
     integer_rows,
-    integer_vector,
     qstr,
     ratio,
     wedge_sum,
 )
-from wonderland.poly import MultiPoly
+from wonderland.poly import MonomialTable, MultiPoly
 
 Q = Fraction
 
@@ -164,7 +164,7 @@ class BivectorField:
     def __init__(self, chart, entries):
         self.chart = chart
         self.entries = entries
-        self._compiled = None
+        self._table = None
         k = len(entries)
         for i in range(k):
             for j in range(k):
@@ -180,76 +180,19 @@ class BivectorField:
         (L, dl), _ = self.integer_values(coords)
         return Bivector([[ratio(x, dl) for x in row] for row in L])
 
-    def _compile(self):
-        """The entries and their derivatives as integer coefficients over
-        one denominator each, on one table of the monomials that occur.
-
-        Returns (table, D, ([entries], den), (derivs, den)): table[m] lists
-        the (variable, exponent) pairs of monomial m and D - deg m, D the
-        largest degree; each polynomial becomes a list of (monomial index,
-        integer coefficient), and derivs[c][i][j] is d/dz_c of entry ij.
-        Each entry is differentiated once per field, at the first call."""
-        if self._compiled is None:
-            index = {}
-
-            def compile_mats(mats):
-                den = 1
-                for m in mats:
-                    for row in m:
-                        for p in row:
-                            for c in p.terms.values():
-                                den = lcm(den, c.denominator)
-                return [
-                    [
-                        [
-                            [
-                                (index.setdefault(e, len(index)), c.numerator * (den // c.denominator))
-                                for e, c in p.terms.items()
-                            ]
-                            for p in row
-                        ]
-                        for row in m
-                    ]
-                    for m in mats
-                ], den
-
-            entries = compile_mats([self.entries])
-            derivs = compile_mats(
-                [[[e.diff(v) for e in row] for row in self.entries] for v in self.chart.variables]
-            )
-            top = max((sum(e) for e in index), default=0)
-            table = [(tuple((v, k) for v, k in enumerate(e) if k), top - sum(e)) for e in index]
-            self._compiled = table, top, entries, derivs
-        return self._compiled
-
     def integer_values(self, coords):
         """((L, dl), (dL, dd)): the field values L / dl and the derivative
-        values dL / dd at a point, L and every dL[c] integer matrices.
-
-        The coordinates are scaled to integers n / q over one denominator;
-        each monomial m of the compiled table is evaluated once, as
-        n^m q^(D - deg m) = q^D z^m, and integer sums over the coefficients
-        give L and dL over the compiled denominators times q^D."""
-        table, top, ((ent,), de), (der, dd) = self._compile()
-        ints, q = integer_vector(coords)
-        pows = [[1, x] for x in ints]
-        qpow = [1]
-        for _ in range(top):
-            qpow.append(qpow[-1] * q)
-        values = []
-        for factors, rest in table:
-            x = qpow[rest]
-            for v, k in factors:
-                pv = pows[v]
-                while len(pv) <= k:
-                    pv.append(pv[-1] * pv[1])
-                x *= pv[k]
-            values.append(x)
-
-        def ev(mat):
-            return [[sum(c * values[m] for m, c in p) for p in row] for row in mat]
-
-        return (ev(ent), de * qpow[top]), ([ev(m) for m in der], dd * qpow[top])
+        values dL / dd at a point, L and every dL[c] integer matrices,
+        dL[c][i][j] that of d/dz_c of entry ij.  Each entry is
+        differentiated once per field, at the first call, when the entries
+        and derivatives are compiled into one ``MonomialTable``."""
+        k = self.dim
+        if self._table is None:
+            flat = [p for row in self.entries for p in row]
+            self._table = MonomialTable([flat, [p.diff(v) for v in self.chart.variables for p in flat]])
+        (ent, dl), (der, dd) = self._table.values(coords)
+        rows = [x[i : i + k] for x in (ent, der) for i in range(0, len(x), k)]
+        return (rows[:k], dl), ([rows[c : c + k] for c in range(k, len(rows), k)], dd)
 
     def bracket_poly(self, f, g):
         """{f,g} as a polynomial: sum_ij L_ij df/dz_i dg/dz_j."""
@@ -380,23 +323,31 @@ def pi_wedges(model, splitting, rep_g, rep_h):
 
 def project_wedges(charts, reps, wedges):
     """Project pointwise wedges into concatenated chart coordinates: the
-    wedge list with every leg replaced by its coordinate list.
+    wedge list with every leg replaced by its integer coordinate list.
 
     Each factor's distinct legs are projected by one batch call of its
     chart's ``tangent_project_general``, which normalizes the factor's
-    representative once.  A leg that is None on a factor (absent there) or
-    has no nonzero entry contributes zeros there without being projected:
-    the projection is linear in the leg.  Grassmannian legs are lists of
-    rows, which ``any`` does not look into, so those are always projected."""
-    projected = []
+    representative once and returns integer coordinates over one
+    denominator.  The factors are brought over one lcm D, so every leg is
+    its integer list over D, and each wedge coefficient is divided by D^2.
+    A leg that is None on a factor (absent there) or has no nonzero entry
+    contributes zeros there without being projected: the projection is
+    linear in the leg.  Grassmannian legs are lists of rows, which ``any``
+    does not look into, so those are always projected."""
+    batches = []
     for l, (chart, rep) in enumerate(zip(charts, reps)):
         legs = {}
         for _, u, w in wedges:
             for leg in (u[l], w[l]):
                 if leg is not None and any(leg):
                     legs[id(leg)] = leg
-        coords = chart.tangent_project_general(rep, list(legs.values())) if legs else []
-        projected.append(dict(zip(legs, coords)))
+        coords, den = chart.tangent_project_general(rep, list(legs.values())) if legs else ([], 1)
+        batches.append((legs, coords, den))
+    D = lcm(*(den for _, _, den in batches))
+    projected = []
+    for legs, coords, den in batches:
+        s = D // den
+        projected.append(dict(zip(legs, coords if s == 1 else [[s * x for x in c] for c in coords])))
 
     def proj(legs):
         out = []
@@ -405,7 +356,8 @@ def project_wedges(charts, reps, wedges):
             out.extend([0] * chart.dim if coords is None else coords)
         return out
 
-    return [(c, proj(u), proj(w)) for c, u, w in wedges]
+    D2 = D * D
+    return [(c / D2, proj(u), proj(w)) for c, u, w in wedges]
 
 
 def projected_bivector(charts, reps, wedges):

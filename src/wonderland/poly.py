@@ -9,9 +9,10 @@ sticks to them.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from wonderland import backend
-from wonderland.linalg import qparse, qstr
+from wonderland.linalg import integer_vector, qparse, qstr
 
 Q = Fraction
 
@@ -258,6 +259,53 @@ class MultiPoly:
             tuple(obj["variables"]),
             {tuple(e): qparse(c) for e, c in obj["terms"]},
         )
+
+
+class MonomialTable:
+    """The integer evaluator of fixed groups of polynomials in one tuple of
+    variables.  Each group (a list of ``MultiPoly``) gets integer
+    coefficients over one denominator, the lcm of its coefficients', on one
+    table of the monomials that occur; ``values`` evaluates each monomial
+    once per point."""
+
+    def __init__(self, groups):
+        index = {}
+        self.groups = []
+        for polys in groups:
+            den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+            ints = [
+                [(index.setdefault(e, len(index)), c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+                for p in polys
+            ]
+            self.groups.append((ints, den))
+        # monomial m: its (variable, exponent) pairs and top - deg m
+        self.top = max((sum(e) for e in index), default=0)
+        self.table = [(tuple((v, k) for v, k in enumerate(e) if k), self.top - sum(e)) for e in index]
+
+    def values(self, coords):
+        """One (ints, den) per group, polys[i](coords) = ints[i] / den.
+
+        With the coordinates scaled to integers n / q over one denominator,
+        monomial m is evaluated once, as n^m q^(top - deg m) = q^top z^m,
+        and each group is its integer sums over its denominator times q^top."""
+        ints, q = integer_vector(coords)
+        pows = [[1, x] for x in ints]
+        qpow = [1]
+        for _ in range(self.top):
+            qpow.append(qpow[-1] * q)
+        values = []
+        for factors, rest in self.table:
+            x = qpow[rest]
+            for v, k in factors:
+                pv = pows[v]
+                while len(pv) <= k:
+                    pv.append(pv[-1] * pv[1])
+                x *= pv[k]
+            values.append(x)
+        return [
+            ([sum(c * values[m] for m, c in p) for p in polys], den * qpow[-1])
+            for polys, den in self.groups
+        ]
 
 
 class RationalFn:

@@ -447,3 +447,66 @@ class TestPointwiseGradients:
         pts = (ProjMatrixPoint([1, 2, 3, 5]), ProjMatrixPoint([2, 1, 1, 1]))
         with pytest.raises(ValueError):
             mixed_bracket_value(ctx["model"], ctx["split"], pts, one, two)
+
+
+class TestIntegerChartGradients:
+    """``chart_grad_at`` evaluates at the points' integer representatives
+    and rescales by degree-0 homogeneity; the symbolic restriction is the
+    oracle, on every chart index and with a negative normalizing entry."""
+
+    class Rep:
+        """A representative that need not be primitive or sign-normalized:
+        ``chart_grad_at`` and ``coords_of`` read only ``vec``."""
+
+        def __init__(self, vec):
+            self.vec = tuple(vec)
+
+    @staticmethod
+    def control_third():
+        """Not invariant, with a 1/3 coefficient, mixing the two factors."""
+        v = m2_variables(2)
+        a1, b1, c1, d1, a2, b2, c2, d2 = MultiPoly.gens(v)
+        return ProjectiveInvariant(
+            "control_third", a1 * c2 * d2 * Q(1, 3) + b1 * a2 * a2, d1 * det_of_factor(v, 2), 2
+        )
+
+    def test_negative_normalizing_entry_on_every_index(self):
+        from wonderland.geometry import ProductChart, ProjChart
+
+        st = RationalStream(307)
+        funcs = pgl2_surrogates(2) + [self.control_third()]
+        checked = 0
+        while checked < 8:
+            pts = [ProjMatrixPoint(st.invertible2()) for _ in range(2)]
+            if any(0 in p.vec for p in pts):
+                continue
+            for k in range(4):
+                charts = [ProjChart(k), ProjChart(3 - k)]
+                # scale each representative so its normalizing entry is < 0
+                reps = [
+                    self.Rep([x * (-3 if p.vec[c.norm_index] > 0 else 2) for x in p.vec])
+                    for p, c in zip(pts, charts)
+                ]
+                assert all(r.vec[c.norm_index] < 0 for r, c in zip(reps, charts))
+                pc = ProductChart(charts)
+                z = pc.coords_of(reps)
+                for f in funcs:
+                    want = f.restrict(pc).grad_at(z)
+                    assert f.chart_grad_at(charts, reps) == want, (f.name, k)
+                    assert f.chart_grad_at(charts, pts) == want, (f.name, k)
+                    assert f.value_at(reps) == f.value_at(pts) == f.restrict(pc).eval(z)
+            checked += 1
+
+    def test_runs_without_multipoly_eval(self, monkeypatch):
+        """Gradients and values come from the compiled integer table."""
+        from wonderland.geometry import ProjChart
+
+        def refuse(self, point):
+            raise AssertionError("MultiPoly.eval called")
+
+        monkeypatch.setattr(MultiPoly, "eval", refuse)
+        pts = (ProjMatrixPoint([3, -1, 2, 5]), ProjMatrixPoint([1, 4, -2, 7]))
+        charts = [ProjChart(0), ProjChart(3)]
+        for f in pgl2_surrogates(2) + [self.control_third()]:
+            assert len(f.chart_grad_at(charts, pts)) == 6
+            f.value_at(pts)

@@ -62,6 +62,42 @@ def test_det_matches_laplace():
             assert m.det() == laplace_det(m)
 
 
+det_entries = hst.one_of(
+    hst.just(Q(0)), hst.integers(-6, 6).map(Q), hst.fractions(min_value=-9, max_value=9, max_denominator=7)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.integers(1, 5).flatmap(lambda n: hst.lists(hst.lists(det_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_matches_laplace_on_rational_entries(rows):
+    m = Matrix(rows)
+    assert m.det() == laplace_det(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hst.integers(2, 5).flatmap(
+        lambda n: hst.tuples(
+            hst.lists(hst.lists(det_entries, min_size=n, max_size=n), min_size=n - 1, max_size=n - 1),
+            hst.lists(det_entries, min_size=n - 1, max_size=n - 1),
+            hst.integers(0, n - 1),
+        )
+    )
+)
+def test_det_of_singular_matrices_is_zero(case):
+    """A row that is a rational combination of the others, put at any
+    position, gives det 0 by both oracles."""
+    rows, coefs, pos = case
+    dependent = [sum((c * row[j] for c, row in zip(coefs, rows)), Q(0)) for j in range(len(rows) + 1)]
+    m = Matrix(rows[:pos] + [dependent] + rows[pos:])
+    assert laplace_det(m) == 0
+    assert m.det() == 0
+
+
+def test_det_of_empty_matrix_is_one():
+    assert Matrix([]).det() == 1
+
+
 def test_kernel_zero_matrix():
     basis = Matrix.zero(3, 3).kernel_basis()
     assert len(basis) == 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wonderland.poly import MultiPoly, RationalFn
+from wonderland.poly import MonomialTable, MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
 VARS = ("x", "y", "z")
@@ -104,6 +104,47 @@ def test_eval_same_for_int_fraction_and_mixed_points(terms, ints, as_fraction):
     assert p.eval(ints) == want
     assert p.eval(mixed) == want
     assert p.eval(tuple(mixed)) == want
+
+
+poly_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    max_size=6,
+)
+
+
+@given(
+    st.lists(st.lists(poly_terms, max_size=3), min_size=1, max_size=3),
+    st.lists(
+        st.one_of(
+            st.integers(-6, 6),
+            st.fractions(min_value=-4, max_value=4, max_denominator=9),
+            st.just(0),
+            st.just(Q(0)),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+)
+@settings(max_examples=80)
+def test_monomial_table_matches_eval(groups, point):
+    """Each group's (ints, den) from ``MonomialTable.values`` is the
+    polynomials' ``eval``, at int, Fraction, mixed and zero points."""
+    groups = [[MultiPoly(VARS, terms) for terms in group] for group in groups]
+    table = MonomialTable(groups)
+    for where in (point, [0, 0, 0], [Q(0)] * 3):
+        for polys, (ints, den) in zip(groups, table.values(where)):
+            assert [Q(x, den) for x in ints] == [p.eval(where) for p in polys]
+
+
+def test_monomial_table_evaluates_each_monomial_once():
+    """Monomials shared by several polynomials and groups are tabled once.
+    At (2, 1/2, 5) = (4, 1, 10) / 2 the monomials xy, z and 1 read
+    4, 20 and 4, which is 2^2 times their values."""
+    x, y, z = MultiPoly.gens(VARS)
+    table = MonomialTable([[x * y + z, x * y * Q(1, 3)], [z - x * y, MultiPoly.const(VARS, 2)]])
+    assert len(table.table) == 3
+    assert table.values([2, Q(1, 2), 5]) == [([72, 4], 12), ([16, 8], 4)]
 
 
 def test_eval_converts_other_coordinates_once():

@@ -343,12 +343,39 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "rows", ["[[1,0,0,1,0,0]]", "[[1,0,0],[0,1,0],[0,0,1]]"]
+        "rows",
+        [
+            "[[1,0,0,1,0,0]]",
+            "[[1,0,0],[0,1,0],[0,0,1]]",
+            "5",
+            "[1,0,0,1,0,0]",
+            "[[1,0,0,1,0,0],5,[0,0,1,0,0,1]]",
+        ],
     )
     def test_orbit_dim_span_of_wrong_shape_exit_code(self, capsys, rows):
         code = cli_main(["geom", "orbit-dim", "--model", "grassmann", "--point", rows])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--A", "5", "--B", "[[1,0],[0,1]]"],
+            ["--A", "[1,2]", "--B", "[[1,0],[0,1]]"],
+            ["--A", "[[1,0],[0,1]]", "--B", "[[1,2],[3]]"],
+            ["--A", "[[1,0,0],[0,1,0],[0,0,1]]", "--B", "[[1,0,0],[0,1,0],[0,0,1]]"],
+        ],
+    )
+    def test_charvar_trace_of_non_2x2_matrices_exit_code(self, capsys, argv):
+        assert cli_main(["charvar", "trace"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "2x2" in err
+
+    @pytest.mark.parametrize("point", ["5", "[1,0,0,1]", "[[1,0],[0,1],[1,1]]"])
+    def test_orbit_dim_pgl2_point_of_wrong_shape_exit_code(self, capsys, point):
+        assert cli_main(["geom", "orbit-dim", "--model", "pgl2", "--point", point]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "2x2" in err
 
     def test_orbit_dim_non_lagrangian_span_exit_code(self, capsys):
         rows = "[[1,0,0,0,0,0],[0,1,0,0,0,0],[0,0,1,0,0,0]]"
