@@ -276,7 +276,8 @@ def build_parser():
         q.add_argument("--model", choices=MODEL_CHOICES, default="pgl2-projective")
         q.add_argument("--samples", type=int, default=20)
         q.add_argument("--seed", type=int, default=42)
-        q.add_argument("--n", type=int, default=2)
+        if experiment == "diagonal-action":
+            q.add_argument("--n", type=int, default=2)
         q.add_argument("--out")
         q.set_defaults(func=cmd_run, experiment=experiment)
 

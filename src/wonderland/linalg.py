@@ -15,16 +15,16 @@ only for an entry of a result.  ``kernel_basis`` reads the null space off
 the pivot rows in integers and echelonizes it with a second ``rref_rows``
 call.
 
-A bivector is assembled from its wedges in integers: ``Bivector.from_wedges``
-takes integer legs as they are (the chart projections hand it those) and
-scales any rational leg to integers, sums the integer outer products over
-one common denominator with ``wedge_sum`` (the one wedge assembler, which
-the polynomial fields use over ``MultiPoly`` entries) and makes one
-``Fraction`` per nonzero entry.  The same integer helpers serve the chart
-projections and ``poly.MonomialTable``: ``integer_vector`` and
-``integer_rows`` scale rational vectors and matrices to integers over one
-lcm denominator, and ``ratio`` turns an integer result back into one
-``Fraction``.
+A ``Bivector`` is an integer matrix over one denominator.  ``from_wedges``
+takes integer legs as they are (the chart projections hand it those),
+scales any rational leg to integers and keeps the integer sum of
+``wedge_sum`` (the one wedge assembler, also used over ``MultiPoly``
+entries by the polynomial fields); ``bracket_eval`` and ``contract`` scale
+their gradients or covector once, sum in integers and make one
+``Fraction`` per result.  ``integer_vector`` and ``integer_rows`` (also
+used by the chart projections and ``poly.MonomialTable``) scale rational
+vectors and matrices to integers over one lcm denominator, and ``ratio``
+turns an integer result back into one ``Fraction``.
 Everything else is thin bookkeeping on top.
 """
 
@@ -306,22 +306,27 @@ class Matrix:
 
 
 class Bivector:
-    """Pointwise antisymmetric 2-tensor: an n x n Fraction matrix L with
-    L[i][j] = -L[j][i].  Pairing with two differentials gives the bracket
-    value {f,g} = sum_ij L[i][j] df_i dg_j."""
+    """Pointwise antisymmetric 2-tensor L = ints / den: integer rows with
+    ints[i][j] = -ints[j][i] over one denominator.  Pairing with two
+    differentials gives the bracket value {f,g} = sum_ij L[i][j] df_i dg_j."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "ints", "den")
 
     def __init__(self, entries):
-        m = Matrix(entries)
-        if m.rows != m.cols:
+        ints, den = integer_rows(entries)
+        n = len(ints)
+        if any(len(row) != n for row in ints):
             raise ValueError("bivector matrix must be square")
-        for i in range(m.rows):
-            for j in range(i, m.cols):
-                if m.data[i][j] != -m.data[j][i]:
-                    raise ValueError("bivector matrix must be antisymmetric")
-        self.dim = m.rows
-        self.entries = m.data
+        if any(ints[i][j] != -ints[j][i] for i in range(n) for j in range(i, n)):
+            raise ValueError("bivector matrix must be antisymmetric")
+        self.dim, self.ints, self.den = n, ints, den
+
+    @classmethod
+    def from_integers(cls, ints, den):
+        """ints / den for an integer matrix built antisymmetric, as it is."""
+        out = cls.__new__(cls)
+        out.dim, out.ints, out.den = len(ints), ints, den
+        return out
 
     @classmethod
     def zero(cls, dim):
@@ -333,9 +338,9 @@ class Bivector:
 
         The sum is taken in integers: each leg is scaled by the lcm of its
         denominators, every wedge's coefficient is brought over one common
-        denominator L, ``wedge_sum`` adds the integer outer products, and
-        each nonzero entry becomes one ``Fraction(x, L)``.  Coefficients and
-        leg entries are ``int`` or ``Fraction``."""
+        denominator L, and ``wedge_sum``'s integer outer products over L
+        are the bivector.  Coefficients and leg entries are ``int`` or
+        ``Fraction``."""
         scaled = []
         den = 1
         for coef, u, w in wedges:
@@ -347,39 +352,35 @@ class Bivector:
             den = lcm(den, d)
             scaled.append((coef.numerator, d, iu, iw))
         ent = wedge_sum(dim, [(n * (den // d), iu, iw) for n, d, iu, iw in scaled], 0)
-        return cls([[ratio(x, den) for x in row] for row in ent])
+        return cls.from_integers(ent, den)
+
+    @property
+    def entries(self):
+        """The matrix as ``Fraction`` rows, made on each read."""
+        return [[ratio(x, self.den) for x in row] for row in self.ints]
 
     def bracket_eval(self, df, dg):
-        """Value of {f,g} from the differentials df, dg at this point."""
+        """Value of {f,g} from the differentials df, dg at this point,
+        summed in integers over the differentials' denominators."""
         if len(df) != self.dim or len(dg) != self.dim:
             raise ValueError("differential length mismatch")
-        acc = Fraction(0)
-        for i in range(self.dim):
-            di = df[i]
-            if di == 0:
-                continue
-            row = self.entries[i]
-            for j in range(self.dim):
-                if row[j] != 0 and dg[j] != 0:
-                    acc += row[j] * di * dg[j]
-        return acc
+        f, fd = integer_vector(df)
+        g, gd = integer_vector(dg)
+        g_nz = [(j, y) for j, y in enumerate(g) if y]
+        acc = sum(x * sum(row[j] * y for j, y in g_nz) for x, row in zip(f, self.ints) if x)
+        return Fraction(acc, self.den * fd * gd)
 
     def contract(self, covector):
         """The vector L(xi, .) for a covector xi; zero iff xi conormal
         directions are preserved."""
         if len(covector) != self.dim:
             raise ValueError("covector length mismatch")
-        out = []
-        for b in range(self.dim):
-            acc = Fraction(0)
-            for a in range(self.dim):
-                if covector[a] != 0 and self.entries[a][b] != 0:
-                    acc += covector[a] * self.entries[a][b]
-            out.append(acc)
-        return out
+        c, d = integer_vector(covector)
+        rows = [(x, row) for x, row in zip(c, self.ints) if x]
+        return [ratio(sum(x * row[b] for x, row in rows), self.den * d) for b in range(self.dim)]
 
     def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.ints))
 
     def __eq__(self, other):
         return isinstance(other, Bivector) and self.entries == other.entries

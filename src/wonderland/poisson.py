@@ -36,13 +36,14 @@ multiplies by the pair's scale s) have their coefficients divided by s^2.
 Identity checks (Jacobi, multiplicativity, the action compatibility
 equation, tangency to the boundary divisor) are all run at rational sample
 points with zero-tolerance residuals.  A residual that is a difference of
-bivectors is one signed wedge list, summed by one ``from_wedges``.
+bivectors is one signed wedge list, summed in integers by one
+``from_wedges``; only the nonzero entries it prints become ``Fraction``s.
 ``jacobi_sweep`` reads the field values and their derivatives at a point
 from the field's ``poly.MonomialTable`` (one evaluation per distinct
 monomial) and sums every coordinate triple's Jacobiator in integers.  It
 is the one Jacobi computation: the Jacobiator of any three functions is
 its contraction with their gradients (``function_jacobiators``), and
-``BivectorField.value_at`` reads the field from the same table.
+``BivectorField.value_at`` hands the same table's integers to ``Bivector``.
 
 The action-compatibility identity pi_X(a.x) = a_* pi_X(x) + (orbit map)_*
 pi_G(a) is computed by one pipeline, ``action_residual``, for both models
@@ -79,7 +80,7 @@ chart at the diagonal and on a chart at a boundary point.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 
 from wonderland.geometry import (
@@ -131,18 +132,15 @@ class IdentityResidual:
         return out
 
 
-def residual_from_matrix(name, sample, mat, details=None):
-    nonzero = [
-        (i, j, qstr(x))
-        for i, row in enumerate(mat)
-        for j, x in enumerate(row)
-        if x != 0
-    ]
+def residual_from_matrix(name, sample, bivector, details=None):
+    ints = bivector.ints
+    nonzero = islice(((i, j) for i, row in enumerate(ints) for j, x in enumerate(row) if x), 4)
+    shown = [(i, j, qstr(Fraction(ints[i][j], bivector.den))) for i, j in nonzero]
     return IdentityResidual(
         name=name,
         sample=sample,
-        residual="0" if not nonzero else repr(nonzero[:4]),
-        passed=not nonzero,
+        residual="0" if not shown else repr(shown),
+        passed=not shown,
         details=details or {},
     )
 
@@ -178,7 +176,7 @@ class BivectorField:
     def value_at(self, coords):
         """The bivector at a point, read from the compiled integer table."""
         (L, dl), _ = self.integer_values(coords)
-        return Bivector([[ratio(x, dl) for x in row] for row in L])
+        return Bivector.from_integers(L, dl)
 
     def integer_values(self, coords):
         """((L, dl), (dL, dd)): the field values L / dl and the derivative
@@ -429,7 +427,7 @@ def multiplicativity_residual(model, splitting, pair1, pair2):
     t1 = _mapped(pi_wedges(model, splitting, g2, h2), left)
     t2 = _mapped(pi_wedges(model, splitting, g1, h1), right)
     wedges = pi_wedges(model, splitting, pg, ph) + _negated(t1 + t2)
-    res = projected_bivector(charts, [pg, ph], wedges).entries
+    res = projected_bivector(charts, [pg, ph], wedges)
     return residual_from_matrix("pi-multiplicativity", {}, res)
 
 
@@ -437,7 +435,7 @@ def action_residual(model, splitting, pair, points, cross_sign=None):
     """The action-compatibility identity pi_X(a.x) = a_* pi_X(x) +
     (orbit map)_* pi_G(a) on a tuple of factors carrying the mixed field.
 
-    Returns the image points and the entries of lhs - t1 - t2 in the charts
+    Returns the image points and the ``Bivector`` lhs - t1 - t2 in the charts
     at the images.  lhs is the field at the images' own representatives;
     t1, the field at the sources pushed by the action, and t2, the group
     bivector's orbit legs (``orbit_wedges``), both sit at the pushed source
@@ -456,7 +454,7 @@ def action_residual(model, splitting, pair, points, cross_sign=None):
     t2 = orbit_wedges(model, splitting, adjoint, scale, reps)
     rhs = project_wedges(charts, reps, t1 + t2)
     dim = sum(c.dim for c in charts)
-    return images, Bivector.from_wedges(dim, lhs + _negated(rhs)).entries
+    return images, Bivector.from_wedges(dim, lhs + _negated(rhs))
 
 
 def poisson_action_residual(model, splitting, pair, point):

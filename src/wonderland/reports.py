@@ -76,6 +76,9 @@ KNOWN_MODELS = ("pgl2-projective", "sl2-grassmann")
 # the experiments with a subspace-model runner; the others check P(M2) only
 GRASSMANN_EXPERIMENTS = ("jacobi", "action")
 
+# the experiments that read an option; the others accept only its default
+OPTION_READERS = {"degree": ("rank1", "all"), "n_factors": ("diagonal-action", "all")}
+
 
 class ExperimentConfig:
     """One experiment's parameters, validated on construction; the class
@@ -114,6 +117,13 @@ class ExperimentConfig:
             raise ValueError("degree must be >= 0")
         if self.n_factors < 1:
             raise ValueError("factor count must be >= 1")
+        for option, readers in OPTION_READERS.items():
+            unread = self.experiment not in readers
+            if unread and getattr(self, option) != getattr(ExperimentConfig, option):
+                raise ValueError(
+                    "experiment %r does not read %s (only %s do)"
+                    % (self.experiment, option, " and ".join(readers))
+                )
 
     def to_json(self):
         return {
@@ -151,7 +161,13 @@ class ExperimentReport:
         }
 
     def serialize(self):
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        """The report as ``json.dumps(..., sort_keys=True, indent=2)`` plus a
+        newline, grown chunk by chunk: the encoder's list of some ten
+        thousand chunks is never held at once."""
+        text = ""
+        for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(self.to_json()):
+            text += chunk
+        return text + "\n"
 
 
 class Context:

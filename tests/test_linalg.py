@@ -343,6 +343,35 @@ class TestBivector:
         L = Bivector([[0, 1], [-1, 0]])
         assert L.contract([Q(1), Q(0)]) == [Q(0), Q(1)]
 
+    def test_square_enforced(self):
+        with pytest.raises(ValueError):
+            Bivector([[0, 1, 2], [-1, 0, 3]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hst.integers(min_value=1, max_value=6).flatmap(
+            lambda dim: hst.tuples(
+                integer_assembly_lists(dim),
+                hst.lists(integer_assembly_entries(), min_size=dim, max_size=dim),
+                hst.lists(integer_assembly_entries(), min_size=dim, max_size=dim),
+            )
+        )
+    )
+    def test_integer_pairings_match_dense_fraction_sums(self, data):
+        """``bracket_eval`` and ``contract`` pair the integer rows of a
+        ``from_wedges`` bivector with rational gradients over big coprime
+        denominators; the oracle is the dense ``Fraction`` double sum over
+        the entries of the wedge formula."""
+        (dim, wedges), df, dg = data
+        L = Bivector.from_wedges(dim, wedges)
+        dense = dense_wedge_formula(dim, wedges)
+        value = L.bracket_eval(df, dg)
+        want = sum((dense[i][j] * df[i] * dg[j] for i in range(dim) for j in range(dim)), Q(0))
+        assert type(value) is Q and value == want
+        vector = L.contract(df)
+        assert all(type(x) is Q for x in vector)
+        assert vector == [sum((df[a] * dense[a][b] for a in range(dim)), Q(0)) for b in range(dim)]
+
 
 def _refuse(*args):
     raise AssertionError("pair conversion or pair arithmetic reached from linalg")

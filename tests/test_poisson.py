@@ -29,6 +29,7 @@ from wonderland.poisson import (
     multiplicativity_residual,
     pi_wedges,
     poisson_action_residual,
+    project_wedges,
     projected_bivector,
     tangency_check,
 )
@@ -524,6 +525,32 @@ class TestPointwiseWork:
         monkeypatch.setattr(cls, name, counted)
         return calls
 
+    def test_bivector_values_build_no_matrix(self, ctx, monkeypatch):
+        """The wedge sum and the compiled field hand their integer rows to
+        ``Bivector`` as they are: with ``Matrix.__init__`` raising around
+        just those calls, ``from_wedges`` and ``value_at`` still return,
+        and the same values as before the patch."""
+        from wonderland.linalg import Bivector, Matrix
+
+        st = RationalStream(181)
+        model, ch = ctx["model"], ctx["ch0"]
+        reps = [model.rep(ProjMatrixPoint(st.invertible2())) for _ in range(2)]
+        charts = [model.chart_at(ProjMatrixPoint(r)) for r in reps]
+        wedges = project_wedges(charts, reps, mixed_wedges(model, ctx["split"], reps))
+        z = st.vector(ch.dim)
+        want_sum = Bivector.from_wedges(6, wedges)
+        want_value = ctx["field0"].value_at(z)
+
+        def refuse(self, data):
+            raise AssertionError("Matrix built")
+
+        monkeypatch.setattr(Matrix, "__init__", refuse)
+        got_sum = Bivector.from_wedges(6, wedges)
+        got_value = ctx["field0"].value_at(z)
+        monkeypatch.undo()
+        assert got_sum == want_sum and not got_sum.is_zero()
+        assert got_value == want_value and not got_value.is_zero()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mixed_wedges_one_flow_tangent_per_element_and_factor(self, ctx, monkeypatch, n):
         st = RationalStream(173)
@@ -825,6 +852,13 @@ class TestDiagonalAction:
             ctx["model"], ctx["split"], GroupPair(g, g), pts, cross_sign=1
         )
         assert not res.passed
+        # the first four nonzero entries, as a report prints them
+        assert res.residual == (
+            "[(0, 3, '484275229011/9535143619058'), "
+            "(0, 4, '3187889168967/33373002666703'), "
+            "(0, 5, '-1719955767825/33373002666703'), "
+            "(1, 3, '-367687513637/4767571809529')]"
+        )
 
 
 class TestOppositeSplitting:

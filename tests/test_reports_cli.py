@@ -36,6 +36,30 @@ def test_factor_count_below_one_rejected(n_factors):
         ExperimentConfig(experiment="diagonal-action", n_factors=n_factors)
 
 
+@pytest.mark.parametrize("experiment", ["jacobi", "action", "tangency", "glue", "rank1"])
+def test_factor_count_rejected_where_unread(experiment):
+    """Only the diagonal action reads the factor count: elsewhere a
+    non-default count would be recorded over unchanged checks."""
+    with pytest.raises(ValueError, match="n_factors"):
+        ExperimentConfig(experiment=experiment, n_factors=3)
+    assert ExperimentConfig(experiment=experiment, n_factors=2).n_factors == 2
+
+
+@pytest.mark.parametrize("experiment", ["jacobi", "diagonal-action", "tangency", "saturation"])
+def test_degree_rejected_where_unread(experiment):
+    """Only the rank-one model reads the degree."""
+    with pytest.raises(ValueError, match="degree"):
+        ExperimentConfig(experiment=experiment, degree=3)
+    assert ExperimentConfig(experiment=experiment, degree=4).degree == 4
+
+
+def test_options_read_by_all():
+    cfg = ExperimentConfig(experiment="all", degree=2, n_factors=3)
+    assert (cfg.degree, cfg.n_factors) == (2, 3)
+    assert ExperimentConfig(experiment="diagonal-action", n_factors=3).n_factors == 3
+    assert ExperimentConfig(experiment="rank1", degree=2).degree == 2
+
+
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="rank1", degree=-5)
@@ -461,6 +485,27 @@ class TestCli:
     )
     def test_factor_count_below_one_exit_code(self, capsys, argv):
         assert cli_main(argv + ["--samples", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--experiment", "jacobi", "--model", "grassmann", "--n", "7"],
+            ["run", "--experiment", "tangency", "--n", "3"],
+            ["run", "--experiment", "jacobi", "--degree", "3"],
+            ["run", "--experiment", "glue", "--degree", "6"],
+        ],
+    )
+    def test_unread_option_exit_code(self, capsys, argv):
+        assert cli_main(argv + ["--samples", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "does not read" in err
+
+    @pytest.mark.parametrize("name", ["jacobi", "tangency"])
+    def test_poisson_factor_count_only_on_action(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["poisson", name, "--n", "3", "--samples", "1"])
+        assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
     def test_negative_rank1_degree_exit_code(self, capsys):
