@@ -18,36 +18,41 @@ whose pivot block is c I (c^2 times the chart derivative).  Both use only
 + - x, so they run on ``MultiPoly`` entries (c = 1) and on integers alike.
 ``tangent_project_general`` projects a batch of tangents at one rational
 representative: it scales the representative (for the Grassmannian, its
-pivot-normalized form N = P R, P the inverted pivot block, and P itself) to
-integers once per call, scales all the tangents to integers over one
-denominator (a no-op for the integer legs the Poisson residuals hand it),
-projects over the integers and returns integer coordinates over one
-denominator; ``tangent_project`` is its one-tangent ``Fraction`` form.  ``infinitesimal_field`` runs the flow at the chart's
-parametrized representative, which is already normalized, and so gives the
-exact polynomial vector field on the chart.
+pivot-normalized form N = P R, P the pivot block's inverse from
+``linalg.integer_inverse``, and P itself) to integers once per call,
+scales all the tangents to integers over one denominator (a no-op for the
+integer legs the Poisson residuals hand it), projects over the integers
+and returns integer coordinates over one denominator; ``tangent_project``
+is its one-tangent ``Fraction`` form.  ``infinitesimal_field`` runs the
+flow at the chart's parametrized representative, which is already
+normalized, and so gives the exact polynomial vector field on the chart.
 
 Pointwise, no denominator is carried from flow to projection.  The
 projection is projective: scaling a representative and every tangent at it
 by one nonzero c (on the Grassmannian, each row of both by its own d_i)
 leaves it unchanged.  So ``rep`` hands out integer representatives (the
-primitive P(M_2) vector; the echelon rows, each scaled to integers), a
-model's ``differentials(pair)`` gives the pair's ``push`` on
-representatives and tangents and its ``adjoint`` action on double elements
-as integer maps that both multiply by one declared scale s (P(M_2) scales g
-and h over one denominator d, s = d^2; the Grassmannian builds
-B = d (Ad_g (+) Ad_h)^T once per pair for both and for ``act``, s = d),
-and flow tangents of integer double elements at integer representatives
+primitive P(M_2) vector; the primitive echelon rows that a
+``LagrangianPoint`` keeps), a model's ``differentials(pair)`` gives the
+pair's ``push`` on representatives and tangents and its ``adjoint`` action
+on double elements as integer maps that both multiply by one declared
+scale s (P(M_2) scales g and h over one denominator d, s = d^2; the
+Grassmannian builds the integer block B = d (Ad_g (+) Ad_h)^T once per
+pair for both and for ``act``, s = d, from ``integer_adjoint``'s outer
+products, and ``act`` row-reduces the integer rows it moves), and flow
+tangents of integer double elements at integer representatives
 are integer vectors.  The denominators that remain (the splitting's, and
 s for legs made from ``adjoint``) live in the wedge coefficients.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from wonderland.backend import mat_mul
-from wonderland.lie import _sl_basis_cached, sl_coords, sl_matrix_of
+from wonderland.lie import _sl_basis_layout, _sparse_sl_basis, sl_matrix_of
 from wonderland.linalg import (
     Matrix,
+    echelon_rows,
+    integer_inverse,
     integer_rows,
     integer_vector,
     qstr,
@@ -171,17 +176,19 @@ class GroupPair:
 
 
 class LagrangianPoint:
-    """A point of Gr(n, d): the row span of an n x 2n matrix, stored in
-    reduced row echelon form so equality is syntactic."""
+    """A point of Gr(n, d): the row span of an n x 2n matrix of ``int`` or
+    ``Fraction`` entries, stored in reduced row echelon form ``mat`` so
+    equality is syntactic, and as ``rows``, the primitive integer multiple
+    of each echelon row with a positive pivot."""
 
-    __slots__ = ("mat", "pivots")
+    __slots__ = ("mat", "rows", "pivots")
 
     def __init__(self, rows):
-        m = rows if isinstance(rows, Matrix) else Matrix(rows)
-        red, rank, pivots = m.rref()
-        if rank != m.rows:
+        prim, red, pivots = echelon_rows(rows)
+        if len(pivots) != len(rows):
             raise ValueError("rows are not independent")
-        self.mat = red
+        self.mat = Matrix(red)
+        self.rows = prim
         self.pivots = tuple(pivots)
 
     @property
@@ -330,13 +337,17 @@ class GrassChart:
         return rows
 
     def coords_of(self, point):
-        if point.pivots != self.pivots:
-            raise ChartDomainError("point has pivots %r, chart %r" % (point.pivots, self.pivots))
-        out = []
-        for i in range(self.n):
-            for m, j in enumerate(self.free):
-                out.append(point.mat.data[i][j] - self.center_block[i][m])
-        return out
+        """Chart coordinates of a point: the free columns of P R, R the
+        point's integer rows and P the inverse of their pivot block, minus
+        the center.  Raises ChartDomainError where that minor vanishes."""
+        try:
+            pinv, d = integer_inverse([[row[p] for p in self.pivots] for row in point.rows])
+        except ValueError:
+            raise ChartDomainError("point has a zero minor on chart pivots %r" % (self.pivots,)) from None
+        norm = mat_mul(pinv, [[row[j] for j in self.free] for row in point.rows])
+        return [
+            ratio(x, d) - c for row, center in zip(norm, self.center_block) for x, c in zip(row, center)
+        ]
 
     def point_at(self, coords):
         return LagrangianPoint(self.rep_rows_at(coords))
@@ -368,8 +379,7 @@ class GrassChart:
         the legs V together to Vz = dV V.  Per leg, W = Pz Vz = dP dV (P V),
         and ``project_normalized(Nz, W)`` is den = c dP dV times the
         projection of P V at N, which is the projection of V at R."""
-        pinv = Matrix([[row[p] for p in self.pivots] for row in rep_rows]).inverse()
-        pz, dp = integer_rows(pinv.data)
+        pz, dp = integer_inverse([[row[p] for p in self.pivots] for row in rep_rows])
         nz = mat_mul(pz, integer_rows(rep_rows)[0])
         g = gcd(*(x for row in nz for x in row))
         nz = [[x // g for x in row] for row in nz]
@@ -584,28 +594,20 @@ class GrassmannModel:
         self._last_pair = None
 
     def diagonal_point(self):
-        ident = Matrix.identity(self.n)
-        return LagrangianPoint(Matrix([ident.row(i) + ident.row(i) for i in range(self.n)]))
-
-    def adjoint_matrix(self, g):
-        """Ad_g on the algebra in its basis (g an SL_n representative)."""
-        n = self.alg.matrix_size
-        ginv = g.inverse()
-        cols = [sl_coords(n, g * bi * ginv) for bi in _sl_basis_cached(n)]
-        return Matrix([[cols[j][m] for j in range(self.alg.dim)] for m in range(self.alg.dim)])
+        return LagrangianPoint([[int(i == j) for j in range(self.n)] * 2 for i in range(self.n)])
 
     def _pair_action(self, pair):
         """(B, d) of the latest pair, built once, so that a residual's
         ``act`` and ``differentials`` share it: B = d (Ad_g (+) Ad_h)^T is
-        the transposed pair block scaled to integers over one
-        denominator d.  A row (or a double element) r moves to r B."""
+        the transposed pair block over the least common denominator d of
+        its entries.  A row (or a double element) r moves to r B."""
         if self._last_pair is not pair:
-            ad, d = integer_rows(
-                self.adjoint_matrix(pair.g).data + self.adjoint_matrix(pair.h).data
-            )
+            n = self.alg.matrix_size
+            (ag, sg), (ah, sh) = integer_adjoint(n, pair.g), integer_adjoint(n, pair.h)
+            d = lcm(sg, sh)
             zero = [0] * self.n
-            block_t = [list(col) + zero for col in zip(*ad[: self.n])] + [
-                zero + list(col) for col in zip(*ad[self.n :])
+            block_t = [[x * (d // sg) for x in row] + zero for row in ag] + [
+                zero + [x * (d // sh) for x in row] for row in ah
             ]
             self._last_pair = pair
             self._last_action = (block_t, d)
@@ -613,13 +615,14 @@ class GrassmannModel:
 
     def act(self, pair, point):
         """The span of the rows moved by Ad_g (+) Ad_h."""
-        return LagrangianPoint(mat_mul(self.rep(point), self._pair_action(pair)[0]))
+        return LagrangianPoint(mat_mul(point.rows, self._pair_action(pair)[0]))
 
     def rep(self, point):
         """The ambient representative: the echelon rows of the span, each
-        scaled to integers.  Scaling a row scales its flow tangent alike,
-        so it changes neither the span nor any chart projection."""
-        return [integer_vector(row)[0] for row in point.mat.data]
+        as its primitive integer multiple.  Scaling a row scales its flow
+        tangent alike, so it changes neither the span nor any chart
+        projection."""
+        return point.rows
 
     def flow_tangent(self, elem, rows):
         """Row velocities of the one-parameter flow of a double element:
@@ -656,12 +659,10 @@ class GrassmannModel:
         }
 
     def chart_at(self, point):
-        chart = GrassChart(point.pivots, 2 * self.n)
-        center = chart.coords_of(point)
-        block = []
-        it = iter(center)
-        for i in range(self.n):
-            block.append([next(it) for _ in chart.free])
+        """The chart on the point's pivots, centered at the point: the
+        center block is the free columns of its echelon form."""
+        free = [j for j in range(2 * self.n) if j not in point.pivots]
+        block = [[row[j] for j in free] for row in point.mat.data]
         return GrassChart(point.pivots, 2 * self.n, block)
 
     def _action_rows(self, point):
@@ -680,6 +681,41 @@ class GrassmannModel:
 
     def stabilizer_basis(self, point):
         return self._action_rows(point).transpose().kernel_basis()
+
+
+def integer_adjoint(n, g):
+    """(A, s) with A / s = (Ad_g)^T on sl_n in the elementary basis, g an
+    invertible n x n ``Matrix``, A an integer matrix in lowest terms over s:
+    row j of A is s times the coordinates of g b_j g^{-1}.
+
+    G = c g is g scaled to integers and (P, s) = ``integer_inverse(G)``,
+    so g b g^{-1} = G b P / s.  A basis element b = sum v E_rc gives
+    G b P = sum v (column r of G)(row c of P), an integer matrix read into
+    coordinates as ``lie.sl_coords`` does: the positive entries, the
+    Cartan partial sums of the diagonal, then the negative entries."""
+    gz, _ = integer_rows(g.data)
+    pz, s = integer_inverse(gz)
+    pos, cart, neg = _sl_basis_layout(n)
+    rows = []
+    for b in _sparse_sl_basis(n):
+        m = [[0] * n for _ in range(n)]
+        for (r, c), v in b.items():
+            prow = pz[c]
+            for i in range(n):
+                x = v * gz[i][r]
+                if x:
+                    mi = m[i]
+                    for k, y in enumerate(prow):
+                        mi[k] += x * y
+        coords = [m[i][j] for i, j in pos]
+        partial = 0
+        for k in cart:
+            partial += m[k][k]
+            coords.append(partial)
+        coords.extend(m[i][j] for i, j in neg)
+        rows.append(coords)
+    g0 = gcd(s, *(x for row in rows for x in row))
+    return [[x // g0 for x in row] for row in rows], s // g0
 
 
 def infinitesimal_field(model, chart, elem, variables=None, var_offset=0):

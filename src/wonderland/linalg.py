@@ -13,7 +13,12 @@ reduces those rows and returns one primitive integer row per pivot, and
 fraction-free elimination.  A ``Fraction`` is made
 only for an entry of a result.  ``kernel_basis`` reads the null space off
 the pivot rows in integers and echelonizes it with a second ``rref_rows``
-call.
+call.  ``integer_inverse`` is the one inversion: one ``rref_rows`` pass on
+[A | I] gives the inverse as an integer matrix over one denominator (the
+chart projections and the Grassmannian's adjoint action use it as it is;
+``Matrix.inverse`` is its ``Fraction`` view), and ``echelon_rows`` hands
+out the primitive pivot rows of a reduction beside the RREF, for the
+Grassmannian's points.
 
 A ``Bivector`` is an integer matrix over one denominator.  ``from_wedges``
 takes integer legs as they are (the chart projections hand it those),
@@ -261,17 +266,11 @@ class Matrix:
         return Fraction(sign * prev, d**n)
 
     def inverse(self):
+        """The inverse as ``Fraction`` entries of ``integer_inverse``."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        # [A | I]: row i carries its scale d_i into the identity block
-        ints, dens = _scaled_rows(self.data)
-        for i, (r, d) in enumerate(zip(ints, dens)):
-            r[n + i] = d
-        rows, pivots = backend.rref_rows(ints)
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in _fraction_rows(rows, pivots, 2 * n)])
+        inv, d = integer_inverse(self.data)
+        return Matrix([[ratio(x, d) for x in row] for row in inv])
 
     def solve(self, rhs):
         """Solve A x = rhs exactly; returns one solution (free vars set to 0)
@@ -387,6 +386,39 @@ class Bivector:
 
     def __repr__(self):
         return "Bivector(%r)" % (self.entries,)
+
+
+def integer_inverse(rows):
+    """(P, d) with P / d the inverse of the square matrix ``rows`` (entries
+    ``int`` or ``Fraction``), P an integer matrix in lowest terms over d.
+
+    One ``rref_rows`` pass on [A | I], row i carrying its scale d_i into
+    the identity block; primitive pivot row i is p_i times row i of
+    [I | A^-1], so over d, the lcm of the pivots, row i of P is its right
+    half times d / p_i.  Raises ``ValueError`` on a singular matrix."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    ints, dens = _scaled_rows(rows)
+    for i, (r, d) in enumerate(zip(ints, dens)):
+        r[n + i] = d
+    red, pivots = backend.rref_rows(ints)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    d = lcm(*(r[i] for i, r in enumerate(red)))
+    return [[r.get(n + j, 0) * (d // r[i]) for j in range(n)] for i, r in enumerate(red)], d
+
+
+def echelon_rows(rows):
+    """(prim, red, pivots): the reduced row echelon form of dense rows of
+    ``int`` or ``Fraction`` entries.  ``prim`` holds the primitive integer
+    pivot rows of ``rref_rows`` as dense lists, each the least integer
+    multiple of its RREF row with a positive pivot; ``red`` holds those
+    RREF rows as ``Fraction`` rows."""
+    cols = len(rows[0]) if rows else 0
+    sparse, pivots = backend.rref_rows(_scaled_rows(rows)[0])
+    prim = [[r.get(j, 0) for j in range(cols)] for r in sparse]
+    return prim, _fraction_rows(sparse, pivots, cols), pivots
 
 
 def integer_vector(vec):

@@ -6,8 +6,10 @@ is replayable bit-for-bit on any platform.  No ambient entropy anywhere.
 """
 
 from fractions import Fraction
+from math import prod
 
-from wonderland.linalg import Matrix
+from wonderland.backend import mat_mul
+from wonderland.linalg import Matrix, integer_rows, ratio
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -83,21 +85,25 @@ class RationalStream:
 
     def sl(self, n, bound=None):
         """A generic determinant-one n x n matrix: unit lower and upper
-        triangular factors times a diagonal with reciprocal last entry."""
-        lower = Matrix.identity(n)
-        upper = Matrix.identity(n)
+        triangular factors times a diagonal with reciprocal last entry.
+
+        The product L U D is formed in integers: L and U are scaled over
+        their denominators, L U is one integer product, and each entry
+        becomes one ``Fraction`` with its column's diagonal entry."""
+        lower = [[int(i == j) for j in range(n)] for i in range(n)]
+        upper = [[int(i == j) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i):
-                lower.data[i][j] = self.take(bound)
-                upper.data[j][i] = self.take(bound)
-        diag = Matrix.identity(n)
-        prod = Fraction(1)
-        for k in range(n - 1):
-            t = self.take_nonzero(bound)
-            diag.data[k][k] = t
-            prod *= t
-        diag.data[n - 1][n - 1] = 1 / prod
-        return lower * upper * diag
+                lower[i][j] = self.take(bound)
+                upper[j][i] = self.take(bound)
+        diag = [self.take_nonzero(bound) for _ in range(n - 1)]
+        num = prod(t.numerator for t in diag)
+        den = prod(t.denominator for t in diag)
+        cols = [(t.numerator, t.denominator) for t in diag] + [(den, num)]
+        (lz, dl), (uz, du) = integer_rows(lower), integer_rows(upper)
+        return Matrix(
+            [[ratio(x * a, dl * du * b) for x, (a, b) in zip(row, cols)] for row in mat_mul(lz, uz)]
+        )
 
     def invertible2(self, bound=None):
         while True:

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,10 +20,18 @@ from wonderland.geometry import (
     ProjLinePoint,
     ProjMatrixPoint,
     infinitesimal_field,
+    integer_adjoint,
     segre,
 )
-from wonderland.lie import build_sl, double_algebra, is_lagrangian, sl_coords, sl_matrix_of
-from wonderland.linalg import Matrix
+from wonderland.lie import (
+    build_sl,
+    double_algebra,
+    is_lagrangian,
+    sl_basis_matrices,
+    sl_coords,
+    sl_matrix_of,
+)
+from wonderland.linalg import Matrix, integer_vector
 from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
@@ -497,3 +507,80 @@ class TestProjectionScaleInvariance:
         for scales in ([c] * n, diag):
             got = chart.tangent_project_general(times(scales, rep), [times(scales, v) for v in legs])
             assert as_fractions(got) == want
+
+
+_entries = hst.builds(Q, hst.integers(-9, 9), hst.integers(1, 6))
+
+
+@hst.composite
+def sl_elements(draw, n):
+    """A rational SL_n element L U D, L and U unit triangular and D
+    diagonal with reciprocal last entry, multiplied as ``Matrix``."""
+    lower = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            lower[i][j] = draw(_entries)
+            upper[j][i] = draw(_entries)
+    diag = draw(hst.lists(_entries.filter(bool), min_size=n - 1, max_size=n - 1))
+    diag.append(1 / prod(diag, start=Q(1)))
+    d = [[diag[i] if i == j else Q(0) for j in range(n)] for i in range(n)]
+    return Matrix(lower) * Matrix(upper) * Matrix(d)
+
+
+class TestIntegerAction:
+    """The pair action in integers: ``integer_adjoint`` against the
+    ``Fraction`` conjugation read by ``sl_coords``, the primitive rows a
+    ``LagrangianPoint`` keeps, and chart coordinates of points whose own
+    pivots differ from the chart's."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.sampled_from([2, 3, 4]).flatmap(lambda n: hst.tuples(hst.just(n), sl_elements(n))))
+    def test_integer_adjoint_is_conjugation(self, case):
+        n, g = case
+        assert g.det() == 1
+        rows, s = integer_adjoint(n, g)
+        ginv = g.inverse()
+        want = [sl_coords(n, g * b * ginv) for b in sl_basis_matrices(n)]
+        assert [[Q(x, s) for x in row] for row in rows] == want
+        assert s > 0 and gcd(s, *(x for row in rows for x in row)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.lists(hst.lists(_entries, min_size=6, max_size=6), min_size=3, max_size=3))
+    def test_point_rows_are_scaled_echelon_rows(self, rows):
+        assume(Matrix(rows).rank() == 3)
+        p = LagrangianPoint(rows)
+        assert p.rows == [integer_vector(row)[0] for row in p.mat.data]
+        assert all(row[c] > 0 for row, c in zip(p.rows, p.pivots))
+        assert LagrangianPoint(p.rows) == p and LagrangianPoint(p.rows).rows == p.rows
+
+    def test_dependent_rows_rejected(self):
+        with pytest.raises(ValueError, match="not independent"):
+            LagrangianPoint([[1, 2, 0, 0], [2, 4, 0, 0]])
+
+    def test_coords_of_point_with_other_pivots(self):
+        """The span has RREF pivots (0, 1, 2) and minor 1 on (0, 1, 3), so
+        it lies in the chart on (0, 1, 3), centered or not."""
+        p = LagrangianPoint([[1, 0, 0, 1, 2, 3], [0, 1, 0, 4, 5, 7], [0, 0, 1, 1, 1, 2]])
+        assert p.pivots == (0, 1, 2)
+        for center in (None, [[1, 0, 2], [Q(1, 2), 3, 0], [0, 0, Q(-5, 3)]]):
+            chart = GrassChart((0, 1, 3), 6, center)
+            assert chart.point_at(chart.coords_of(p)) == p
+
+    def test_coords_of_zero_minor(self):
+        p = LagrangianPoint([[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 2], [0, 0, 1, 0, 3, 1]])
+        with pytest.raises(ChartDomainError):
+            GrassChart((0, 1, 3), 6).coords_of(p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(hst.lists(hst.lists(_entries, min_size=6, max_size=6), min_size=3, max_size=3))
+    def test_coords_of_round_trips_on_every_chart(self, rows):
+        assume(Matrix(rows).rank() == 3)
+        p = LagrangianPoint(rows)
+        for pivots in combinations(range(6), 3):
+            chart = GrassChart(pivots, 6)
+            if Matrix([[row[c] for c in pivots] for row in rows]).det() == 0:
+                with pytest.raises(ChartDomainError):
+                    chart.coords_of(p)
+            else:
+                assert chart.point_at(chart.coords_of(p)) == p

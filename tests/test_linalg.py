@@ -3,13 +3,21 @@
 from contextlib import contextmanager
 from fractions import Fraction as Q
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from wonderland import backend, linalg
-from wonderland.linalg import ZERO, Bivector, Matrix, row_span_contains, wedge_sum
+from wonderland.linalg import (
+    ZERO,
+    Bivector,
+    Matrix,
+    integer_inverse,
+    row_span_contains,
+    wedge_sum,
+)
 from wonderland.sampling import RationalStream
 
 
@@ -475,3 +483,40 @@ class TestIntegerPath:
             assert inv is None
         else:
             assert fraction_product(rows, inv.data) == Matrix.identity(n).data
+
+
+class TestIntegerInverse:
+    """``integer_inverse`` against the textbook ``Fraction`` Gauss-Jordan
+    sweep on [A | I]; ``Matrix.inverse`` is its ``Fraction`` view."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hst.integers(1, 5).flatmap(
+            lambda n: hst.lists(hst.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    )
+    def test_matches_gauss_jordan(self, rows):
+        n = len(rows)
+        red, pivots = gauss_jordan([row + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(rows)])
+        if pivots[:n] != list(range(n)):
+            with pytest.raises(ValueError, match="singular"):
+                integer_inverse(rows)
+            return
+        inv, d = integer_inverse(rows)
+        assert [[Q(x, d) for x in row] for row in inv] == [row[n:] for row in red]
+        assert d > 0 and gcd(d, *(x for row in inv for x in row)) == 1
+        assert Matrix(rows).inverse().data == [row[n:] for row in red]
+
+    def test_integer_rows(self):
+        assert integer_inverse([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+        assert integer_inverse([[2, 0], [0, Q(1, 3)]]) == ([[1, 0], [0, 6]], 2)
+
+    def test_singular_and_non_square(self):
+        with pytest.raises(ValueError, match="singular"):
+            integer_inverse([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="singular"):
+            integer_inverse([[Q(0)]])
+        with pytest.raises(ValueError, match="non-square"):
+            integer_inverse([[1, 2]])
+        with pytest.raises(ValueError, match="non-square"):
+            Matrix([[1, 2]]).inverse()

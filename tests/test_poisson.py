@@ -608,27 +608,62 @@ class TestPointwiseWork:
         assert run_experiment(ExperimentConfig("all", samples=2, seed=301)).failed == 0
         assert calls == []
 
+    @staticmethod
+    def _record_function(monkeypatch, module, name):
+        calls = []
+        orig = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
     def test_grassmann_action_residual_inverts_once_per_representative(self, ctx, monkeypatch):
         """One Gr(3,6) action residual projects two batches: the field at
         the image, and at the pushed source representative the pushed field
         (6 legs) together with the group bivector's orbit legs (12 flow
         tangents).  Each batch inverts the pivot block once; the other two
-        inverses build Ad_g and Ad_h, once for ``act`` and
-        ``differentials`` together."""
+        inverses build Ad_g and Ad_h by ``integer_adjoint``, once per group
+        element for ``act`` and ``differentials`` together."""
+        import wonderland.geometry as geometry
         from wonderland.geometry import GrassChart
-        from wonderland.linalg import Matrix
 
         gr = ctx["gr"]
         st = RationalStream(5)
         src = gr.act(GroupPair(st.sl2(), st.sl2()), gr.diagonal_point())
         pair = GroupPair(st.sl2(), st.sl2())
         batches = self._record(monkeypatch, GrassChart, "tangent_project_general")
-        inverses = self._record(monkeypatch, Matrix, "inverse")
-        adjoints = self._record(monkeypatch, GrassmannModel, "adjoint_matrix")
+        inverses = self._record_function(monkeypatch, geometry, "integer_inverse")
+        adjoints = self._record_function(monkeypatch, geometry, "integer_adjoint")
         assert poisson_action_residual(gr, ctx["split"], pair, src).passed
         assert [len(legs) for _, legs in batches] == [6, 18]
         assert len(inverses) == 4
-        assert adjoints == [(pair.g,), (pair.h,)]
+        assert adjoints == [(2, pair.g), (2, pair.h)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_grassmann_action_residual_makes_no_fraction_matrix_product(self, ctx, monkeypatch, n):
+        """The Gr(3,6) and Gr(8,16) action residuals run from group element
+        to projection in integers: with ``Matrix.__mul__`` and
+        ``Matrix.inverse`` made to raise, both still pass."""
+        from wonderland.linalg import Matrix
+
+        if n == 2:
+            gr, split = ctx["gr"], ctx["split"]
+        else:
+            sl3 = build_sl(3)
+            gr, split = GrassmannModel(sl3, *double_algebra(sl3)), standard_splitting(sl3)
+        st = RationalStream(2025)
+        g1, h1, g2, h2 = (st.sl(n, 3) for _ in range(4))
+
+        def refuse(*args):
+            raise AssertionError("a Fraction matrix product or inverse was made")
+
+        monkeypatch.setattr(Matrix, "__mul__", refuse)
+        monkeypatch.setattr(Matrix, "inverse", refuse)
+        src = gr.act(GroupPair(g1, h1), gr.diagonal_point())
+        assert poisson_action_residual(gr, split, GroupPair(g2, h2), src).passed
 
     def test_run_all_multiplies_integer_flats(self, monkeypatch):
         """Every flat product of ``run all`` runs on ``int`` entries, or on

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 
+from wonderland.linalg import Matrix
 from wonderland.sampling import RationalStream, sample_rational
 
 # frozen at first generation; any change here is a reproducibility break
@@ -50,3 +51,34 @@ def test_rank_one_samples():
         m = st.rank_one2()
         assert m.det() == 0
         assert any(x != 0 for row in m.data for x in row)
+
+
+def triangular_product_sl(stream, n, bound=None):
+    """The L U D product of three ``Matrix`` factors with the draws of
+    ``RationalStream.sl``: the reference its integer product must match."""
+    lower = Matrix.identity(n)
+    upper = Matrix.identity(n)
+    for i in range(n):
+        for j in range(i):
+            lower.data[i][j] = stream.take(bound)
+            upper.data[j][i] = stream.take(bound)
+    diag = Matrix.identity(n)
+    prod = Q(1)
+    for k in range(n - 1):
+        t = stream.take_nonzero(bound)
+        diag.data[k][k] = t
+        prod *= t
+    diag.data[n - 1][n - 1] = 1 / prod
+    return lower * upper * diag
+
+
+def test_sl_matches_the_triangular_product():
+    for seed in (1, 42, 2025):
+        for n in (2, 3, 4):
+            for bound in (None, 3):
+                a, b = RationalStream(seed), RationalStream(seed)
+                for _ in range(3):
+                    g = a.sl(n, bound)
+                    assert g == triangular_product_sl(b, n, bound)
+                    assert g.det() == 1
+                assert a.index == b.index

@@ -26,6 +26,7 @@ from wonderland.geometry import (
     ProjChart,
     ProjMatrixPoint,
     infinitesimal_field,
+    integer_adjoint,
 )
 from wonderland.lie import build_sl, double_algebra, standard_splitting
 from wonderland.linalg import Matrix
@@ -386,6 +387,48 @@ def test_grassmann_orbit_legs_match_sympy(pair, rows, elem, side):
     push, adjoint, d = GRASS.differentials(gp)
     x, k = (elem, d) if side == "right" else (adjoint(elem), d * d)
     assert GRASS.flow_tangent(x, push(rows)) == [[k * v for v in moved(r)] for r in rows]
+
+
+# -- the integer adjoint of SL3 --------------------------------------------
+#
+# The sl3 basis is written out here in SymPy, and a conjugate's coordinates
+# are found by solving the linear system, not by reading entries.
+
+
+def sl3_basis_sym():
+    """E01, E02, E12, E00 - E11, E11 - E22, E10, E20, E21."""
+
+    def unit(i, j):
+        return sympy.Matrix(3, 3, lambda a, b: int((a, b) == (i, j)))
+
+    positive = [unit(0, 1), unit(0, 2), unit(1, 2)]
+    cartan = [unit(0, 0) - unit(1, 1), unit(1, 1) - unit(2, 2)]
+    negative = [unit(1, 0), unit(2, 0), unit(2, 1)]
+    return positive + cartan + negative
+
+
+def sl3_coords_sym(m):
+    basis = sl3_basis_sym()
+    system = sympy.Matrix([[b[k] for b in basis] for k in range(9)])
+    sol, params = system.gauss_jordan_solve(m.reshape(9, 1))
+    assert not params
+    return list(sol)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(rationals, min_size=6, max_size=6), st.lists(nonzero, min_size=2, max_size=2))
+def test_sl3_integer_adjoint_matches_sympy(triangular, diag):
+    """Row j of ``integer_adjoint(3, g)`` over its scale is the coordinate
+    vector of g b_j g^-1, g = L U D with L, U unit triangular."""
+    a, b, c, x, y, z = (to_sympy(q) for q in triangular)
+    lower = sympy.Matrix([[1, 0, 0], [a, 1, 0], [b, c, 1]])
+    upper = sympy.Matrix([[1, x, y], [0, 1, z], [0, 0, 1]])
+    d1, d2 = (to_sympy(q) for q in diag)
+    g = lower * upper * sympy.diag(d1, d2, 1 / (d1 * d2))
+    rows, s = integer_adjoint(3, Matrix([[from_sympy(g[i, j]) for j in range(3)] for i in range(3)]))
+    ginv = g.inv()
+    want = [[from_sympy(v) for v in sl3_coords_sym(g * bj * ginv)] for bj in sl3_basis_sym()]
+    assert [[Q(v, s) for v in row] for row in rows] == want
 
 
 # -- the Gr(3,6) Jacobiator on the orbit closure ------------------------------
