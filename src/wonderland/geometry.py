@@ -6,13 +6,16 @@ Two models:
   rank-one (determinant zero) locus, factoring through the Segre embedding of
   P^1 x P^1; and
 * the Grassmannian model for general sl_n: points are n-dimensional subspaces
-  of the double d = g (+) g, stored as canonically echelonized row spans, with
-  the group pair acting through the adjoint representation on each summand.
+  of the double d = g (+) g, stored as the primitive integer rows of their
+  reduced echelon form, with the group pair acting through the adjoint
+  representation on each summand.
 
 Charts are affine: for P(M_2) the chart normalizing one matrix entry to 1,
-for the Grassmannian the [I | C] chart after a column permutation.  Each
-model has one ``flow_tangent``, the ambient tangent of a double element's
-flow at a representative, and each chart one projection formula,
+for the Grassmannian the [I | C] chart after a column permutation.  A chart
+is its normalizing index or its pivot set and nothing else, so a model's
+``chart_at`` only reads that index off the point.  Each model has one
+``flow_tangent``, the ambient tangent of a double element's flow at a
+representative, and each chart one projection formula,
 ``project_normalized``, at a representative whose normalizing entry is c or
 whose pivot block is c I (c^2 times the chart derivative).  Both use only
 + - x, so they run on ``MultiPoly`` entries (c = 1) and on integers alike.
@@ -177,29 +180,32 @@ class GroupPair:
 
 class LagrangianPoint:
     """A point of Gr(n, d): the row span of an n x 2n matrix of ``int`` or
-    ``Fraction`` entries, stored in reduced row echelon form ``mat`` so
-    equality is syntactic, and as ``rows``, the primitive integer multiple
-    of each echelon row with a positive pivot."""
+    ``Fraction`` entries, stored as ``rows``, the primitive integer multiple
+    of each reduced echelon row with a positive pivot, and their ``pivots``.
+    Those rows are canonical for the span, so equality is syntactic; ``mat``
+    is the reduced echelon form as a ``Fraction`` ``Matrix``, made on read."""
 
-    __slots__ = ("mat", "rows", "pivots")
+    __slots__ = ("rows", "pivots")
 
     def __init__(self, rows):
-        prim, red, pivots = echelon_rows(rows)
+        self.rows, pivots = echelon_rows(rows)
         if len(pivots) != len(rows):
             raise ValueError("rows are not independent")
-        self.mat = Matrix(red)
-        self.rows = prim
         self.pivots = tuple(pivots)
 
     @property
     def n(self):
-        return self.mat.rows
+        return len(self.rows)
+
+    @property
+    def mat(self):
+        return Matrix([[ratio(x, row[p]) for x in row] for row, p in zip(self.rows, self.pivots)])
 
     def __eq__(self, other):
-        return isinstance(other, LagrangianPoint) and self.mat == other.mat
+        return isinstance(other, LagrangianPoint) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash(tuple(map(tuple, self.rows)))
 
     def __repr__(self):
         return "LagrangianPoint(%r)" % self.mat
@@ -214,17 +220,14 @@ FLAT_NAMES = ("a", "b", "c", "d")
 class ProjChart:
     """Affine chart of P(M_2) normalizing entry ``norm_index`` to 1.
 
-    Coordinates are offsets from the chart's center, so the parametrization
-    at the origin reproduces the center representative exactly.
+    The chart is its index: coordinates are the other three entries of the
+    representative whose normalizing entry is 1.
     """
 
-    def __init__(self, norm_index, center_offsets=None):
+    def __init__(self, norm_index):
         self.norm_index = norm_index
         self.positions = [i for i in range(4) if i != norm_index]
         self.variables = tuple(FLAT_NAMES[i] for i in self.positions)
-        if center_offsets is None:
-            center_offsets = [Fraction(0)] * 3
-        self.center_offsets = [Fraction(x) for x in center_offsets]
 
     @property
     def dim(self):
@@ -238,17 +241,16 @@ class ProjChart:
         for m, pos in enumerate(self.positions):
             e = [0] * len(variables)
             e[var_offset + m] = 1
-            out[pos] = MultiPoly(variables, {tuple(e): Fraction(1)}) + MultiPoly.const(
-                variables, self.center_offsets[m]
-            )
+            out[pos] = MultiPoly(variables, {tuple(e): Fraction(1)})
         return out
 
     def coords_of(self, point):
-        """Chart coordinates of a point; raises ChartDomainError off-chart."""
+        """Chart coordinates of a point: its entries over its normalizing
+        entry, at the other positions; raises ChartDomainError off-chart."""
         piv = point.vec[self.norm_index]
         if piv == 0:
             raise ChartDomainError("point lies outside chart %d" % self.norm_index)
-        return [Fraction(point.vec[p], piv) - off for p, off in zip(self.positions, self.center_offsets)]
+        return [Fraction(point.vec[p], piv) for p in self.positions]
 
     def point_at(self, coords):
         return ProjMatrixPoint(self.rep_at(coords))
@@ -257,8 +259,8 @@ class ProjChart:
         """Ambient representative with the normalizing entry equal to 1."""
         vec = [Fraction(0)] * 4
         vec[self.norm_index] = Fraction(1)
-        for m, pos in enumerate(self.positions):
-            vec[pos] = self.center_offsets[m] + Fraction(coords[m])
+        for pos, x in zip(self.positions, coords):
+            vec[pos] = Fraction(x)
         return vec
 
     def tangent_project(self, rep, vec):
@@ -300,11 +302,11 @@ class ProjChart:
 class GrassChart:
     """The [I | C] chart of Gr(n, 2n) with a given pivot column set.
 
-    Coordinates are the free-column entries, as offsets from the center
-    block, row-major.
+    The chart is its pivot set: coordinates are the free-column entries C,
+    row-major.
     """
 
-    def __init__(self, pivots, ambient_cols, center_block=None):
+    def __init__(self, pivots, ambient_cols):
         self.pivots = tuple(pivots)
         self.ambient_cols = ambient_cols
         self.n = len(self.pivots)
@@ -312,9 +314,6 @@ class GrassChart:
         self.variables = tuple(
             "c%d_%d" % (i, j) for i in range(self.n) for j in self.free
         )
-        if center_block is None:
-            center_block = [[Fraction(0)] * len(self.free) for _ in range(self.n)]
-        self.center_block = [[Fraction(x) for x in row] for row in center_block]
 
     @property
     def dim(self):
@@ -330,24 +329,20 @@ class GrassChart:
             for m, j in enumerate(self.free):
                 e = [0] * len(variables)
                 e[var_offset + i * len(self.free) + m] = 1
-                row[j] = MultiPoly(variables, {tuple(e): Fraction(1)}) + MultiPoly.const(
-                    variables, self.center_block[i][m]
-                )
+                row[j] = MultiPoly(variables, {tuple(e): Fraction(1)})
             rows.append(row)
         return rows
 
     def coords_of(self, point):
         """Chart coordinates of a point: the free columns of P R, R the
-        point's integer rows and P the inverse of their pivot block, minus
-        the center.  Raises ChartDomainError where that minor vanishes."""
+        point's integer rows and P the inverse of their pivot block.  Raises
+        ChartDomainError where that minor vanishes."""
         try:
             pinv, d = integer_inverse([[row[p] for p in self.pivots] for row in point.rows])
         except ValueError:
             raise ChartDomainError("point has a zero minor on chart pivots %r" % (self.pivots,)) from None
         norm = mat_mul(pinv, [[row[j] for j in self.free] for row in point.rows])
-        return [
-            ratio(x, d) - c for row, center in zip(norm, self.center_block) for x, c in zip(row, center)
-        ]
+        return [ratio(x, d) for row in norm for x in row]
 
     def point_at(self, coords):
         return LagrangianPoint(self.rep_rows_at(coords))
@@ -358,8 +353,8 @@ class GrassChart:
         for i in range(self.n):
             row = [Fraction(0)] * self.ambient_cols
             row[self.pivots[i]] = Fraction(1)
-            for m, j in enumerate(self.free):
-                row[j] = self.center_block[i][m] + Fraction(next(it))
+            for j in self.free:
+                row[j] = Fraction(next(it))
             rows.append(row)
         return rows
 
@@ -520,10 +515,8 @@ class Pgl2Model:
 
     # -- charts -----------------------------------------------------------
     def chart_at(self, point):
-        k = point.chart_index()
-        chart = ProjChart(k)
-        offsets = chart.coords_of(point)
-        return ProjChart(k, offsets)
+        """The chart normalizing the point's ``chart_index``."""
+        return ProjChart(point.chart_index())
 
     # -- boundary structure -----------------------------------------------
     def segre_factor(self, point):
@@ -569,7 +562,7 @@ class Pgl2Model:
         if double is not None and form is not None:
             from wonderland.lie import is_lagrangian
 
-            ok, cert = is_lagrangian(double, form, [lp.mat.row(i) for i in range(3)])
+            ok, cert = is_lagrangian(double, form, lp.rows)
             if not ok:
                 raise ValueError("correspondence is not Lagrangian: %r" % cert)
         return lp
@@ -659,11 +652,8 @@ class GrassmannModel:
         }
 
     def chart_at(self, point):
-        """The chart on the point's pivots, centered at the point: the
-        center block is the free columns of its echelon form."""
-        free = [j for j in range(2 * self.n) if j not in point.pivots]
-        block = [[row[j] for j in free] for row in point.mat.data]
-        return GrassChart(point.pivots, 2 * self.n, block)
+        """The chart on the point's pivots."""
+        return GrassChart(point.pivots, 2 * self.n)
 
     def _action_rows(self, point):
         """The infinitesimal-action map into the tangent space at the point:

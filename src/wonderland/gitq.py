@@ -9,7 +9,13 @@ tables, so no abstract variety objects appear.
 
 from fractions import Fraction
 
-from wonderland.geometry import ChartDomainError, ProductChart, ProjChart
+from wonderland.geometry import (
+    ChartDomainError,
+    ProductChart,
+    ProjChart,
+    ProjMatrixPoint,
+    flat_from_mat2,
+)
 from wonderland.invariants import (
     ProjectiveInvariant,
     conjugation_action,
@@ -153,21 +159,19 @@ def cover_report(charts, samples):
 # ---------------------------------------------------------------------------
 
 
-def _pair_charts_at(model, pair):
-    from wonderland.geometry import ProjMatrixPoint, flat_from_mat2
-
-    pg = ProjMatrixPoint(flat_from_mat2(pair.g))
-    ph = ProjMatrixPoint(flat_from_mat2(pair.h))
-    return [model.chart_at(pg), model.chart_at(ph)], [list(pg.vec), list(ph.vec)]
+def _pair_points(pair):
+    """[g] and [h] as points of P(M_2)."""
+    return [ProjMatrixPoint(flat_from_mat2(pair.g)), ProjMatrixPoint(flat_from_mat2(pair.h))]
 
 
 def product_bivector(model, splitting, pair, points):
     """The product structure on (G x G) x X^n at one sample: the group
-    block, the mixed block, and no cross terms."""
-    pair_charts, pair_reps = _pair_charts_at(model, pair)
-    x_charts = [model.chart_at(p) for p in points]
-    x_reps = [model.rep(p) for p in points]
-    nfac = 2 + len(points)
+    block, the mixed block, and no cross terms.  Returns the charts at
+    [g], [h] and the points, those points, and the bivector."""
+    pts = _pair_points(pair) + list(points)
+    charts = [model.chart_at(p) for p in pts]
+    reps = [model.rep(p) for p in pts]
+    nfac = len(pts)
 
     def pad(legs, offset):
         return tuple(
@@ -176,25 +180,23 @@ def product_bivector(model, splitting, pair, points):
         )
 
     wedges = []
-    for c, u, w in pi_wedges(model, splitting, pair_reps[0], pair_reps[1]):
+    for c, u, w in pi_wedges(model, splitting, reps[0], reps[1]):
         wedges.append((c, pad(u, 0), pad(w, 0)))
-    for c, u, w in mixed_wedges(model, splitting, x_reps):
+    for c, u, w in mixed_wedges(model, splitting, reps[2:]):
         wedges.append((c, pad(u, 2), pad(w, 2)))
-    charts = pair_charts + x_charts
-    reps = pair_reps + x_reps
-    return charts, reps, projected_bivector(charts, reps, wedges)
+    return charts, pts, projected_bivector(charts, reps, wedges)
 
 
 def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2):
     """The product-bracket identity at one sample of (G x G) x X^n:
     contracting the product bivector against the gradients of phi (x) f
     equals {phi1,phi2}_G f1 f2 + phi1 phi2 {f1,f2}_X, exactly."""
-    charts, reps, L = product_bivector(model, splitting, pair, points)
+    charts, pts, L = product_bivector(model, splitting, pair, points)
     pair_charts, x_charts = charts[:2], charts[2:]
     pair_pc = ProductChart(pair_charts)
-    z_pair = [Q(0)] * pair_pc.dim
+    z_pair = pair_pc.coords_of(pts[:2])
     x_pc = ProductChart(x_charts)
-    z_x = [Q(0)] * x_pc.dim
+    z_x = x_pc.coords_of(pts[2:])
 
     rphi1, rphi2 = phi1.restrict(pair_pc), phi2.restrict(pair_pc)
     rf1, rf2 = f1.restrict(x_pc), f2.restrict(x_pc)
@@ -212,7 +214,7 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
     full2 = [x * f2_v for x in grad2] + [x * phi2_v for x in gf2]
     lhs = L.bracket_eval(full1, full2)
 
-    pair_reps = reps[:2]
+    pair_reps = [model.rep(p) for p in pts[:2]]
     Lg = projected_bivector(
         pair_charts, pair_reps, pi_wedges(model, splitting, pair_reps[0], pair_reps[1])
     )
@@ -231,10 +233,10 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
 def projection_poisson_residual(model, splitting, pair, points, f1, f2):
     """Pullbacks along the projection to X bracket to the pullback of the
     X-bracket: the projection is a Poisson map for the product structure."""
-    charts, reps, L = product_bivector(model, splitting, pair, points)
+    charts, pts, L = product_bivector(model, splitting, pair, points)
     x_charts = charts[2:]
     x_pc = ProductChart(x_charts)
-    z_x = [Q(0)] * x_pc.dim
+    z_x = x_pc.coords_of(pts[2:])
     rf1, rf2 = f1.restrict(x_pc), f2.restrict(x_pc)
     gf1 = rf1.grad_at(z_x)
     gf2 = rf2.grad_at(z_x)
@@ -258,22 +260,22 @@ def projection_poisson_residual(model, splitting, pair, points, f1, f2):
 
 
 def quotient_bracket_table(model, splitting, invariants, samples, conjugators):
-    """The bracket table of the quotient at seeded samples.
+    """The bracket table of the quotient at seeded samples, and the failing
+    closure checks.
 
-    Every pair is first run through the closure check (an exact failure
-    there would be an internal inconsistency, so it halts); the table then
-    records {g_i, g_j} values per sample, which are exactly antisymmetric.
+    Every pair is first run through the closure check at every sample.  A
+    failure leaves the quotient bracket undefined there, so its residual,
+    which names the pair and the points, is returned beside the table for
+    the report to record.  The table records {g_i, g_j} values per sample,
+    which are exactly antisymmetric.
     """
+    failures = []
     for i, f in enumerate(invariants):
-        for j, g in enumerate(invariants):
-            if i < j:
-                for pts, c in zip(samples, conjugators):
-                    res = invariant_bracket_closure(model, splitting, f, g, pts, c)
-                    if not res.passed:
-                        raise AssertionError(
-                            "bracket closure failed for (%s, %s): quotient bracket undefined"
-                            % (f.name, g.name)
-                        )
+        for g in invariants[i + 1 :]:
+            for pts, c in zip(samples, conjugators):
+                res = invariant_bracket_closure(model, splitting, f, g, pts, c)
+                if not res.passed:
+                    failures.append(res)
     table = []
     for pts in samples:
         charts = [model.chart_at(p) for p in pts]
@@ -291,7 +293,7 @@ def quotient_bracket_table(model, splitting, invariants, samples, conjugators):
                 "entries": [[qstr(x) for x in row] for row in entries],
             }
         )
-    return table
+    return table, failures
 
 
 def quotient_jacobi_residual(model, splitting, invariants, points):

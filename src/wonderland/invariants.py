@@ -517,8 +517,8 @@ class ProjectiveInvariant:
         """Gradient of num/den in the coordinates of per-factor ProjCharts
         at the points, equal to ``restrict(charts).grad_at(coords)``.
 
-        A ProjChart parametrization is affine with unit Jacobian on
-        ``chart.positions``, and its center offsets cancel, so by the chain
+        A ProjChart's coordinates are the entries at ``chart.positions`` of
+        the representative whose normalizing entry is 1, so by the chain
         rule the chart gradient is the ambient gradient of F = num/den at
         the chart-normalized representative, read at the chart positions.
         F has degree 0 in each factor, so its partials along factor l have

@@ -17,8 +17,8 @@ call.  ``integer_inverse`` is the one inversion: one ``rref_rows`` pass on
 [A | I] gives the inverse as an integer matrix over one denominator (the
 chart projections and the Grassmannian's adjoint action use it as it is;
 ``Matrix.inverse`` is its ``Fraction`` view), and ``echelon_rows`` hands
-out the primitive pivot rows of a reduction beside the RREF, for the
-Grassmannian's points.
+out the primitive pivot rows of a reduction, which are all that the
+Grassmannian's points keep.
 
 A ``Bivector`` is an integer matrix over one denominator.  ``from_wedges``
 takes integer legs as they are (the chart projections hand it those),
@@ -410,15 +410,13 @@ def integer_inverse(rows):
 
 
 def echelon_rows(rows):
-    """(prim, red, pivots): the reduced row echelon form of dense rows of
-    ``int`` or ``Fraction`` entries.  ``prim`` holds the primitive integer
-    pivot rows of ``rref_rows`` as dense lists, each the least integer
-    multiple of its RREF row with a positive pivot; ``red`` holds those
-    RREF rows as ``Fraction`` rows."""
+    """(prim, pivots): the reduced row echelon form of dense rows of ``int``
+    or ``Fraction`` entries, in integers.  ``prim`` holds the primitive
+    integer pivot rows of ``rref_rows`` as dense lists, each the least
+    integer multiple of its RREF row with a positive pivot."""
     cols = len(rows[0]) if rows else 0
     sparse, pivots = backend.rref_rows(_scaled_rows(rows)[0])
-    prim = [[r.get(j, 0) for j in range(cols)] for r in sparse]
-    return prim, _fraction_rows(sparse, pivots, cols), pivots
+    return [[r.get(j, 0) for j in range(cols)] for r in sparse], pivots
 
 
 def integer_vector(vec):

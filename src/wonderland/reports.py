@@ -430,14 +430,14 @@ def run_rank1(cfg, ctx):
     surr = pgl2_surrogates(1)
     pts = [(_interior_point(stream),) for _ in range(3)]
     conjs = [stream.sl2() for _ in range(3)]
-    table = quotient_bracket_table(ctx.model, ctx.split, surr, pts, conjs)
+    table, failures = quotient_bracket_table(ctx.model, ctx.split, surr, pts, conjs)
     flat = [
         Q(x) for row in table for line in row["entries"] for x in line
     ]
     table_check = residual_from_values(
         "rank1/bracket-table-zero", {"samples": len(pts)}, flat, details={"table": table}
     )
-    return [check, table_check]
+    return [check, *failures, table_check]
 
 
 def run_f2_demo(cfg, ctx):
@@ -459,7 +459,8 @@ def run_f2_demo(cfg, ctx):
         (_interior_point(stream), _interior_point(stream)) for _ in range(3)
     ]
     conjs = [stream.sl2() for _ in range(3)]
-    table = quotient_bracket_table(ctx.model, ctx.split, surr[:3], samples, conjs)
+    table, failures = quotient_bracket_table(ctx.model, ctx.split, surr[:3], samples, conjs)
+    checks.extend(failures)
     flat = [Q(x) for row in table for line in row["entries"] for x in line]
     checks.append(
         residual_from_values(

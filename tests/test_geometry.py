@@ -1,5 +1,6 @@
 """The compactification models: points, charts, actions, boundary."""
 
+import sys
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
@@ -31,7 +32,7 @@ from wonderland.lie import (
     sl_coords,
     sl_matrix_of,
 )
-from wonderland.linalg import Matrix, integer_vector
+from wonderland.linalg import Matrix, echelon_rows, integer_vector
 from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
@@ -250,16 +251,16 @@ class TestCharts:
         ch = ctx["model"].chart_at(I)
         assert ch.norm_index == 0
         assert ch.variables == ("b", "c", "d")
-        assert ch.center_offsets == [Q(0), Q(0), Q(1)]
-        assert ch.point_at([0, 0, 0]) == I
-        assert ch.coords_of(I) == [Q(0), Q(0), Q(0)]
+        assert ch.coords_of(I) == [Q(0), Q(0), Q(1)]
+        assert ch.point_at(ch.coords_of(I)) == I
 
     def test_grass_chart_at_diagonal(self, ctx):
         d = ctx["gr"].diagonal_point()
         ch = ctx["gr"].chart_at(d)
         assert ch.pivots == (0, 1, 2)
         assert ch.dim == 9
-        assert ch.point_at([Q(0)] * 9) == d
+        assert ch.coords_of(d) == [Q(int(i == j)) for i in range(3) for j in range(3)]
+        assert ch.point_at(ch.coords_of(d)) == d
 
     def test_chart_domain_error(self, ctx):
         ch = ProjChart(0)
@@ -317,7 +318,7 @@ class TestInfinitesimalField:
         st = RationalStream(79)
         x = st.vector(3)
         fld = infinitesimal_field(ctx["model"], ch, x + x)
-        assert [f.eval([0, 0, 0]) for f in fld] == [Q(0)] * 3
+        assert [f.eval(ch.coords_of(I)) for f in fld] == [Q(0)] * 3
 
     def test_elem_flats_are_the_flat_element_matrices(self, ctx):
         """The flat 2x2 entries read straight from the six coordinates are
@@ -560,12 +561,11 @@ class TestIntegerAction:
 
     def test_coords_of_point_with_other_pivots(self):
         """The span has RREF pivots (0, 1, 2) and minor 1 on (0, 1, 3), so
-        it lies in the chart on (0, 1, 3), centered or not."""
+        it lies in the chart on (0, 1, 3)."""
         p = LagrangianPoint([[1, 0, 0, 1, 2, 3], [0, 1, 0, 4, 5, 7], [0, 0, 1, 1, 1, 2]])
         assert p.pivots == (0, 1, 2)
-        for center in (None, [[1, 0, 2], [Q(1, 2), 3, 0], [0, 0, Q(-5, 3)]]):
-            chart = GrassChart((0, 1, 3), 6, center)
-            assert chart.point_at(chart.coords_of(p)) == p
+        chart = GrassChart((0, 1, 3), 6)
+        assert chart.point_at(chart.coords_of(p)) == p
 
     def test_coords_of_zero_minor(self):
         p = LagrangianPoint([[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 2], [0, 0, 1, 0, 3, 1]])
@@ -584,3 +584,67 @@ class TestIntegerAction:
                     chart.coords_of(p)
             else:
                 assert chart.point_at(chart.coords_of(p)) == p
+
+
+def calls_during(code, fn):
+    """How many times the function with ``code`` is entered while fn runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+FRACTION_NEW = Q.__new__.__code__
+MATRIX_INIT = Matrix.__init__.__code__
+
+
+class TestCoordinateFreeShape:
+    """A chart is its normalizing index or pivot set, so ``chart_at`` makes
+    no ``Fraction``; a point of the Grassmannian is its primitive echelon
+    rows, so building one makes no ``Matrix`` and its reduction no
+    ``Fraction``."""
+
+    def test_chart_at_makes_no_fraction(self, ctx):
+        model, gr = ctx["model"], ctx["gr"]
+        p = ProjMatrixPoint([3, -5, 2, 7])
+        boundary = model.lagrangian_of(ProjMatrixPoint([1, 0, 0, 0]))
+        d = gr.diagonal_point()
+        assert calls_during(FRACTION_NEW, lambda: model.chart_at(p)) == 0
+        assert calls_during(FRACTION_NEW, lambda: gr.chart_at(d)) == 0
+        assert calls_during(FRACTION_NEW, lambda: gr.chart_at(boundary)) == 0
+
+    def test_point_construction_makes_no_matrix(self):
+        rows = [[2, 0, 1, 4, 0, 6], [1, 1, 0, 0, 3, 0], [0, 5, 0, 1, 1, 1]]
+        scaled = [[Q(x, 3) for x in row] for row in rows]
+        for given_rows in (rows, scaled):
+            assert calls_during(MATRIX_INIT, lambda: LagrangianPoint(given_rows)) == 0
+            assert calls_during(FRACTION_NEW, lambda: echelon_rows(given_rows)) == 0
+        assert LagrangianPoint(rows) == LagrangianPoint(scaled)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hst.lists(hst.lists(_entries, min_size=6, max_size=6), min_size=3, max_size=3),
+        hst.lists(hst.lists(_entries, min_size=3, max_size=3), min_size=3, max_size=3),
+        hst.lists(hst.lists(_entries, min_size=6, max_size=6), min_size=3, max_size=3),
+        hst.booleans(),
+    )
+    def test_equality_on_rows_is_equality_of_spans(self, rows, mix, fresh, same):
+        """Equal ``rows`` exactly when equal ``mat`` and equal row spans:
+        the other point spans ``mix`` times the rows, or fresh rows."""
+        other = (Matrix(mix) * Matrix(rows)).data if same else fresh
+        assume(Matrix(rows).rank() == 3 and Matrix(other).rank() == 3)
+        p, q = LagrangianPoint(rows), LagrangianPoint(other)
+        same_span = Matrix(rows + other).rank() == 3
+        assert (p == q) == (p.mat == q.mat) == same_span
+        assert same_span or not same
+        if same_span:
+            assert hash(p) == hash(q)

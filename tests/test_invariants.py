@@ -306,7 +306,7 @@ class TestProjectiveInvariants:
         charts = [ctx["model"].chart_at(p) for p in pts]
         pc = ProductChart(charts)
         restricted = surr.restrict(pc)
-        assert restricted.eval([Q(0)] * 6) == surr.value_at(pts)
+        assert restricted.eval(pc.coords_of(pts)) == surr.value_at(pts)
 
 
 class TestBracketClosure:
@@ -402,12 +402,12 @@ class TestPointwiseGradients:
                 got = mixed_bracket_value(ctx["model"], ctx["split"], pts, f, g, charts=charts)
                 assert got == self.symbolic_bracket(ctx, pts, charts, f, g), (f.name, g.name)
 
-    def test_canonical_charts_with_center_offsets(self, ctx):
+    def test_canonical_charts_at_nonzero_coordinates(self, ctx):
         st = RationalStream(239)
         for _ in range(3):
             pts = (ProjMatrixPoint(st.invertible2()), ProjMatrixPoint(st.invertible2()))
             charts = [ctx["model"].chart_at(p) for p in pts]
-            assert any(off != 0 for c in charts for off in c.center_offsets)
+            assert all(any(c.coords_of(p)) for c, p in zip(charts, pts))
             self.check_against_symbolic(ctx, pts, charts)
 
     def test_fixed_route_charts(self, ctx):

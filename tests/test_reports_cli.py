@@ -101,6 +101,26 @@ def test_negative_control_fails_on_vanishing_field(monkeypatch):
     assert not control.passed and control.residual == "0"
 
 
+def test_failed_quotient_closure_is_reported(monkeypatch, tmp_path):
+    """A mixed field that drops its first wedge breaks bracket closure on
+    the quotient: the report is still written, a failing closure check names
+    the pair, and the command exits 1."""
+    import wonderland.poisson as poisson
+
+    real = poisson.mixed_wedges
+    monkeypatch.setattr(poisson, "mixed_wedges", lambda *a, **k: real(*a, **k)[1:])
+    out = tmp_path / "report.json"
+    argv = ["run", "--experiment", "all", "--samples", "2", "--seed", "42", "--out", str(out)]
+    assert cli_main(argv) == 1
+    checks = json.loads(out.read_text())["checks"]
+    pairs = {
+        (c["sample"]["f"], c["sample"]["g"])
+        for c in checks
+        if c["name"] == "bracket-closure" and not c["pass"]
+    }
+    assert ("trA2_over_detA", "trAB2_over_dets") in pairs
+
+
 def test_report_schema_and_summary():
     cfg = ExperimentConfig(experiment="jacobi", **SMALL)
     rep = run_experiment(cfg)

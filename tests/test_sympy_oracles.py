@@ -167,16 +167,15 @@ def derivative_at_zero(e):
 @settings(max_examples=20, deadline=None)
 @given(
     st.sampled_from([(0, 1, 2), (0, 2, 4), (1, 3, 5), (3, 4, 5), (0, 4, 5)]),
-    st.lists(rationals, min_size=9, max_size=9),
     st.lists(st.lists(rationals, min_size=6, max_size=6), min_size=3, max_size=3),
     st.lists(st.lists(rationals, min_size=6, max_size=6), min_size=3, max_size=3),
 )
-def test_grass_tangent_project_general_matches_sympy(pivots, center, rep, vel):
+def test_grass_tangent_project_general_matches_sympy(pivots, rep, vel):
     """The chart coordinates of span(R + tV) are the free columns of
-    (pivot block)^-1 (R + tV), less the center; R need not be normalized."""
+    (pivot block)^-1 (R + tV); R need not be normalized."""
     block = sympy.Matrix([[to_sympy(rep[i][p]) for p in pivots] for i in range(3)])
     assume(block.det() != 0)
-    chart = GrassChart(pivots, 6, [center[3 * i : 3 * i + 3] for i in range(3)])
+    chart = GrassChart(pivots, 6)
     moved = sympy.Matrix(
         3, 6, lambda i, j: to_sympy(rep[i][j]) + T * to_sympy(vel[i][j])
     )
@@ -198,7 +197,6 @@ def grass_batch_case(n, pivot_sets):
     zero_leg = st.just([[0] * cols for _ in range(n)])
     return st.tuples(
         pivot_sets,
-        st.lists(rationals, min_size=n * n, max_size=n * n),
         rows,
         st.lists(st.one_of(zero_leg, rows), min_size=1, max_size=4),
     )
@@ -208,13 +206,13 @@ def check_grass_batch(n, case):
     """Each leg's projection is the t-derivative at 0 of the free columns of
     B(t)^-1 (R + tV), B(t) the pivot block of R + tV: by the product rule
     B^-1 V - B^-1 V_piv B^-1 R, with SymPy's inverse of R's pivot block."""
-    pivots, center, rep, legs = case
+    pivots, rep, legs = case
     pivots = tuple(sorted(pivots))
     r = sympy.Matrix([[to_sympy(Q(x)) for x in row] for row in rep])
     block = r.extract(list(range(n)), list(pivots))
     assume(block.det() != 0)
     binv = block.inv()
-    chart = GrassChart(pivots, 2 * n, [center[n * i : n * i + n] for i in range(n)])
+    chart = GrassChart(pivots, 2 * n)
     want = []
     for leg in legs:
         v = sympy.Matrix([[to_sympy(Q(x)) for x in row] for row in leg])
@@ -264,14 +262,13 @@ def test_proj_batch_projection_matches_sympy(k, rep, vecs):
 @given(
     st.integers(0, 3),
     st.lists(rationals, min_size=3, max_size=3),
-    st.lists(rationals, min_size=3, max_size=3),
     nonzero,
     st.lists(rationals, min_size=4, max_size=4),
 )
-def test_proj_tangent_project_matches_sympy(k, center, z, scale, vec):
+def test_proj_tangent_project_matches_sympy(k, z, scale, vec):
     """At a scaled representative R the chart coordinates of [R + tv] are
-    (R_p + t v_p) / (R_k + t v_k) less the center, for p != k."""
-    chart = ProjChart(k, center)
+    (R_p + t v_p) / (R_k + t v_k), for p != k."""
+    chart = ProjChart(k)
     rep = [scale * x for x in chart.rep_at(z)]
     moved = [to_sympy(r) + T * to_sympy(v) for r, v in zip(rep, vec)]
     want = [derivative_at_zero(moved[p] / moved[k]) for p in chart.positions]
@@ -286,15 +283,14 @@ GRASS = GrassmannModel(SL2, DOUBLE, FORM)
 @settings(max_examples=10, deadline=None)
 @given(
     st.sampled_from([(0, 1, 2), (0, 2, 4), (1, 3, 5), (3, 4, 5), (0, 4, 5)]),
-    st.lists(nonzero, min_size=9, max_size=9),
     st.lists(rationals, min_size=9, max_size=9),
     st.lists(rationals, min_size=6, max_size=6),
 )
-def test_grassmann_infinitesimal_field_matches_sympy(pivots, center, z, elem):
+def test_grassmann_infinitesimal_field_matches_sympy(pivots, z, elem):
     """At chart coordinates z, with R = rep_rows_at(z) and D = ad(elem), the
     field is the t-derivative at 0 of the free columns of
     (pivot block)^-1 R(I + t D^T): the chart coordinates of the flowed span."""
-    chart = GrassChart(pivots, 6, [center[3 * i : 3 * i + 3] for i in range(3)])
+    chart = GrassChart(pivots, 6)
     rep = sympy.Matrix([[to_sympy(x) for x in row] for row in chart.rep_rows_at(z)])
     ad = sympy.Matrix([[to_sympy(x) for x in row] for row in DOUBLE.ad(elem).data])
     moved = rep * (sympy.eye(6) + T * ad.T)
@@ -478,14 +474,14 @@ def test_grassmann_jacobiator_vanishes_on_the_orbit(where):
     """The orbit of the diagonal is the set of graphs [I | Ad_k^T], k in GL2.
     With k = [[a, b], [c, 1]], dense in PGL2, the rows delta [I | Ad_k^T] =
     [delta I | Q] are polynomial in (a, b, c), delta = a - bc, and a
-    chart's coordinates there are (adj(P) F - det(P) center) / det P, P and
-    F the pivot and free columns.  Substituted into each of the 84
-    Jacobiators, with det P cleared, they give the zero polynomial: the
+    chart's coordinates there are adj(P) F / det P, P and F the pivot and
+    free columns.  Substituted into each of the 84 Jacobiators, with det P
+    cleared, they give the zero polynomial: the
     splitting field is Poisson on the chart's part of the orbit closure.
     Covered: the chart at the diagonal and the chart at the boundary point
     [E11].  The Jacobiators are not zero polynomials on the chart (70 of 84
-    are nonzero), and the same substitution without the chart's center
-    leaves nonzero numerators."""
+    are nonzero), and the same substitution shifted by the diagonal's free
+    block I leaves nonzero numerators."""
     model = Pgl2Model(SL2)
     point = GRASS.diagonal_point() if where == "diagonal" else model.lagrangian_of(ProjMatrixPoint([1, 0, 0, 0]))
     chart = GRASS.chart_at(point)
@@ -503,7 +499,6 @@ def test_grassmann_jacobiator_vanishes_on_the_orbit(where):
     P = rows.extract([0, 1, 2], list(chart.pivots))
     F = rows.extract([0, 1, 2], chart.free)
     det = P.det()
-    center = sym_matrix(chart.center_block)
     det_p = S(sympy.expand(det))
     adj_f = P.adjugate() * F
 
@@ -511,5 +506,5 @@ def test_grassmann_jacobiator_vanishes_on_the_orbit(where):
         nums = [S(sympy.expand(coords[i, m])) for i in range(3) for m in range(3)]
         return substituted_numerators(jacs, nums, det_p)
 
-    assert all(x == 0 for x in numerators(adj_f - det * center))
-    assert any(x != 0 for x in numerators(adj_f))
+    assert all(x == 0 for x in numerators(adj_f))
+    assert any(x != 0 for x in numerators(adj_f + det * sympy.eye(3)))
