@@ -645,9 +645,12 @@ class GrassmannModel:
         return push, adjoint, d
 
     def action_sample(self, point, image):
-        """Check name and sample record of an action residual."""
+        """Check name and sample record of an action residual: the first
+        row of the source's reduced echelon form, from its integer row
+        alone, and the image's pivots."""
+        row, p = point.rows[0], point.pivots[0]
         return "poisson-action-grassmann", {
-            "point": repr(point.mat.data[0]),
+            "point": repr([ratio(x, row[p]) for x in row]),
             "pivots": list(image.pivots),
         }
 

@@ -14,9 +14,10 @@ any ring of entries, so the same lists serve two ends:
   every leg by its chart coordinates, with one batch call of each chart's
   ``tangent_project_general`` per factor, which normalizes the factor's
   representative once and projects every distinct leg to integers over one
-  denominator; over the factors' lcm D every leg is an integer vector and
-  each coefficient is divided by D^2, and ``Bivector.from_wedges`` sums the
-  wedges in integers (``projected_bivector`` does both);
+  denominator; over the factors' lcm D every leg is an integer vector,
+  and it returns D^2 beside the projected wedges, whose coefficients it
+  leaves as they are; ``projected_bivector`` sums them in integers with
+  ``Bivector.from_wedges`` and puts D^2 into the denominator;
 * symbolically, at the charts' parametrized representatives,
   ``polynomial_field`` projects them with ``project_normalized`` and sums
   them with ``linalg.wedge_sum`` into a ``BivectorField`` of polynomials
@@ -36,8 +37,17 @@ multiplies by the pair's scale s) have their coefficients divided by s^2.
 Identity checks (Jacobi, multiplicativity, the action compatibility
 equation, tangency to the boundary divisor) are all run at rational sample
 points with zero-tolerance residuals.  A residual that is a difference of
-bivectors is one signed wedge list, summed in integers by one
-``from_wedges``; only the nonzero entries it prints become ``Fraction``s.
+bivectors, lhs - rhs (the action identity and multiplicativity), is
+collected before it is expanded (``_collected``): each projected leg is
+made its primitive integer vector, the coefficients of equal pairs of
+primitive legs are summed in integers over both sides, and only the pairs
+that do not cancel go to one ``from_wedges``.  Where the identity holds,
+the sides agree wedge by wedge and that call gets an empty list; the
+diagonal-action residual on several factors, whose orbit legs span all
+factors and whose cross terms cancel only after the sum over the dual
+basis, is expanded in full.  Field values are not collected, since nothing
+cancels there.  Only the nonzero entries a residual prints become
+``Fraction``s.
 ``jacobi_sweep`` reads the field values and their derivatives at a point
 from the field's ``poly.MonomialTable`` (one evaluation per distinct
 monomial) and sums every coordinate triple's Jacobiator in integers.  It
@@ -81,7 +91,7 @@ chart at the diagonal and on a chart at a boundary point.
 
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
+from math import gcd, lcm
 
 from wonderland.geometry import (
     GroupPair,
@@ -320,18 +330,20 @@ def pi_wedges(model, splitting, rep_g, rep_h):
 
 
 def project_wedges(charts, reps, wedges):
-    """Project pointwise wedges into concatenated chart coordinates: the
-    wedge list with every leg replaced by its integer coordinate list.
+    """Project pointwise wedges into concatenated chart coordinates:
+    (projected, D2), the wedge list with every leg replaced by its integer
+    coordinate list and the scale D^2 of their sum.
 
     Each factor's distinct legs are projected by one batch call of its
     chart's ``tangent_project_general``, which normalizes the factor's
     representative once and returns integer coordinates over one
     denominator.  The factors are brought over one lcm D, so every leg is
-    its integer list over D, and each wedge coefficient is divided by D^2.
-    A leg that is None on a factor (absent there) or has no nonzero entry
-    contributes zeros there without being projected: the projection is
-    linear in the leg.  Grassmannian legs are lists of rows, which ``any``
-    does not look into, so those are always projected."""
+    its integer list over D and the projected wedges, coefficients kept as
+    they are, sum to D^2 times the bivector.  A leg that is None on a
+    factor (absent there) or has no nonzero entry contributes zeros there
+    without being projected: the projection is linear in the leg.
+    Grassmannian legs are lists of rows, which ``any`` does not look into,
+    so those are always projected."""
     batches = []
     for l, (chart, rep) in enumerate(zip(charts, reps)):
         legs = {}
@@ -354,18 +366,59 @@ def project_wedges(charts, reps, wedges):
             out.extend([0] * chart.dim if coords is None else coords)
         return out
 
-    D2 = D * D
-    return [(c / D2, proj(u), proj(w)) for c, u, w in wedges]
+    return [(c, proj(u), proj(w)) for c, u, w in wedges], D * D
 
 
 def projected_bivector(charts, reps, wedges):
     """The ``Bivector`` of pointwise wedges in concatenated chart
-    coordinates: ``project_wedges``, then one ``from_wedges``."""
-    return Bivector.from_wedges(sum(c.dim for c in charts), project_wedges(charts, reps, wedges))
+    coordinates: ``project_wedges``, then one ``from_wedges``, whose
+    denominator takes the scale D^2."""
+    projected, d2 = project_wedges(charts, reps, wedges)
+    out = Bivector.from_wedges(sum(c.dim for c in charts), projected)
+    return Bivector.from_integers(out.ints, out.den * d2)
 
 
-def _negated(wedges):
-    return [(-c, u, w) for c, u, w in wedges]
+def _primitive_leg(leg):
+    """(g, p) with leg = g p and p the primitive integer vector, as a
+    tuple, whose first nonzero entry is positive; (0, None) for a zero
+    leg."""
+    g = gcd(*leg)
+    if not g:
+        return 0, None
+    for x in leg:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return g, tuple([x // g for x in leg])
+
+
+def _collected(dim, lhs, rhs):
+    """The ``Bivector`` lhs - rhs of a residual's two projected sides, each
+    a pair (wedges, D2) as ``project_wedges`` returns it.
+
+    Each leg is made its primitive integer vector and its gcd moves into
+    the coefficient; the coefficients of identical (u, w) pairs of
+    primitive legs are summed in integers over the lcm of their
+    denominators, and only the pairs whose sum is not zero go to
+    ``from_wedges``.  Where an identity holds, its two sides agree wedge by
+    wedge and nothing is left to expand; where they do not, what is left is
+    expanded as it stands.  The result is the rational matrix that
+    ``from_wedges`` makes of the whole signed list."""
+    terms = []
+    den = 1
+    for (wedges, d2), sign in ((lhs, 1), (rhs, -1)):
+        for c, u, w in wedges:
+            gu, pu = _primitive_leg(u)
+            gw, pw = _primitive_leg(w)
+            if c and gu and gw and pu != pw:
+                d = c.denominator * d2
+                den = lcm(den, d)
+                terms.append((pu, pw, sign * c.numerator * gu * gw, d))
+    sums = {}
+    for pu, pw, n, d in terms:
+        sums[pu, pw] = sums.get((pu, pw), 0) + n * (den // d)
+    return Bivector.from_wedges(dim, [(Fraction(n, den), u, w) for (u, w), n in sums.items() if n])
 
 
 def _mapped(wedges, maps):
@@ -416,7 +469,9 @@ def multiplicativity_residual(model, splitting, pair1, pair2):
     The four matrices are scaled to integer flats over one denominator d
     and their products represent g1 g2 and h1 h2: every leg on a factor
     then carries the factor's scale d^2 together with its representative,
-    which leaves the chart projections unchanged."""
+    which leaves the chart projections unchanged.  The value at the product
+    and the two translates are projected in one batch and collected
+    (``_collected``) as the two sides of the identity."""
     (g1, h1, g2, h2), _ = integer_rows(
         [flat_from_mat2(m) for m in (pair1.g, pair1.h, pair2.g, pair2.h)]
     )
@@ -426,8 +481,10 @@ def multiplicativity_residual(model, splitting, pair1, pair2):
     right = (lambda v: flat_mul2(v, g2), lambda v: flat_mul2(v, h2))
     t1 = _mapped(pi_wedges(model, splitting, g2, h2), left)
     t2 = _mapped(pi_wedges(model, splitting, g1, h1), right)
-    wedges = pi_wedges(model, splitting, pg, ph) + _negated(t1 + t2)
-    res = projected_bivector(charts, [pg, ph], wedges)
+    lhs = pi_wedges(model, splitting, pg, ph)
+    wedges, d2 = project_wedges(charts, [pg, ph], lhs + t1 + t2)
+    k = len(lhs)
+    res = _collected(sum(c.dim for c in charts), (wedges[:k], d2), (wedges[k:], d2))
     return residual_from_matrix("pi-multiplicativity", {}, res)
 
 
@@ -440,7 +497,8 @@ def action_residual(model, splitting, pair, points, cross_sign=None):
     t1, the field at the sources pushed by the action, and t2, the group
     bivector's orbit legs (``orbit_wedges``), both sit at the pushed source
     representatives, so they are projected together, one batch per factor.
-    The three signed wedge lists are summed by one ``from_wedges``."""
+    The two projected sides are collected wedge by wedge (``_collected``)
+    before the one ``from_wedges``."""
     images = [model.act(pair, p) for p in points]
     charts = [model.chart_at(im) for im in images]
     img_reps = [model.rep(im) for im in images]
@@ -453,8 +511,7 @@ def action_residual(model, splitting, pair, points, cross_sign=None):
     t1 = _mapped(mixed_wedges(model, splitting, src_reps, cross_sign), [push] * len(reps))
     t2 = orbit_wedges(model, splitting, adjoint, scale, reps)
     rhs = project_wedges(charts, reps, t1 + t2)
-    dim = sum(c.dim for c in charts)
-    return images, Bivector.from_wedges(dim, lhs + _negated(rhs))
+    return images, _collected(sum(c.dim for c in charts), lhs, rhs)
 
 
 def poisson_action_residual(model, splitting, pair, point):

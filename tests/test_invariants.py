@@ -1,6 +1,7 @@
 """Invariant kernels, generators, expressions, bracket closure."""
 
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -50,6 +51,26 @@ def sl2_weight_multiplicities(n_copies):
                 new[w + dw] = new.get(w + dw, 0) + m
         weights = new
     return weights.get(0, 0) - weights.get(2, 0)
+
+
+def cayley_sylvester_dimension(degree):
+    """Oracle sharing no code with the engine: the dimension of the
+    conjugation invariants on M_2^r in a multidegree.  The Cartan element h
+    acts as diag(0, 2, -2, 0) on the entries (a, b, c, d) of each factor,
+    and e maps weight 0 onto weight 2, so the dimension is the number of
+    weight-0 monomials minus the number of weight-2 monomials.  A monomial
+    of degree d in one factor with i b's and j c's has weight 2 (i - j), and
+    there are d - i - j + 1 of them."""
+    counts = {0: 1}
+    for d in degree:
+        new = {}
+        for i in range(d + 1):
+            for j in range(d - i + 1):
+                for w, m in counts.items():
+                    key = w + 2 * (i - j)
+                    new[key] = new.get(key, 0) + m * (d - i - j + 1)
+        counts = new
+    return counts.get(0, 0) - counts.get(2, 0)
 
 
 class TestActions:
@@ -147,6 +168,22 @@ class TestInvariantSpaces:
             mixed_factor_action(ctx["sl2"], ["line", "line_dual"]), (1, 1)
         )
         assert a.dimension == b.dimension == 1
+
+
+class TestCayleySylvester:
+    """``invariants_of_degree`` on one, two and three M_2 factors has the
+    Cayley-Sylvester dimension in every multidegree of a grid."""
+
+    @pytest.mark.parametrize(
+        "factors, bound",
+        [(1, 6), (2, 3), (3, 2)],
+        ids=["r1-up-to-6", "r2-up-to-3-3", "r3-up-to-2-2-2"],
+    )
+    def test_dimension_is_weight_zero_minus_weight_two(self, ctx, factors, bound):
+        act = conjugation_action(ctx["sl2"], factors)
+        for degree in product(range(bound + 1), repeat=factors):
+            got = invariants_of_degree(act, degree).dimension
+            assert got == cayley_sylvester_dimension(degree), degree
 
 
 def kernel_from_derive_poly(action, degree):

@@ -1,5 +1,6 @@
 """The bivector engine: field constructions and exact identity residuals."""
 
+from contextlib import contextmanager
 from fractions import Fraction as Q
 from itertools import combinations, product
 
@@ -16,8 +17,10 @@ from wonderland.geometry import (
     GrassmannModel,
 )
 from wonderland.lie import _dualize, build_sl, double_algebra, standard_splitting
+from wonderland.linalg import Bivector
 from wonderland.poisson import (
     BivectorField,
+    _collected,
     action_map_identities,
     pair_group_field,
     diagonal_action_residual,
@@ -509,6 +512,119 @@ class TestActionIdentity:
         assert [Q(x, den) for x in coords] == direct
 
 
+@hst.composite
+def wedge_sides(draw):
+    """(dim, lhs, rhs): two signed sides (wedges, D2) with integer legs
+    drawn from a small pool, so legs repeat as objects, come back rescaled
+    by +-k and include a zero leg; coefficients are ``int`` or
+    ``Fraction``."""
+    dim = draw(hst.integers(1, 8))
+    entry = hst.integers(-6, 6)
+    pool = draw(hst.lists(hst.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    pool.append([0] * dim)
+    coef = hst.one_of(hst.integers(-5, 5), hst.fractions(-5, 5, max_denominator=12))
+
+    def leg():
+        base = draw(hst.sampled_from(pool))
+        k = draw(hst.sampled_from([1, 1, -1, 2, -3]))
+        return base if k == 1 else [k * x for x in base]
+
+    def side():
+        wedges = [(draw(coef), leg(), leg()) for _ in range(draw(hst.integers(0, 6)))]
+        return wedges, draw(hst.integers(1, 60))
+
+    return dim, side(), side()
+
+
+def raw_residual(dim, lhs, rhs):
+    """``from_wedges`` of the whole signed list, each coefficient over its
+    side's D2."""
+    (lw, ld), (rw, rd) = lhs, rhs
+    return Bivector.from_wedges(
+        dim, [(Q(c) / ld, u, w) for c, u, w in lw] + [(-Q(c) / rd, u, w) for c, u, w in rw]
+    )
+
+
+def rescaled(side, draw):
+    """The same bivector written another way: every leg times a nonzero k
+    (a new list), the coefficient over k_u k_w and the side's D2 times m,
+    the wedges shuffled."""
+    wedges, d2 = side
+    m = draw(hst.integers(1, 5))
+    out = []
+    for c, u, w in wedges:
+        ku, kw = (draw(hst.sampled_from([1, -1, 2, -3])) for _ in range(2))
+        out.append((Q(c) * m / (ku * kw), [ku * x for x in u], [kw * x for x in w]))
+    return draw(hst.permutations(out)), d2 * m
+
+
+@contextmanager
+def expanded_sizes():
+    """Record the length of every wedge list ``Bivector.from_wedges`` gets
+    inside the block."""
+    sizes = []
+    real = Bivector.__dict__["from_wedges"]
+
+    def recorded(cls, dim, wedges):
+        sizes.append(len(wedges))
+        return real.__func__(cls, dim, wedges)
+
+    Bivector.from_wedges = classmethod(recorded)
+    try:
+        yield sizes
+    finally:
+        Bivector.from_wedges = real
+
+
+class TestCollectedResidual:
+    """``_collected`` is ``from_wedges`` of the signed list, entry for
+    entry, and sides that agree cancel before anything is expanded."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wedge_sides())
+    def test_equals_the_expanded_sum(self, case):
+        dim, lhs, rhs = case
+        assert _collected(dim, lhs, rhs).entries == raw_residual(dim, lhs, rhs).entries
+
+    @settings(max_examples=150, deadline=None)
+    @given(wedge_sides(), hst.data())
+    def test_side_minus_side_is_zero_and_one_change_shows(self, case, data):
+        dim, lhs, _ = case
+        rhs = rescaled(lhs, data.draw)
+        with expanded_sizes() as sizes:
+            assert _collected(dim, lhs, rhs).is_zero()
+        assert sizes == [0]
+        wedges, d2 = rhs
+        if wedges:
+            j = data.draw(hst.integers(0, len(wedges) - 1))
+            c, u, w = wedges[j]
+            c += data.draw(hst.sampled_from([1, -2, Q(1, 3)]))
+            changed = (wedges[:j] + [(c, u, w)] + wedges[j + 1 :], d2)
+            assert _collected(dim, lhs, changed).entries == raw_residual(dim, lhs, changed).entries
+
+    def test_action_and_multiplicativity_expand_nothing(self, ctx):
+        """On both models the action residual's sides, and the
+        multiplicativity residual's, cancel wedge by wedge: ``from_wedges``
+        gets an empty list.  The diagonal action on two factors, whose
+        orbit legs span both factors, collects none of its 24 wedges."""
+        st = RationalStream(139)
+        model, gr, split = ctx["model"], ctx["gr"], ctx["split"]
+        pair = GroupPair(st.sl2(), st.sl2())
+        src = gr.act(GroupPair(st.sl2(), st.sl2()), gr.diagonal_point())
+        g = st.sl2()
+        points = [ProjMatrixPoint(st.invertible2()) for _ in range(2)]
+        with expanded_sizes() as sizes:
+            checks = [
+                poisson_action_residual(model, split, pair, ProjMatrixPoint(st.nonzero_vector(4))),
+                poisson_action_residual(model, split, pair, ProjMatrixPoint(st.rank_one2())),
+                poisson_action_residual(gr, split, pair, src),
+                multiplicativity_residual(model, split, pair, GroupPair(st.sl2(), st.sl2())),
+                diagonal_action_residual(model, split, GroupPair(g, g), points),
+            ]
+        assert all(c.passed for c in checks)
+        assert sizes == [0, 0, 0, 0, 24]
+
+
 class TestPointwiseWork:
     """Counted by wrapping methods: each flow tangent of a wedge list is
     computed once, and legs absent from a factor are never projected."""
@@ -530,13 +646,13 @@ class TestPointwiseWork:
         ``Bivector`` as they are: with ``Matrix.__init__`` raising around
         just those calls, ``from_wedges`` and ``value_at`` still return,
         and the same values as before the patch."""
-        from wonderland.linalg import Bivector, Matrix
+        from wonderland.linalg import Matrix
 
         st = RationalStream(181)
         model, ch = ctx["model"], ctx["ch0"]
         reps = [model.rep(ProjMatrixPoint(st.invertible2())) for _ in range(2)]
         charts = [model.chart_at(ProjMatrixPoint(r)) for r in reps]
-        wedges = project_wedges(charts, reps, mixed_wedges(model, ctx["split"], reps))
+        wedges, _ = project_wedges(charts, reps, mixed_wedges(model, ctx["split"], reps))
         z = st.vector(ch.dim)
         want_sum = Bivector.from_wedges(6, wedges)
         want_value = ctx["field0"].value_at(z)
