@@ -1,4 +1,5 @@
-"""Exact kernels for row reduction, matrix products and sparse polynomials.
+"""Exact integer kernels for row reduction, matrix products and sparse
+polynomials.
 
 Row reduction and matrix products are integer kernels.  ``rref_rows`` takes
 sparse integer rows ``{column: int}`` and returns one primitive integer row
@@ -6,53 +7,18 @@ per pivot; it visits only nonzero entries.  ``mat_mul`` multiplies integer
 matrices given as lists of rows.  ``linalg`` scales its ``Fraction`` rows to
 integers on the way in and forms ``Fraction``s on the way out.
 
-The polynomial kernels work on rationals as reduced ``(num, den)`` int pairs
-with ``den > 0``, which avoids the per-operation overhead of
-``fractions.Fraction`` in their inner loops; ``poly`` converts its
-coefficients to pairs at the call.
+The polynomial kernels are integer kernels too.  ``poly_mul`` convolves two
+sparse integer term maps ``{exponent tuple: int}``, and ``poly_eval`` gives
+the integer values of a table of monomials at a point scaled to integers
+over one denominator.  ``poly.MultiPoly`` keeps its coefficients as integers
+over one denominator, so it hands both kernels its integers as they are.
 """
 
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 # the kernel implementation's name, recorded with benchmark results
 BACKEND = "pure"
-
-ZERO = (0, 1)
-ONE = (1, 1)
-
-
-def q_add(a, b):
-    an, ad = a
-    bn, bd = b
-    if an == 0:
-        return b
-    if bn == 0:
-        return a
-    # gcd of denominators keeps the intermediate products small
-    g = gcd(ad, bd)
-    if g == 1:
-        n = an * bd + bn * ad
-        d = ad * bd
-        g2 = gcd(n, d)
-        return (n // g2, d // g2) if n else ZERO
-    ad_g = ad // g
-    bd_g = bd // g
-    n = an * bd_g + bn * ad_g
-    if n == 0:
-        return ZERO
-    g2 = gcd(n, g)
-    return (n // g2, ad_g * (bd // g2))
-
-
-def q_mul(a, b):
-    an, ad = a
-    bn, bd = b
-    if an == 0 or bn == 0:
-        return ZERO
-    g1 = gcd(an, bd)
-    g2 = gcd(bn, ad)
-    return ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
 
 
 def _divided(row):
@@ -130,49 +96,37 @@ def mat_mul(a, b):
 
 
 def poly_mul(ta, tb):
-    """Product of sparse term maps ``{exponent tuple: (num, den)}``."""
-    if not ta or not tb:
-        return {}
+    """Product of sparse integer term maps ``{exponent tuple: int}``, as a
+    term map of its nonzero coefficients.  The benchmark tracer counts this
+    kernel by name, as ``kernels.poly_mul``."""
     out = {}
     for ea, ca in ta.items():
         for eb, cb in tb.items():
-            c = q_mul(ca, cb)
-            e = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                s = q_add(acc, c)
-                if s[0] == 0:
-                    del out[e]
-                else:
-                    out[e] = s
-    return out
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
-def poly_eval(terms, point):
-    """Evaluate a sparse term map at a rational point (tuple of pairs)."""
-    if not terms:
-        return ZERO
-    nv = len(point)
-    # cache powers per variable; exponents repeat heavily across terms
-    pows = [{0: ONE, 1: point[i]} for i in range(nv)]
-    acc = ZERO
-    for e, c in terms.items():
-        v = c
-        for i in range(nv):
-            ei = e[i]
-            if ei:
-                cache = pows[i]
-                p = cache.get(ei)
-                if p is None:
-                    p = cache[1]
-                    base = p
-                    for _ in range(ei - 1):
-                        p = q_mul(p, base)
-                    cache[ei] = p
-                v = q_mul(v, p)
-                if v[0] == 0:
-                    break
-        acc = q_add(acc, v)
-    return acc
+def poly_eval(table, top, ints, q):
+    """The integer values of the monomials ``table`` at the point ``ints / q``.
+
+    Each monomial m is ``(factors, top - deg m)`` with ``factors`` its
+    ``(variable, exponent)`` pairs; its value is n^m q^(top - deg m), that
+    is q^top z^m, so one integer per monomial and no division.  Powers are
+    cached per variable, since exponents repeat across monomials.  Returns
+    the values and q^top.  The benchmark tracer counts this kernel by name,
+    as ``kernels.poly_eval``."""
+    pows = [[1, x] for x in ints]
+    qpow = [1]
+    for _ in range(top):
+        qpow.append(qpow[-1] * q)
+    values = []
+    for factors, rest in table:
+        x = qpow[rest]
+        for v, k in factors:
+            pv = pows[v]
+            while len(pv) <= k:
+                pv.append(pv[-1] * pv[1])
+            x *= pv[k]
+        values.append(x)
+    return values, qpow[-1]

@@ -241,7 +241,7 @@ class ProjChart:
         for m, pos in enumerate(self.positions):
             e = [0] * len(variables)
             e[var_offset + m] = 1
-            out[pos] = MultiPoly(variables, {tuple(e): Fraction(1)})
+            out[pos] = MultiPoly(variables, {tuple(e): 1})
         return out
 
     def coords_of(self, point):
@@ -329,7 +329,7 @@ class GrassChart:
             for m, j in enumerate(self.free):
                 e = [0] * len(variables)
                 e[var_offset + i * len(self.free) + m] = 1
-                row[j] = MultiPoly(variables, {tuple(e): Fraction(1)})
+                row[j] = MultiPoly(variables, {tuple(e): 1})
             rows.append(row)
         return rows
 

@@ -64,17 +64,13 @@ class LinearAction:
         return MultiPoly(self.variables, terms)
 
     def derive_poly(self, i, p):
-        """D_i extended to polynomials as a derivation."""
+        """D_i extended to polynomials as a derivation:
+        D_i(p) = sum_a (dp/dz_a) D_i(z_a)."""
         out = MultiPoly.zero(self.variables)
-        lin = [self.derive_linear(i, a) for a in range(len(self.variables))]
-        for e, c in p.terms.items():
-            for a, k in enumerate(e):
-                if k == 0 or lin[a].is_zero():
-                    continue
-                ne = list(e)
-                ne[a] = k - 1
-                mono = MultiPoly(self.variables, {tuple(ne): c * k})
-                out = out + mono * lin[a]
+        for a, v in enumerate(self.variables):
+            lin = self.derive_linear(i, a)
+            if not lin.is_zero():
+                out = out + p.diff(v) * lin
         return out
 
     def derivation_rows(self, monos):
@@ -175,14 +171,11 @@ class InvariantSpace:
         """Exact membership in the span."""
         if not self.basis:
             return p.is_zero()
-        monos = sorted(
-            {e for q in self.basis for e in q.terms} | set(p.terms),
-            key=grlex_key,
-            reverse=True,
-        )
+        monos = list({e for q in self.basis for e in q.ints} | set(p.ints))
+        # each row is its polynomial times its denominator, which spans the same
         return row_span_contains(
-            [[q.terms.get(e, Q(0)) for e in monos] for q in self.basis],
-            [p.terms.get(e, Q(0)) for e in monos],
+            [[q.ints.get(e, 0) for e in monos] for q in self.basis],
+            [p.ints.get(e, 0) for e in monos],
         )
 
     def to_json(self):
@@ -546,7 +539,7 @@ def _factor_degree(p, factor):
     if p.is_zero():
         return 0
     base = 4 * (factor - 1)
-    degs = {sum(e[base : base + 4]) for e in p.terms}
+    degs = {sum(e[base : base + 4]) for e in p.ints}
     return degs.pop() if len(degs) == 1 else None
 
 

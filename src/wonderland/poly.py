@@ -1,7 +1,13 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
-Terms are stored as a map from exponent tuples to nonzero Fraction
-coefficients.  The canonical term order is graded lexicographic (total degree
+A ``MultiPoly`` is integers over one denominator: ``ints`` maps exponent
+tuples to nonzero ``int`` coefficients, and the polynomial is ``ints / den``
+with ``den > 0`` and ``gcd(den, *ints.values()) == 1``; zero is ``({}, 1)``.
+That form is canonical, so equal polynomials have equal ``ints`` and
+``den``.  Every operation runs on the integers (``backend.poly_mul`` is the
+product, ``MonomialTable`` the evaluator), and ``terms``, the map from
+exponent tuples to ``Fraction`` coefficients, is made on read for output.
+The canonical term order is graded lexicographic (total degree
 first, then lexicographic on exponent tuples, largest first), which fixes the
 serialized form.  Binary operations require both operands to share the same
 variable tuple; charts declare their variables once and everything downstream
@@ -9,20 +15,44 @@ sticks to them.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from wonderland import backend
 from wonderland.linalg import integer_vector, qparse, qstr
 
-Q = Fraction
+
+def _canonical(ints, den):
+    """``ints / den`` in canonical form; ``ints`` holds no zero."""
+    if not ints:
+        return {}, 1
+    if den != 1:
+        g = gcd(den, *ints.values())
+        if g != 1:
+            return {e: c // g for e, c in ints.items()}, den // g
+    return ints, den
 
 
 def _pairs(terms):
-    return {e: (c.numerator, c.denominator) for e, c in terms.items()}
+    """``(ints, den)``: the coefficient map ``terms`` (``int``, ``Fraction``
+    or anything ``Fraction`` accepts) as integers over one denominator, in
+    canonical form: over the lcm of the reduced denominators, the
+    numerators have no common factor with it.  The benchmark tracer counts
+    this function and ``_unpairs`` as ``convert.calls`` until it retires
+    that counter (see ROADMAP.md)."""
+    ratios = {}
+    den = 1
+    for e, c in terms.items():
+        n, d = (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+        if n:
+            ratios[e] = n, d
+            den = lcm(den, d)
+    return {e: n * (den // d) for e, (n, d) in ratios.items()}, den
 
 
-def _unpairs(terms):
-    return {e: Fraction(n, d) for e, (n, d) in terms.items() if n != 0}
+def _unpairs(ints, den):
+    """The ``Fraction`` coefficient map of ``ints / den``: the ``terms``
+    view.  Counted by the benchmark tracer with ``_pairs``."""
+    return {e: Fraction(c, den) for e, c in ints.items()}
 
 
 def grlex_key(exps):
@@ -32,34 +62,39 @@ def grlex_key(exps):
 class MultiPoly:
     """Polynomial in a fixed ordered tuple of named variables."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "ints", "den")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        clean = {}
-        if terms:
-            nv = len(self.variables)
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                e = tuple(int(x) for x in e)
-                if len(e) != nv or any(x < 0 for x in e):
-                    raise ValueError("bad exponent vector %r" % (e,))
-                clean[e] = clean.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        ints, self.den = _pairs(terms or {})
+        self.ints = {}
+        for e, c in ints.items():
+            k = tuple(map(int, e))
+            if len(k) != len(self.variables) or k != tuple(e) or min(k, default=0) < 0:
+                raise ValueError("bad exponent vector %r" % (e,))
+            self.ints[k] = c
+
+    @classmethod
+    def _of(cls, variables, ints, den=1):
+        """The polynomial ``ints / den`` (``ints`` without zeros, ``den > 0``)."""
+        p = cls.__new__(cls)
+        p.variables = variables
+        p.ints, p.den = _canonical(ints, den)
+        return p
 
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, variables):
-        return cls(variables, {})
+        return cls._of(tuple(variables), {})
 
     @classmethod
     def const(cls, variables, c):
-        c = Fraction(c)
+        variables = tuple(variables)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if c == 0:
-            return cls.zero(variables)
-        return cls(variables, {tuple([0] * len(variables)): c})
+            return cls._of(variables, {})
+        return cls._of(variables, {(0,) * len(variables): c.numerator}, c.denominator)
 
     @classmethod
     def var(cls, variables, name):
@@ -70,28 +105,33 @@ class MultiPoly:
             raise ValueError("unknown variable %r" % name) from None
         e = [0] * len(variables)
         e[i] = 1
-        return cls(variables, {tuple(e): Fraction(1)})
+        return cls._of(variables, {tuple(e): 1})
 
     @classmethod
     def gens(cls, variables):
         return [cls.var(variables, v) for v in variables]
 
     # -- basic queries ------------------------------------------------
+    @property
+    def terms(self):
+        """The coefficients as ``{exponent tuple: Fraction}``, made on read."""
+        return _unpairs(self.ints, self.den)
+
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.variables == other.variables and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == MultiPoly.const(self.variables, other).terms
-        return NotImplemented
+            other = MultiPoly.const(self.variables, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.variables == other.variables and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash((self.variables, tuple(self.sorted_items())))
+        return hash((self.variables, self.den, frozenset(self.ints.items())))
 
     # -- arithmetic ---------------------------------------------------
     def _coerce(self, other):
@@ -103,25 +143,22 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
+        da, db = self.den, other.den
+        den = da * (db // gcd(da, db))
+        ma, mb = den // da, den // db
+        out = {e: c * ma for e, c in self.ints.items()} if ma != 1 else dict(self.ints)
+        for e, c in other.ints.items():
+            s = out.get(e, 0) + c * mb
+            if s:
                 out[e] = s
-        p = MultiPoly.__new__(MultiPoly)
-        p.variables = self.variables
-        p.terms = out
-        return p
+            else:
+                out.pop(e, None)
+        return MultiPoly._of(self.variables, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = MultiPoly.__new__(MultiPoly)
-        p.variables = self.variables
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return MultiPoly._of(self.variables, {e: -c for e, c in self.ints.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -131,19 +168,12 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return MultiPoly.zero(self.variables)
-            p = MultiPoly.__new__(MultiPoly)
-            p.variables = self.variables
-            p.terms = {e: c * v for e, v in self.terms.items()}
-            return p
+            if other == 0:
+                return MultiPoly._of(self.variables, {})
+            n = other.numerator
+            return MultiPoly._of(self.variables, {e: c * n for e, c in self.ints.items()}, self.den * other.denominator)
         other = self._coerce(other)
-        prod = backend.poly_mul(_pairs(self.terms), _pairs(other.terms))
-        p = MultiPoly.__new__(MultiPoly)
-        p.variables = self.variables
-        p.terms = _unpairs(prod)
-        return p
+        return MultiPoly._of(self.variables, backend.poly_mul(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -167,17 +197,11 @@ class MultiPoly:
         except ValueError:
             raise ValueError("unknown variable %r" % name) from None
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            k = ne[i]
-            ne[i] = k - 1
-            out[tuple(ne)] = c * k
-        p = MultiPoly.__new__(MultiPoly)
-        p.variables = self.variables
-        p.terms = out
-        return p
+        for e, c in self.ints.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
+        return MultiPoly._of(self.variables, out, self.den)
 
     def grad(self):
         return [self.diff(v) for v in self.variables]
@@ -189,15 +213,12 @@ class MultiPoly:
         """Evaluate at a rational point (sequence aligned with variables).
 
         An ``int`` or ``Fraction`` coordinate is read as it is; anything
-        else is converted to a ``Fraction`` once."""
+        else is converted to a ``Fraction`` once.  The one ``Fraction`` made
+        from ``Fraction`` coordinates is the value."""
         if len(point) != len(self.variables):
             raise ValueError("point length mismatch")
-        pairs = []
-        for x in point:
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-            pairs.append((x.numerator, x.denominator))
-        n, d = backend.poly_eval(_pairs(self.terms), pairs)
+        point = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+        ((n,), d) = MonomialTable([[self]]).values(point)[0]
         return Fraction(n, d)
 
     def subs(self, images):
@@ -206,23 +227,27 @@ class MultiPoly:
         ``images`` maps variable names to MultiPoly in some common target
         variable tuple; unmapped variables are not allowed.
         """
-        if not self.terms:
+        if not self.ints:
             tgt = next(iter(images.values())).variables if images else self.variables
             return MultiPoly.zero(tgt)
         imgs = [images[v] for v in self.variables]
         tgt = imgs[0].variables
+        powers = {}
         out = MultiPoly.zero(tgt)
-        for e, c in self.terms.items():
-            term = MultiPoly.const(tgt, c)
-            for img, k in zip(imgs, e):
+        for e, c in self.ints.items():
+            term = MultiPoly._of(tgt, {(0,) * len(tgt): c})
+            for i, k in enumerate(e):
                 if k:
-                    term = term * img**k
+                    pw = powers.get((i, k))
+                    if pw is None:
+                        pw = powers[i, k] = imgs[i] ** k
+                    term = term * pw
             out = out + term
-        return out
+        return MultiPoly._of(tgt, out.ints, out.den * self.den)
 
     # -- io -------------------------------------------------------------
     def __str__(self):
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
         for e, c in self.sorted_items():
@@ -264,7 +289,7 @@ class MultiPoly:
 class MonomialTable:
     """The integer evaluator of fixed groups of polynomials in one tuple of
     variables.  Each group (a list of ``MultiPoly``) gets integer
-    coefficients over one denominator, the lcm of its coefficients', on one
+    coefficients over one denominator, the lcm of its polynomials', on one
     table of the monomials that occur; ``values`` evaluates each monomial
     once per point."""
 
@@ -272,9 +297,9 @@ class MonomialTable:
         index = {}
         self.groups = []
         for polys in groups:
-            den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+            den = lcm(*(p.den for p in polys))
             ints = [
-                [(index.setdefault(e, len(index)), c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+                [(index.setdefault(e, len(index)), c * (den // p.den)) for e, c in p.ints.items()]
                 for p in polys
             ]
             self.groups.append((ints, den))
@@ -286,24 +311,12 @@ class MonomialTable:
         """One (ints, den) per group, polys[i](coords) = ints[i] / den.
 
         With the coordinates scaled to integers n / q over one denominator,
-        monomial m is evaluated once, as n^m q^(top - deg m) = q^top z^m,
-        and each group is its integer sums over its denominator times q^top."""
-        ints, q = integer_vector(coords)
-        pows = [[1, x] for x in ints]
-        qpow = [1]
-        for _ in range(self.top):
-            qpow.append(qpow[-1] * q)
-        values = []
-        for factors, rest in self.table:
-            x = qpow[rest]
-            for v, k in factors:
-                pv = pows[v]
-                while len(pv) <= k:
-                    pv.append(pv[-1] * pv[1])
-                x *= pv[k]
-            values.append(x)
+        ``backend.poly_eval`` evaluates monomial m once, as
+        n^m q^(top - deg m) = q^top z^m, and each group is its integer sums
+        over its denominator times q^top."""
+        values, qtop = backend.poly_eval(self.table, self.top, *integer_vector(coords))
         return [
-            ([sum(c * values[m] for m, c in p) for p in polys], den * qpow[-1])
+            ([sum(c * values[m] for m, c in p) for p in polys], den * qtop)
             for polys, den in self.groups
         ]
 
@@ -326,9 +339,9 @@ class RationalFn:
             raise ValueError("variable mismatch")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
-        lead = den.sorted_items()[0][1]
-        if lead != 1:
-            inv = 1 / lead
+        lead = den.ints[max(den.ints, key=grlex_key)]
+        if lead != den.den:
+            inv = Fraction(den.den, lead)
             num = num * inv
             den = den * inv
         self.num = num

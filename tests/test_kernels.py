@@ -1,5 +1,5 @@
 """The exact kernels against ``Fraction`` arithmetic: the integer
-elimination and product kernels, and the pair kernels of the polynomials."""
+elimination and product kernels, and the integer polynomial kernels."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,29 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wonderland import backend
-
-rationals = st.tuples(
-    st.integers(min_value=-50, max_value=50),
-    st.integers(min_value=1, max_value=30),
-).map(lambda nd: (Fraction(nd[0], nd[1]).numerator, Fraction(nd[0], nd[1]).denominator))
-
-
-def as_frac(p):
-    return Fraction(p[0], p[1])
-
-
-@given(rationals, rationals)
-def test_q_add_matches_fraction(a, b):
-    got = backend.q_add(a, b)
-    assert as_frac(got) == as_frac(a) + as_frac(b)
-    assert got[1] > 0
-
-
-@given(rationals, rationals)
-def test_q_mul_matches_fraction(a, b):
-    got = backend.q_mul(a, b)
-    assert as_frac(got) == as_frac(a) * as_frac(b)
-
 
 integers = st.integers(min_value=-50, max_value=50)
 
@@ -82,9 +59,7 @@ def _poly_strategy():
     exps = st.tuples(
         st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)
     )
-    return st.dictionaries(exps, rationals, max_size=6).map(
-        lambda d: {e: c for e, c in d.items() if c[0] != 0}
-    )
+    return st.dictionaries(exps, integers.filter(bool), max_size=6)
 
 
 @given(_poly_strategy(), _poly_strategy())
@@ -95,17 +70,21 @@ def test_poly_mul_oracle(ta, tb):
     for ea, ca in ta.items():
         for eb, cb in tb.items():
             e = (ea[0] + eb[0], ea[1] + eb[1])
-            want[e] = want.get(e, Fraction(0)) + as_frac(ca) * as_frac(cb)
-    want = {e: c for e, c in want.items() if c != 0}
-    assert {e: as_frac(c) for e, c in got.items()} == want
+            want[e] = want.get(e, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    assert got == {e: c for e, c in want.items() if c != 0}
+    assert all(type(c) is int for c in got.values())
 
 
-@given(_poly_strategy(), rationals, rationals)
+@given(_poly_strategy(), integers, integers, st.integers(min_value=1, max_value=30))
 @settings(max_examples=40)
-def test_poly_eval_oracle(terms, x, y):
-    got = as_frac(backend.poly_eval(terms, (x, y)))
-    want = sum(
-        (as_frac(c) * as_frac(x) ** e[0] * as_frac(y) ** e[1] for e, c in terms.items()),
-        Fraction(0),
-    )
-    assert got == want
+def test_poly_eval_oracle(terms, nx, ny, q):
+    """The monomial values times q^-top, summed with the coefficients, are
+    the value of the polynomial at (nx / q, ny / q)."""
+    index = list(terms)
+    top = max((sum(e) for e in index), default=0)
+    table = [(tuple((v, k) for v, k in enumerate(e) if k), top - sum(e)) for e in index]
+    values, qtop = backend.poly_eval(table, top, [nx, ny], q)
+    assert qtop == q**top and all(type(v) is int for v in values)
+    x, y = Fraction(nx, q), Fraction(ny, q)
+    want = sum((c * x ** e[0] * y ** e[1] for e, c in terms.items()), Fraction(0))
+    assert Fraction(sum(terms[e] * v for e, v in zip(index, values)), qtop) == want

@@ -1,11 +1,13 @@
 """Sparse polynomials and rational functions."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wonderland import poly
 from wonderland.poly import MonomialTable, MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
@@ -217,3 +219,108 @@ class TestRationalFn:
         x, y, z = MultiPoly.gens(VARS)
         with pytest.raises(ZeroDivisionError):
             RationalFn(x, MultiPoly.zero(VARS))
+
+
+def test_non_integral_exponent_rejected():
+    """An exponent that is not an integer is an error, not truncated."""
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        MultiPoly(("x",), {(1.5,): 1})
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        MultiPoly.from_json({"variables": ["x"], "terms": [[[2.7], "1"]]})
+    assert MultiPoly(("x",), {(2.0,): 1}) == MultiPoly(("x",), {(2,): 1})
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert gcd(p.den, *p.ints.values()) == 1
+    if p.is_zero():
+        assert (p.ints, p.den) == ({}, 1)
+
+
+monomials = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    ),
+    max_size=6,
+)
+
+
+@given(
+    monomials.flatmap(lambda ms: st.tuples(st.just(ms), st.permutations(ms))),
+    st.integers(-9, 9).filter(bool),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        max_size=4,
+    ),
+)
+@settings(max_examples=80)
+def test_canonical_form_does_not_depend_on_the_route(monos, k, other):
+    """One rational polynomial reached by different routes has one
+    ``(ints, den)`` and one hash."""
+    ordered, shuffled = monos
+    v = ("x", "y")
+
+    def summed(ms):
+        return sum((MultiPoly(v, {e: c}) for e, c in ms), MultiPoly.zero(v))
+
+    p = summed(ordered)
+    q = MultiPoly(v, other)
+    routes = [
+        summed(shuffled),
+        p * k * Q(1, k),
+        p * Q(k, 7) * Q(7, k),
+        MultiPoly.from_json(p.to_json()),
+        p + q - q,
+    ]
+    for r in [p, q] + routes:
+        assert_canonical(r)
+    for r in routes:
+        assert (r.ints, r.den) == (p.ints, p.den)
+        assert r == p and hash(r) == hash(p)
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """How many ``Fraction``s have been made since the fixture was set up."""
+    count = [0]
+    new = Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counted))
+    return count
+
+
+def test_arithmetic_makes_no_fraction(fraction_count):
+    """Sums, products, derivatives and substitutions of rational polynomials
+    run on the integers; evaluation makes only the value it returns."""
+    x, y, z = MultiPoly.gens(VARS)
+    p = x * x * Q(2, 3) - y * z * Q(5, 4) + Q(1, 6)
+    q = x * y * Q(3, 10) + z * Q(-7, 9)
+    images = {"x": q, "y": x * Q(1, 2), "z": p}
+    pt = [Q(1, 2), Q(-3, 5), Q(4)]
+    start = fraction_count[0]
+    p * q, p + q, p.diff("x"), p.subs(images)
+    assert fraction_count[0] == start
+    value = p.eval(pt)
+    assert fraction_count[0] == start + 1
+    assert value == Q(2, 3) * pt[0] ** 2 - Q(5, 4) * pt[1] * pt[2] + Q(1, 6)
+
+
+def test_monomial_table_reads_the_integers(monkeypatch):
+    x, y, z = MultiPoly.gens(VARS)
+    p = x * y * Q(1, 3) + z * Q(5, 2)
+    q = x * x - Q(3, 4)
+    want = [p.eval([Q(1, 2), 3, 5]), q.eval([Q(1, 2), 3, 5])]
+
+    def refuse(*args):
+        raise AssertionError("the Fraction view was made")
+
+    monkeypatch.setattr(poly, "_unpairs", refuse)
+    ((ints, den),) = MonomialTable([[p, q]]).values([Q(1, 2), 3, 5])
+    assert [Q(n, den) for n in ints] == want

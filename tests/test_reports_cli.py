@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import wonderland
 from wonderland.cli import main as cli_main
 from wonderland.reports import Context, ExperimentConfig, run_experiment, run_tangency
 
@@ -543,11 +544,15 @@ class TestCli:
 
 
 def test_entry_point_process():
-    """The installed console script behaves like the module CLI."""
+    """The installed console script behaves like the module CLI.  The child
+    imports the package this test imported, however pytest found it."""
+    src = os.path.dirname(os.path.dirname(wonderland.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "wonderland.cli", "charvar", "rank1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dims_match"] is True

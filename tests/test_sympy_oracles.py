@@ -4,8 +4,8 @@ no code with them.
 ``Matrix.det`` and ``Matrix.solve`` are checked against ``sympy.Matrix``;
 the ``MultiPoly`` product, substitution, derivative and evaluation against
 ``sympy.Poly`` and ``expand``.  The product and the evaluation run through
-the ``poly_mul`` and ``poly_eval`` pair kernels, so these are the checks of
-those kernels that are independent of the package's own arithmetic.  The
+the ``poly_mul`` and ``poly_eval`` integer kernels, so these are the checks
+of those kernels that are independent of the package's own arithmetic.  The
 tangent projections of both chart kinds, and the polynomial vector field
 of a double element on a Grassmannian chart, are checked by letting SymPy
 differentiate the chart coordinates of the moved point at t = 0.
