@@ -11,7 +11,7 @@ model is worked out explicitly on the closure of the diagonal torus.
 from fractions import Fraction
 
 from wonderland.geometry import ProjLinePoint
-from wonderland.invariants import invariants_of_degree, mixed_factor_action
+from wonderland.invariants import invariants_of_degree, mixed_factor_action, trace_coordinates
 from wonderland.linalg import Matrix
 from wonderland.poly import MultiPoly
 
@@ -182,11 +182,7 @@ def rank1_compactified_model(max_degree=6):
     tvars = ("x", "y")
     x = MultiPoly.var(tvars, "x")
     y = MultiPoly.var(tvars, "y")
-    ambient = ("a", "b", "c", "d")
-    tr = MultiPoly.var(ambient, "a") + MultiPoly.var(ambient, "d")
-    det = MultiPoly.var(ambient, "a") * MultiPoly.var(ambient, "d") - MultiPoly.var(
-        ambient, "b"
-    ) * MultiPoly.var(ambient, "c")
+    (_, tr, _), (_, det, _) = trace_coordinates(1)
     to_torus = {
         "a": x,
         "b": MultiPoly.zero(tvars),

@@ -8,6 +8,7 @@ tables, so no abstract variety objects appear.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from wonderland.geometry import (
     ChartDomainError,
@@ -18,14 +19,15 @@ from wonderland.geometry import (
 )
 from wonderland.invariants import (
     ProjectiveInvariant,
+    closure_residual,
+    conjugated,
     conjugation_action,
-    det_of_factor,
-    invariant_bracket_closure,
     invariants_of_degree,
-    m2_variables,
-    trace_of_word,
+    trace_coordinates,
+    traces_over_dets,
 )
 from wonderland.linalg import qstr
+from wonderland.poly import MonomialTable
 from wonderland.poisson import (
     function_jacobiators,
     mixed_product_field,
@@ -40,7 +42,9 @@ Q = Fraction
 
 
 class GradedInvariantRing:
-    """Per-degree invariant dimensions up to a bound, with chosen generators.
+    """Per-multidegree invariant dimensions up to a bound in each factor,
+    for one or two matrix factors, with the trace coordinates as generators
+    (``invariants.trace_coordinates``).
 
     Degree zero is spanned by the constants; each generator is re-verified
     against the kernel space of its degree.
@@ -49,30 +53,16 @@ class GradedInvariantRing:
     def __init__(self, sl2, factors, bound=4):
         if bound < 0:
             raise ValueError("degree bound must be >= 0")
+        if factors not in (1, 2):
+            raise ValueError("rings are provided for one or two factors")
         self.factors = factors
         self.bound = bound
         self.action = conjugation_action(sl2, factors)
-        v = self.action.variables
-        if factors == 1:
-            self.generators = [
-                ("tr", trace_of_word(v, (1,)), (1,)),
-                ("det", det_of_factor(v, 1), (2,)),
-            ]
-            degrees = [(d,) for d in range(bound + 1)]
-        elif factors == 2:
-            self.generators = [
-                ("trA", trace_of_word(v, (1,)), (1, 0)),
-                ("trB", trace_of_word(v, (2,)), (0, 1)),
-                ("trAB", trace_of_word(v, (1, 2)), (1, 1)),
-                ("detA", det_of_factor(v, 1), (2, 0)),
-                ("detB", det_of_factor(v, 2), (0, 2)),
-            ]
-            degrees = [(i, j) for i in range(bound + 1) for j in range(bound + 1)]
-        else:
-            raise ValueError("rings are provided for one or two factors")
-        self.spaces = {}
-        for deg in degrees:
-            self.spaces[deg] = invariants_of_degree(self.action, deg)
+        self.generators = trace_coordinates(factors)
+        self.spaces = {
+            deg: invariants_of_degree(self.action, deg)
+            for deg in product(range(bound + 1), repeat=factors)
+        }
         zero_deg = tuple([0] * factors)
         if self.spaces[zero_deg].dimension != 1:
             raise AssertionError("degree zero is not spanned by constants")
@@ -187,27 +177,37 @@ def product_bivector(model, splitting, pair, points):
     return charts, pts, projected_bivector(charts, reps, wedges)
 
 
+def _x_side(model, splitting, pair, points, f1, f2):
+    """The set-up both product identities share: the product bivector at
+    [g], [h] and the points (its charts, points and value), then on the
+    points' charts the restrictions of f1 and f2, their coordinates there,
+    the restrictions' gradients, and {f1, f2}_X from the mixed bivector."""
+    charts, pts, L = product_bivector(model, splitting, pair, points)
+    x_charts = charts[2:]
+    x_pc = ProductChart(x_charts)
+    z_x = x_pc.coords_of(pts[2:])
+    rf = (f1.restrict(x_pc), f2.restrict(x_pc))
+    gf1, gf2 = (r.grad_at(z_x) for r in rf)
+    x_bracket = mixed_value_in_charts(model, splitting, points, x_charts).bracket_eval(gf1, gf2)
+    return charts, pts, L, rf, z_x, (gf1, gf2), x_bracket
+
+
 def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2):
     """The product-bracket identity at one sample of (G x G) x X^n:
     contracting the product bivector against the gradients of phi (x) f
     equals {phi1,phi2}_G f1 f2 + phi1 phi2 {f1,f2}_X, exactly."""
-    charts, pts, L = product_bivector(model, splitting, pair, points)
-    pair_charts, x_charts = charts[:2], charts[2:]
+    charts, pts, L, (rf1, rf2), z_x, (gf1, gf2), x_bracket = _x_side(
+        model, splitting, pair, points, f1, f2
+    )
+    pair_charts = charts[:2]
     pair_pc = ProductChart(pair_charts)
     z_pair = pair_pc.coords_of(pts[:2])
-    x_pc = ProductChart(x_charts)
-    z_x = x_pc.coords_of(pts[2:])
-
     rphi1, rphi2 = phi1.restrict(pair_pc), phi2.restrict(pair_pc)
-    rf1, rf2 = f1.restrict(x_pc), f2.restrict(x_pc)
 
     phi1_v, phi2_v = rphi1.eval(z_pair), rphi2.eval(z_pair)
     f1_v, f2_v = rf1.eval(z_x), rf2.eval(z_x)
-
     grad1 = rphi1.grad_at(z_pair)
     grad2 = rphi2.grad_at(z_pair)
-    gf1 = rf1.grad_at(z_x)
-    gf2 = rf2.grad_at(z_x)
 
     # gradient of (phi (x) f) on the product
     full1 = [x * f1_v for x in grad1] + [x * phi1_v for x in gf1]
@@ -219,8 +219,6 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
         pair_charts, pair_reps, pi_wedges(model, splitting, pair_reps[0], pair_reps[1])
     )
     g_bracket = Lg.bracket_eval(grad1, grad2)
-    Lx = mixed_value_in_charts(model, splitting, points, x_charts)
-    x_bracket = Lx.bracket_eval(gf1, gf2)
     rhs = g_bracket * f1_v * f2_v + phi1_v * phi2_v * x_bracket
     return residual_from_values(
         "product-bracket",
@@ -233,19 +231,11 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
 def projection_poisson_residual(model, splitting, pair, points, f1, f2):
     """Pullbacks along the projection to X bracket to the pullback of the
     X-bracket: the projection is a Poisson map for the product structure."""
-    charts, pts, L = product_bivector(model, splitting, pair, points)
-    x_charts = charts[2:]
-    x_pc = ProductChart(x_charts)
-    z_x = x_pc.coords_of(pts[2:])
-    rf1, rf2 = f1.restrict(x_pc), f2.restrict(x_pc)
-    gf1 = rf1.grad_at(z_x)
-    gf2 = rf2.grad_at(z_x)
+    charts, _, L, _, _, (gf1, gf2), rhs = _x_side(model, splitting, pair, points, f1, f2)
     npair = sum(c.dim for c in charts[:2])
     pull1 = [Q(0)] * npair + gf1
     pull2 = [Q(0)] * npair + gf2
     lhs = L.bracket_eval(pull1, pull2)
-    Lx = mixed_value_in_charts(model, splitting, points, x_charts)
-    rhs = Lx.bracket_eval(gf1, gf2)
     return residual_from_values(
         "projection-poisson",
         {"f": (f1.name, f2.name)},
@@ -263,30 +253,40 @@ def quotient_bracket_table(model, splitting, invariants, samples, conjugators):
     """The bracket table of the quotient at seeded samples, and the failing
     closure checks.
 
-    Every pair is first run through the closure check at every sample.  A
-    failure leaves the quotient bracket undefined there, so its residual,
-    which names the pair and the points, is returned beside the table for
-    the report to record.  The table records {g_i, g_j} values per sample,
-    which are exactly antisymmetric.
+    At each sample the mixed bivector and every invariant's chart gradient
+    are built once at the points and, when there is a pair, once at the
+    points moved by the sample's conjugator; each pair's table entry and
+    closure residual are read off those values.  A failing closure check
+    leaves the quotient bracket undefined there, so its residual, which
+    names the pair and the points, is returned beside the table for the
+    report to record, pair by pair and sample by sample.  The table records
+    {g_i, g_j} values per sample, which are exactly antisymmetric.
     """
-    failures = []
-    for i, f in enumerate(invariants):
-        for g in invariants[i + 1 :]:
-            for pts, c in zip(samples, conjugators):
-                res = invariant_bracket_closure(model, splitting, f, g, pts, c)
-                if not res.passed:
-                    failures.append(res)
+    pairs = list(combinations(range(len(invariants)), 2))
+
+    def brackets(points):
+        charts = [model.chart_at(p) for p in points]
+        L = mixed_value_in_charts(model, splitting, points, charts)
+        grads = [f.chart_grad_at(charts, points) for f in invariants]
+        return {(i, j): L.bracket_eval(grads[i], grads[j]) for i, j in pairs}
+
+    before = [brackets(pts) for pts in samples]
+    after = [
+        brackets(conjugated(model, pts, c)) if pairs else {}
+        for pts, c in zip(samples, conjugators)
+    ]
+    failures = [
+        closure_residual(invariants[i], invariants[j], pts, b[i, j], a[i, j])
+        for i, j in pairs
+        for pts, b, a in zip(samples, before, after)
+        if b[i, j] != a[i, j]
+    ]
     table = []
-    for pts in samples:
-        charts = [model.chart_at(p) for p in pts]
-        L = mixed_value_in_charts(model, splitting, pts, charts)
-        grads = [f.chart_grad_at(charts, pts) for f in invariants]
+    for pts, values in zip(samples, before):
         entries = [[Q(0)] * len(invariants) for _ in invariants]
-        for i in range(len(invariants)):
-            for j in range(i + 1, len(invariants)):
-                v = L.bracket_eval(grads[i], grads[j])
-                entries[i][j] = v
-                entries[j][i] = -v
+        for (i, j), v in values.items():
+            entries[i][j] = v
+            entries[j][i] = -v
         table.append(
             {
                 "points": [repr(p) for p in pts],
@@ -371,14 +371,23 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
 # ---------------------------------------------------------------------------
 
 
-def separation_report(pairs_of_invariants, point_a, point_b):
-    """Look for a same-degree invariant pair whose projective values differ
-    at the two samples; returns the separating pair or None."""
-    flat_a = [x for p in point_a for x in p.vec]
-    flat_b = [x for p in point_b for x in p.vec]
-    for name1, h1, name2, h2 in pairs_of_invariants:
-        va = (h1.eval(flat_a), h2.eval(flat_a))
-        vb = (h1.eval(flat_b), h2.eval(flat_b))
+def _pair_values(pairs):
+    """values(points): the two values of each (name, h1, name, h2) pair at
+    the points, all read from one compiled ``MonomialTable``."""
+    table = MonomialTable([[h for _, h1, _, h2 in pairs for h in (h1, h2)]])
+
+    def values(points):
+        ((ints, den),) = table.values([x for p in points for x in p.vec])
+        vals = [Fraction(n, den) for n in ints]
+        return list(zip(vals[::2], vals[1::2]))
+
+    return values
+
+
+def _separation(pairs, values_a, values_b):
+    """The first pair whose projective values differ, from their values at
+    the two samples, or None."""
+    for (name1, _, name2, _), va, vb in zip(pairs, values_a, values_b):
         if va == (0, 0) or vb == (0, 0):
             # a candidate unstable point: every listed invariant vanishes
             continue
@@ -391,73 +400,51 @@ def separation_report(pairs_of_invariants, point_a, point_b):
     return None
 
 
-def _all_invariants_vanish(pairs, points):
-    flat = [x for p in points for x in p.vec]
-    for _, h1, _, h2 in pairs:
-        if h1.eval(flat) != 0 or h2.eval(flat) != 0:
-            return False
-    return True
+def separation_report(pairs_of_invariants, point_a, point_b):
+    """Look for a same-degree invariant pair whose projective values differ
+    at the two samples; returns the separating pair or None."""
+    evaluate = _pair_values(pairs_of_invariants)
+    return _separation(pairs_of_invariants, evaluate(point_a), evaluate(point_b))
 
 
-def divisor_saturation(model, ring, interior_samples, boundary_samples):
+def divisor_saturation(ring, interior_samples, boundary_samples):
     """Boundary and interior samples are never identified: either some
     projective pair of homogeneous invariants separates them, or the
     boundary sample is unstable (every invariant vanishes) and has no image
     in the semistable quotient at all.  Boundary/boundary pairs are
-    reported, not asserted (their orbits may be identified)."""
-    if ring.factors == 1:
-        v = m2_variables(1)
-        pairs = [("tr2", trace_of_word(v, (1,)) ** 2, "det", det_of_factor(v, 1))]
-    else:
-        v = m2_variables(2)
-        pairs = [
-            ("trA2", trace_of_word(v, (1,)) ** 2, "detA", det_of_factor(v, 1)),
-            ("trB2", trace_of_word(v, (2,)) ** 2, "detB", det_of_factor(v, 2)),
-            (
-                "trAB2",
-                trace_of_word(v, (1, 2)) ** 2,
-                "detAdetB",
-                det_of_factor(v, 1) * det_of_factor(v, 2),
-            ),
-        ]
+    reported, not asserted (their orbits may be identified).
+
+    The pairs are read off ``ring.generators``: each trace t squared,
+    against the product of the dets of the factors t involves.  Each pair
+    is evaluated once per sample, through one ``MonomialTable``."""
+    pairs = [
+        (n + "2", t**2, dn, d) for (n, t, _), (dn, d, _) in traces_over_dets(ring.generators)
+    ]
+    evaluate = _pair_values(pairs)
+    interior = [(a, evaluate(a)) for a in interior_samples]
+    boundary = [(b, evaluate(b)) for b in boundary_samples]
     checks = []
-    for b in boundary_samples:
-        unstable = _all_invariants_vanish(pairs, b)
-        for a in interior_samples:
+    for b, vb in boundary:
+        unstable = all(v == (0, 0) for v in vb)
+        for a, va in interior:
+            sample = {"interior": [repr(p) for p in a], "boundary": [repr(p) for p in b]}
             if unstable:
-                checks.append(
-                    residual_from_values(
-                        "saturation-separation",
-                        {
-                            "interior": [repr(p) for p in a],
-                            "boundary": [repr(p) for p in b],
-                        },
-                        [Q(0)],
-                        details={"unstable_boundary": True},
-                    )
-                )
-                continue
-            sep = separation_report(pairs, a, b)
+                values, details = [Q(0)], {"unstable_boundary": True}
+            else:
+                sep = _separation(pairs, va, vb)
+                values = [Q(0) if sep else Q(1)]
+                details = sep or {"reason": "no separating pair found"}
             checks.append(
-                residual_from_values(
-                    "saturation-separation",
-                    {"interior": [repr(p) for p in a], "boundary": [repr(p) for p in b]},
-                    [Q(0) if sep else Q(1)],
-                    details=sep or {"reason": "no separating pair found"},
-                )
+                residual_from_values("saturation-separation", sample, values, details=details)
             )
     reports = []
-    for i in range(len(boundary_samples)):
-        for j in range(i + 1, len(boundary_samples)):
-            sep = separation_report(pairs, boundary_samples[i], boundary_samples[j])
-            reports.append(
-                {
-                    "points": [
-                        [repr(p) for p in boundary_samples[i]],
-                        [repr(p) for p in boundary_samples[j]],
-                    ],
-                    "separated": bool(sep),
-                    "witness": sep,
-                }
-            )
+    for (b1, v1), (b2, v2) in combinations(boundary, 2):
+        sep = _separation(pairs, v1, v2)
+        reports.append(
+            {
+                "points": [[repr(p) for p in b1], [repr(p) for p in b2]],
+                "separated": bool(sep),
+                "witness": sep,
+            }
+        )
     return checks, reports

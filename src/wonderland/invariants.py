@@ -7,8 +7,10 @@ floating point: everything is a rational rref.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
-from wonderland.geometry import ChartDomainError, ProductChart
+from wonderland.geometry import ChartDomainError, GroupPair, ProductChart
 from wonderland.linalg import ZERO, Matrix, row_span_contains
 from wonderland.poisson import mixed_value_in_charts, residual_from_values
 from wonderland.poly import MonomialTable, MultiPoly, RationalFn, grlex_key
@@ -323,8 +325,41 @@ def det_of_factor(variables, factor):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
+def trace_coordinates(factors):
+    """The PGL2 trace coordinates of ``factors`` matrix factors (Procesi,
+    Adv. Math. 19, 1976) as (name, polynomial, multidegree): tr of each
+    factor, tr of each product of two, then det of each factor.  One factor
+    gives tr, det; two give trA, trB, trAB, detA, detB."""
+    v = m2_variables(factors)
+    ls = range(1, factors + 1)
+    letter = {1: ""} if factors == 1 else {l: chr(ord("A") + l - 1) for l in ls}
+
+    def degree(word):
+        return tuple(word.count(l) for l in ls)
+
+    traces = [(l,) for l in ls] + list(combinations(ls, 2))
+    return [
+        ("tr" + "".join(letter[l] for l in w), trace_of_word(v, w), degree(w)) for w in traces
+    ] + [("det" + letter[l], det_of_factor(v, l), degree((l, l))) for l in ls]
+
+
+def traces_over_dets(coords):
+    """Each trace coordinate t of ``coords`` beside the product of the dets
+    of the factors t involves, both as (name, polynomial, multidegree);
+    t^2 over that product is a degree-zero invariant."""
+    dets = [c for c in coords if c[0].startswith("det")]
+    out = []
+    for name, t, deg in coords:
+        if name.startswith("tr"):
+            names, polys, degs = zip(*(dets[l] for l, k in enumerate(deg) if k))
+            d = prod(polys[1:], start=polys[0])
+            out.append(((name, t, deg), ("".join(names), d, tuple(map(sum, zip(*degs))))))
+    return out
+
+
 def trace_generators(sl2, r):
-    """The generating invariants for one or two matrix factors.
+    """The generating invariants for one or two matrix factors, as (name,
+    polynomial).
 
     r = 1: trace and determinant; r = 2: the three traces (tr A, tr B,
     tr AB).  Each polynomial is re-verified invariant through the kernel
@@ -333,22 +368,11 @@ def trace_generators(sl2, r):
     if r not in (1, 2):
         raise ValueError("generators are provided for r in {1, 2} only")
     action = conjugation_action(sl2, r)
-    v = action.variables
-    if r == 1:
-        gens = [("tr", trace_of_word(v, (1,))), ("det", det_of_factor(v, 1))]
-        degrees = [(1,), (2,)]
-    else:
-        gens = [
-            ("trA", trace_of_word(v, (1,))),
-            ("trB", trace_of_word(v, (2,))),
-            ("trAB", trace_of_word(v, (1, 2))),
-        ]
-        degrees = [(1, 0), (0, 1), (1, 1)]
-    for (name, p), deg in zip(gens, degrees):
-        space = invariants_of_degree(action, deg)
-        if not space.contains(p):
+    gens = [c for c in trace_coordinates(r) if r == 1 or c[0].startswith("tr")]
+    for name, p, deg in gens:
+        if not invariants_of_degree(action, deg).contains(p):
             raise AssertionError("generator %s failed the invariance kernel" % name)
-    return gens
+    return [(name, p) for name, p, _ in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -362,44 +386,40 @@ NO_EXPRESSION = None
 EXTRA_SAMPLES = 6
 
 
-def express_in_generators(f, gens, bound, sampler, symbolic=None):
-    """Match ``f`` against monomials in ``gens`` of total degree <= bound.
+def express_in_generators(f, gens, bound, sampler, symbolic=True):
+    """Match the polynomial ``f`` against monomials of total degree <= bound
+    in the (name, polynomial) generators ``gens``.
 
-    ``f`` and ``gens`` are evaluated at points supplied by ``sampler`` (a
-    callable returning domain points); an exact linear solve either yields
-    coefficients, verified on ``EXTRA_SAMPLES`` held-out samples, or
-    NO-EXPRESSION.
-    When ``symbolic`` is True (polynomial inputs over one domain), the
-    expansion is additionally compared against ``f`` symbolically.
+    ``f`` and the generators are evaluated through one compiled
+    ``MonomialTable`` at points supplied by ``sampler`` (a callable
+    returning points of their variables); an exact linear solve either
+    yields coefficients or NO-EXPRESSION.  The coefficients are verified by
+    comparing their expansion with ``f`` symbolically, or, with ``symbolic``
+    False, on ``EXTRA_SAMPLES`` held-out samples.
     """
     if bound < 0:
         raise ValueError("degree bound must be >= 0, got %d" % bound)
-    gen_polys = [g for _, g in gens] if gens and isinstance(gens[0], tuple) else list(gens)
-    if symbolic is None:
-        symbolic = all(isinstance(g, MultiPoly) for g in gen_polys) and isinstance(
-            f, MultiPoly
-        )
+    gen_polys = [g for _, g in gens]
     monos = []
     for total in range(bound + 1):
         monos.extend(compositions(total, len(gen_polys)))
+    table = MonomialTable([gen_polys + [f]])
 
-    def eval_at(p, pt):
-        return p.eval(pt) if hasattr(p, "eval") else p(pt)
+    def values(pt):
+        """The generators' values and f's at the point."""
+        ((ints, den),) = table.values(pt)
+        return [Fraction(n, den) for n in ints]
+
+    def monomial(gvals, e, c=Q(1)):
+        """c times the monomial with exponents e in the generators' values."""
+        return prod((gv**k for gv, k in zip(gvals, e) if k), start=c)
 
     def attempt(n_samples):
-        pts = [sampler() for _ in range(n_samples)]
         rows, rhs = [], []
-        for pt in pts:
-            gvals = [eval_at(g, pt) for g in gen_polys]
-            row = []
-            for e in monos:
-                prod = Q(1)
-                for gv, k in zip(gvals, e):
-                    if k:
-                        prod *= gv**k
-                row.append(prod)
-            rows.append(row)
-            rhs.append(eval_at(f, pt))
+        for _ in range(n_samples):
+            *gvals, want = values(sampler())
+            rows.append([monomial(gvals, e) for e in monos])
+            rhs.append(want)
         m = Matrix(rows)
         sol = m.solve(rhs)
         return m, sol
@@ -421,17 +441,8 @@ def express_in_generators(f, gens, bound, sampler, symbolic=None):
             return NO_EXPRESSION
     else:
         for _ in range(EXTRA_SAMPLES):
-            pt = sampler()
-            gvals = [eval_at(g, pt) for g in gen_polys]
-            want = eval_at(f, pt)
-            got = Q(0)
-            for e, c in coeffs.items():
-                prod = c
-                for gv, k in zip(gvals, e):
-                    if k:
-                        prod *= gv**k
-                got += prod
-            if got != want:
+            *gvals, want = values(sampler())
+            if sum((monomial(gvals, e, c) for e, c in coeffs.items()), Q(0)) != want:
                 return NO_EXPRESSION
     return coeffs
 
@@ -544,39 +555,19 @@ def _factor_degree(p, factor):
 
 
 def pgl2_surrogates(factors):
-    """The standard degree-0 invariants: squared traces over determinants
-    (and the triple product for two factors)."""
-    v = m2_variables(factors)
-    out = []
-    if factors == 1:
-        out.append(
-            ProjectiveInvariant(
-                "tr2_over_det", trace_of_word(v, (1,)) ** 2, det_of_factor(v, 1), 1
-            )
-        )
-        return out
-    dets = det_of_factor(v, 1) * det_of_factor(v, 2)
-    out.append(
-        ProjectiveInvariant(
-            "trA2_over_detA", trace_of_word(v, (1,)) ** 2, det_of_factor(v, 1), 2
-        )
-    )
-    out.append(
-        ProjectiveInvariant(
-            "trB2_over_detB", trace_of_word(v, (2,)) ** 2, det_of_factor(v, 2), 2
-        )
-    )
-    out.append(
-        ProjectiveInvariant("trAB2_over_dets", trace_of_word(v, (1, 2)) ** 2, dets, 2)
-    )
-    out.append(
-        ProjectiveInvariant(
-            "triple_over_dets",
-            trace_of_word(v, (1,)) * trace_of_word(v, (2,)) * trace_of_word(v, (1, 2)),
-            dets,
-            2,
-        )
-    )
+    """The standard degree-0 invariants: each trace coordinate squared over
+    the dets of the factors it involves, and for two factors the triple
+    product trA trB trAB over both dets."""
+    pairs = traces_over_dets(trace_coordinates(factors))
+    out = [
+        ProjectiveInvariant("%s2_over_%s" % (n, dn), t**2, d, factors)
+        for (n, t, _), (dn, d, _) in pairs[:factors]
+    ]
+    if factors == 2:
+        trA, trB, trAB = (t for (_, t, _), _ in pairs)
+        dets = pairs[2][1][1]
+        out.append(ProjectiveInvariant("trAB2_over_dets", trAB**2, dets, 2))
+        out.append(ProjectiveInvariant("triple_over_dets", trA * trB * trAB, dets, 2))
     return out
 
 
@@ -594,18 +585,26 @@ def mixed_bracket_value(model, splitting, points, f, g, charts=None):
     return L.bracket_eval(f.chart_grad_at(charts, points), g.chart_grad_at(charts, points))
 
 
-def invariant_bracket_closure(model, splitting, f, g, points, conj, name="bracket-closure"):
-    """{f,g}(c . m) = {f,g}(m) for a conjugating element c: the pointwise
-    content of invariants forming a Poisson subalgebra."""
-    from wonderland.geometry import GroupPair
-
-    before = mixed_bracket_value(model, splitting, points, f, g)
+def conjugated(model, points, conj):
+    """The points moved by the conjugating element c: c . m."""
     pair = GroupPair(conj, conj)
-    moved = [model.act(pair, p) for p in points]
-    after = mixed_bracket_value(model, splitting, moved, f, g)
+    return [model.act(pair, p) for p in points]
+
+
+def closure_residual(f, g, points, before, after, name="bracket-closure"):
+    """The closure residual {f,g}(m) - {f,g}(c . m) at the points m, from
+    the two bracket values."""
     return residual_from_values(
         name,
         {"points": [repr(p) for p in points], "f": f.name, "g": g.name},
         [before - after],
         details={"value": str(before)},
     )
+
+
+def invariant_bracket_closure(model, splitting, f, g, points, conj, name="bracket-closure"):
+    """{f,g}(c . m) = {f,g}(m) for a conjugating element c: the pointwise
+    content of invariants forming a Poisson subalgebra."""
+    before = mixed_bracket_value(model, splitting, points, f, g)
+    after = mixed_bracket_value(model, splitting, conjugated(model, points, conj), f, g)
+    return closure_residual(f, g, points, before, after, name)

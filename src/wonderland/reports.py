@@ -30,11 +30,12 @@ from wonderland.gitq import (
 )
 from wonderland.invariants import (
     ProjectiveInvariant,
-    det_of_factor,
     invariant_bracket_closure,
     m2_variables,
     pgl2_surrogates,
+    trace_coordinates,
     trace_of_word,
+    traces_over_dets,
 )
 from wonderland.charvar import (
     RepresentationPoint,
@@ -361,17 +362,10 @@ def _overlap_samples(stream, count):
 def run_glue(cfg, ctx):
     checks = []
     # single factor: the trace chart against the determinant chart
-    v1 = m2_variables(1)
-    tr_chart = AffineChartQuotient("tr", trace_of_word(v1, (1,)), (1,), 1, (0,))
-    det_chart = AffineChartQuotient("det", det_of_factor(v1, 1), (2,), 1, (3,))
-    surr1 = pgl2_surrogates(1) + [
-        ProjectiveInvariant(
-            "tr4_over_det2",
-            trace_of_word(v1, (1,)) ** 4,
-            det_of_factor(v1, 1) ** 2,
-            1,
-        )
-    ]
+    tr, det = trace_coordinates(1)
+    tr_chart = AffineChartQuotient(*tr, 1, (0,))
+    det_chart = AffineChartQuotient(*det, 1, (3,))
+    surr1 = pgl2_surrogates(1) + [ProjectiveInvariant("tr4_over_det2", tr[1] ** 4, det[1] ** 2, 1)]
     stream = RationalStream(subseed(cfg.seed, 55))
     single = []
     while len(single) < max(2, cfg.samples // 2):
@@ -384,11 +378,9 @@ def run_glue(cfg, ctx):
         glue_consistency(ctx.model, ctx.split, tr_chart, det_chart, surr1, single)
     )
     # two factors: the mixed-trace chart against the determinant product
-    v2 = m2_variables(2)
-    chart_f = AffineChartQuotient("trAB", trace_of_word(v2, (1, 2)), (1, 1), 2, (0, 0))
-    chart_g = AffineChartQuotient(
-        "detAdetB", det_of_factor(v2, 1) * det_of_factor(v2, 2), (2, 2), 2, (3, 3)
-    )
+    trAB, dets = traces_over_dets(trace_coordinates(2))[2]
+    chart_f = AffineChartQuotient(*trAB, 2, (0, 0))
+    chart_g = AffineChartQuotient(*dets, 2, (3, 3))
     surr = pgl2_surrogates(2)
     stream = RationalStream(subseed(cfg.seed, 5))
     samples = _overlap_samples(stream, cfg.samples)
@@ -405,7 +397,7 @@ def run_saturation(cfg, ctx):
     stream = RationalStream(subseed(cfg.seed, 6))
     interior = [(_interior_point(stream),) for _ in range(max(2, cfg.samples // 4))]
     boundary = [(_boundary_point(stream),) for _ in range(max(2, cfg.samples // 4))]
-    checks, boundary_reports = divisor_saturation(ctx.model, ring, interior, boundary)
+    checks, boundary_reports = divisor_saturation(ring, interior, boundary)
     summary = residual_from_values(
         "saturation/boundary-pairs",
         {"pairs": len(boundary_reports)},
@@ -472,10 +464,7 @@ def run_f2_demo(cfg, ctx):
     )
     pair = GroupPair(stream.sl2(), stream.sl2())
     pts = (_interior_point(stream), _interior_point(stream))
-    v2 = m2_variables(2)
-    phi = ProjectiveInvariant(
-        "trsq1", trace_of_word(v2, (1,)) ** 2, det_of_factor(v2, 1), 2
-    )
+    phi = ProjectiveInvariant("trsq1", surr[0].num, surr[0].den, 2)
     checks.append(product_bracket_residual(ctx.model, ctx.split, pair, pts, phi, surr[0], phi, surr[2]))
     checks.append(projection_poisson_residual(ctx.model, ctx.split, pair, pts, surr[0], surr[2]))
     for f, g in ((surr[0], surr[1]), (surr[0], surr[2]), (surr[1], surr[2])):
@@ -489,7 +478,7 @@ def run_f2_demo(cfg, ctx):
     from wonderland.invariants import express_in_generators, trace_generators
 
     gens = trace_generators(ctx.sl2, 2)
-    word = trace_of_word(v2, (1, 2, 1, 2))
+    word = trace_of_word(m2_variables(2), (1, 2, 1, 2))
 
     def sampler():
         a, b = stream.sl2(), stream.sl2()

@@ -48,10 +48,14 @@ class RationalStream:
     """Sequential view over sample_rational(seed, 0), (seed, 1), ...
 
     Construction order fixes everything; two streams with the same seed
-    produce the same values regardless of scheduling.
+    produce the same values regardless of scheduling.  The seed must lie in
+    [0, 2^64): ``raw64`` reduces it mod 2^64, so any other seed would replay
+    another seed's stream.
     """
 
     def __init__(self, seed, bound=9):
+        if not 0 <= seed <= _MASK:
+            raise ValueError("seed must lie in [0, 2^64)")
         self.seed = seed
         self.bound = bound
         self.index = 0

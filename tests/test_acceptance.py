@@ -332,7 +332,7 @@ def test_criterion_7_boundary_strata(ctx):
     stream = RationalStream(7100)
     interior = [(ProjMatrixPoint(stream.invertible2()),) for _ in range(5)]
     boundary = [(ProjMatrixPoint(stream.rank_one2()),) for _ in range(5)]
-    checks, _ = divisor_saturation(model, ring, interior, boundary)
+    checks, _ = divisor_saturation(ring, interior, boundary)
     assert checks and all(c.passed for c in checks)
     report(7, "boundary strata", started, 60)
 

@@ -352,7 +352,7 @@ class TestSaturation:
         st = RationalStream(353)
         interior = [(ProjMatrixPoint(st.invertible2()),) for _ in range(3)]
         boundary = [(ProjMatrixPoint(st.rank_one2()),) for _ in range(3)]
-        checks, _ = divisor_saturation(ctx["model"], ctx["ring1"], interior, boundary)
+        checks, _ = divisor_saturation(ctx["ring1"], interior, boundary)
         assert checks and all(c.passed for c in checks)
 
     def test_conjugate_interior_points_not_separated(self, ctx):
@@ -368,7 +368,7 @@ class TestSaturation:
     def test_boundary_pairs_reported_not_asserted(self, ctx):
         st = RationalStream(367)
         boundary = [(ProjMatrixPoint(st.rank_one2()),) for _ in range(3)]
-        _, reports = divisor_saturation(ctx["model"], ctx["ring1"], [], boundary)
+        _, reports = divisor_saturation(ctx["ring1"], [], boundary)
         assert len(reports) == 3
         for r in reports:
             assert "separated" in r
@@ -384,7 +384,7 @@ class TestSaturation:
             (ProjMatrixPoint(st.rank_one2()), ProjMatrixPoint(st.invertible2()))
             for _ in range(2)
         ]
-        checks, _ = divisor_saturation(ctx["model"], ctx["ring2"], interior, boundary)
+        checks, _ = divisor_saturation(ctx["ring2"], interior, boundary)
         assert checks and all(c.passed for c in checks)
 
     def test_fixture_e11_vs_identity(self, ctx):
@@ -396,3 +396,65 @@ class TestSaturation:
         assert sep is not None
         assert sep["values_a"] == ("4", "1")
         assert sep["values_b"] == ("1", "0")
+
+
+class TestQuotientWork:
+    """Counted by wrapping functions: the quotient layer evaluates each
+    bivector, gradient and polynomial once per sample."""
+
+    def test_bracket_table_evaluates_once_per_sample(self, monkeypatch):
+        """In the seed-42 run-all report the tables of rank1 (one
+        invariant, 3 samples) and f2-demo (three invariants, 3 samples)
+        build one mixed bivector per sample, plus one at the conjugated
+        points where there is a pair to close, and one gradient per
+        invariant at each: 3 + 2 * 3 bivectors and 3 + 2 * 3 * 3 gradients."""
+        import wonderland.invariants as invariants
+        import wonderland.poisson as poisson
+        import wonderland.reports as reports
+        from wonderland import gitq
+
+        inside = []
+        counts = {"bivectors": 0, "gradients": 0}
+        real_table = reports.quotient_bracket_table
+        real_mixed = poisson.mixed_value_in_charts
+        real_grad = ProjectiveInvariant.chart_grad_at
+
+        def table(*args):
+            inside.append(True)
+            try:
+                return real_table(*args)
+            finally:
+                inside.pop()
+
+        def mixed(*args):
+            counts["bivectors"] += bool(inside)
+            return real_mixed(*args)
+
+        def grad(self, *args):
+            counts["gradients"] += bool(inside)
+            return real_grad(self, *args)
+
+        monkeypatch.setattr(reports, "quotient_bracket_table", table)
+        for module in (gitq, invariants):
+            monkeypatch.setattr(module, "mixed_value_in_charts", mixed)
+        monkeypatch.setattr(ProjectiveInvariant, "chart_grad_at", grad)
+        reports.run_experiment(reports.ExperimentConfig("all", samples=20, seed=42))
+        assert counts == {"bivectors": 9, "gradients": 21}
+
+    def test_saturation_makes_no_polynomial_eval(self, ctx, monkeypatch):
+        """The separating pairs are evaluated through one compiled table,
+        not by ``MultiPoly.eval``, which compiles a table per call."""
+        st = RationalStream(353)
+        interior = [(ProjMatrixPoint(st.invertible2()),) for _ in range(3)]
+        boundary = [(ProjMatrixPoint(st.rank_one2()),) for _ in range(3)]
+        calls = []
+        real = MultiPoly.eval
+
+        def counted(self, point):
+            calls.append(point)
+            return real(self, point)
+
+        monkeypatch.setattr(MultiPoly, "eval", counted)
+        checks, reports = divisor_saturation(ctx["ring1"], interior, boundary)
+        assert calls == []
+        assert checks and all(c.passed for c in checks) and len(reports) == 3

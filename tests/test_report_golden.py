@@ -54,6 +54,16 @@ GOLDEN = {
         "92b02b2b80c2743fc54f860db2507ec2adb2cdb659022fdf3a6bf189f1dd1d06",
     "git ring --r 2 --degree 3":
         "610a3f3cd922df88280f5a1fc8f199e296ffa03fc85cf78a961b91e232b2635d",
+    "git ring --r 1 --degree 4":
+        "27655e06b7f580abcf991888b702e11fa848f3f354340e8a28b718c1b362b28a",
+    "invariants express":
+        "5a2c6042d32f1080a7631cabfad50146872783c73f1448e01bc7323ed451f99a",
+    "git saturation --seed 3":
+        "e75385dc99de593120c26bfd86772c777ad3e86ff22788729a26e37d637bdb7c",
+    "run --experiment f2-demo":
+        "42e77c2ba46bdf256c1cdc0f497134fffc7106f389fe86db3c55db34cd1daa89",
+    "run --experiment rank1":
+        "d48a85baf7ecc8c5bcb64aea4159741177f8769c073a444734144e1f206f4bf8",
     "charvar rank1":
         "3df084532e9d2622d08d101ee8c84cd040aae142bd52d45e29b130b86836a822",
     "lie splitting --n 3":

@@ -372,6 +372,12 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_invariants_express_seed_outside_64_bits_exit_code(self, capsys, seed):
+        # -1 would replay the stream of seed 2^64 - 1, since raw64 reduces mod 2^64
+        assert cli_main(["invariants", "express", "--seed", str(seed)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--experiment"])
