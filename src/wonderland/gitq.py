@@ -27,7 +27,6 @@ from wonderland.invariants import (
     traces_over_dets,
 )
 from wonderland.linalg import qstr
-from wonderland.poly import MonomialTable
 from wonderland.poisson import (
     function_jacobiators,
     mixed_product_field,
@@ -37,6 +36,7 @@ from wonderland.poisson import (
     projected_bivector,
     residual_from_values,
 )
+from wonderland.poly import MonomialTable
 
 Q = Fraction
 
