@@ -19,6 +19,23 @@ def _is_2x2(m):
     return isinstance(m, list) and len(m) == 2 and all(isinstance(r, list) and len(r) == 2 for r in m)
 
 
+def _rational(x):
+    """An entry of an input matrix; one that is not a rational is a usage error."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("not a rational number: %r" % (x,)) from None
+
+
+def _load_json(path):
+    """An input file's JSON; an unreadable file is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read %s: %s" % (path, exc.strerror)) from None
+
+
 def _parse_2x2(text, flag):
     """The rational 2x2 matrix of a JSON option; any other shape is a
     usage error."""
@@ -27,7 +44,7 @@ def _parse_2x2(text, flag):
     data = json.loads(text)
     if not _is_2x2(data):
         raise ValueError("%s needs a JSON 2x2 matrix" % flag)
-    return Matrix([[Fraction(str(x)) for x in row] for row in data])
+    return Matrix([[_rational(x) for x in row] for row in data])
 
 
 def cmd_lie_build(args):
@@ -44,12 +61,11 @@ def cmd_lie_splitting(args):
 
     alg = build_sl(args.n)
     if args.l2:
-        with open(args.l2) as fh:
-            obj = json.load(fh)
+        obj = _load_json(args.l2)
         rows = obj.get("l2_basis") if isinstance(obj, dict) else None
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError('%s: "l2_basis" must be a list of rows' % args.l2)
-        rows = [[Fraction(str(x)) for x in row] for row in rows]
+        rows = [[_rational(x) for x in row] for row in rows]
         s = splitting_from_l2(alg, rows)
     else:
         s = standard_splitting(alg)
@@ -80,7 +96,7 @@ def cmd_geom_orbit_dim(args):
         rows_ok = isinstance(data, list) and len(data) == gr.n
         if not rows_ok or not all(isinstance(row, list) and len(row) == 2 * gr.n for row in data):
             raise ValueError("--point needs %d span rows of %d entries" % (gr.n, 2 * gr.n))
-        rows = [[Fraction(str(x)) for x in row] for row in data]
+        rows = [[_rational(x) for x in row] for row in data]
         ok, cert = is_lagrangian(double, form, rows)
         if not ok:
             raise ValueError("span is not Lagrangian: %r" % cert)
@@ -94,13 +110,12 @@ def cmd_geom_boundary(args):
     from wonderland.lie import build_sl
 
     model = Pgl2Model(build_sl(2))
-    with open(args.sweep) as fh:
-        points = json.load(fh)
+    points = _load_json(args.sweep)
     if not isinstance(points, list) or not all(_is_2x2(m) for m in points):
         raise ValueError("%s: --sweep needs a JSON list of 2x2 matrices" % args.sweep)
     out = []
     for data in points:
-        flat = [Fraction(str(x)) for row in data for x in row]
+        flat = [_rational(x) for row in data for x in row]
         p = ProjMatrixPoint(flat)
         entry = {"point": repr(p), "boundary": p.is_boundary()}
         if p.is_boundary():
@@ -193,9 +208,7 @@ def cmd_charvar_stratify(args):
     data = json.loads(args.tuple)
     if not isinstance(data, list) or not data or not all(_is_2x2(m) for m in data):
         raise ValueError("--tuple needs a nonempty JSON list of 2x2 matrices")
-    points = [
-        ProjMatrixPoint([Fraction(str(x)) for row in m for x in row]) for m in data
-    ]
+    points = [ProjMatrixPoint([_rational(x) for row in m for x in row]) for m in data]
     _print(stratify(model, points).to_json())
     return 0
 

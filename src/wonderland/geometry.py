@@ -63,8 +63,6 @@ from wonderland.linalg import (
 )
 from wonderland.poly import MultiPoly
 
-Q = Fraction
-
 
 class ChartDomainError(ValueError):
     """A point fell outside a chart (normalizing entry vanished)."""

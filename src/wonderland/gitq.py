@@ -26,7 +26,7 @@ from wonderland.invariants import (
     trace_coordinates,
     traces_over_dets,
 )
-from wonderland.linalg import qstr
+from wonderland.linalg import covector, qstr
 from wonderland.poisson import (
     function_jacobiators,
     mixed_product_field,
@@ -36,9 +36,7 @@ from wonderland.poisson import (
     projected_bivector,
     residual_from_values,
 )
-from wonderland.poly import MonomialTable
-
-Q = Fraction
+from wonderland.poly import MonomialTable, RationalFn
 
 
 class GradedInvariantRing:
@@ -102,12 +100,10 @@ class AffineChartQuotient:
         self.degree = degree
         self.factors = factors
         self.route = tuple(route)
-
-    def value(self, points):
-        return self.poly.eval([x for p in points for x in p.vec])
+        self.fn = RationalFn(poly)
 
     def contains(self, points):
-        return self.value(points) != 0
+        return self.fn.eval([x for p in points for x in p.vec]) != 0
 
     def route_charts(self):
         return [ProjChart(k) for k in self.route]
@@ -209,9 +205,8 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
     grad1 = rphi1.grad_at(z_pair)
     grad2 = rphi2.grad_at(z_pair)
 
-    # gradient of (phi (x) f) on the product
-    full1 = [x * f1_v for x in grad1] + [x * phi1_v for x in gf1]
-    full2 = [x * f2_v for x in grad2] + [x * phi2_v for x in gf2]
+    full1 = _product_grad(grad1, f1_v, gf1, phi1_v)
+    full2 = _product_grad(grad2, f2_v, gf2, phi2_v)
     lhs = L.bracket_eval(full1, full2)
 
     pair_reps = [model.rep(p) for p in pts[:2]]
@@ -228,13 +223,21 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
     )
 
 
+def _product_grad(dphi, f, df, phi):
+    """The covector of d(phi (x) f) = f dphi on the pair factors beside
+    phi df on X, from the two gradients' covectors and the values."""
+    (a, da), (b, db) = dphi, df
+    d1, d2 = da * f.denominator, db * phi.denominator
+    n1, n2 = f.numerator * d2, phi.numerator * d1
+    return covector([x * n1 for x in a] + [x * n2 for x in b], d1 * d2)
+
+
 def projection_poisson_residual(model, splitting, pair, points, f1, f2):
     """Pullbacks along the projection to X bracket to the pullback of the
     X-bracket: the projection is a Poisson map for the product structure."""
     charts, _, L, _, _, (gf1, gf2), rhs = _x_side(model, splitting, pair, points, f1, f2)
     npair = sum(c.dim for c in charts[:2])
-    pull1 = [Q(0)] * npair + gf1
-    pull2 = [Q(0)] * npair + gf2
+    pull1, pull2 = (([0] * npair + g, d) for g, d in (gf1, gf2))
     lhs = L.bracket_eval(pull1, pull2)
     return residual_from_values(
         "projection-poisson",
@@ -283,7 +286,7 @@ def quotient_bracket_table(model, splitting, invariants, samples, conjugators):
     ]
     table = []
     for pts, values in zip(samples, before):
-        entries = [[Q(0)] * len(invariants) for _ in invariants]
+        entries = [[Fraction(0)] * len(invariants) for _ in invariants]
         for (i, j), v in values.items():
             entries[i][j] = v
             entries[j][i] = -v
@@ -317,16 +320,13 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
     ``fractions`` are degree-0 functions defined on the overlap; each
     sample must lie in both quotient charts and in both ambient routes
     (otherwise it is reported as skipped)."""
+    name = "glue/%s-%s" % (chart_f.name, chart_g.name)
     residuals = []
     for pts in samples:
+        where = [repr(p) for p in pts]
         if not (chart_f.contains(pts) and chart_g.contains(pts)):
-            residuals.append(
-                residual_from_values(
-                    "glue/%s-%s" % (chart_f.name, chart_g.name),
-                    {"points": [repr(p) for p in pts], "skipped": "outside overlap"},
-                    [],
-                )
-            )
+            skipped = {"points": where, "skipped": "outside overlap"}
+            residuals.append(residual_from_values(name, skipped, []))
             continue
         # one wedge list per sample; one bivector and one gradient per
         # fraction along each route
@@ -339,30 +339,17 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
                 L = projected_bivector(charts, reps, wedges)
                 routes.append((L, [fr.chart_grad_at(charts, pts) for fr in fractions]))
         except ChartDomainError:
-            residuals.append(
-                residual_from_values(
-                    "glue/%s-%s" % (chart_f.name, chart_g.name),
-                    {"points": [repr(p) for p in pts], "skipped": "outside route charts"},
-                    [],
-                )
-            )
+            skipped = {"points": where, "skipped": "outside route charts"}
+            residuals.append(residual_from_values(name, skipped, []))
             continue
         (Lf, grads_f), (Lg, grads_g) = routes
-        for a in range(len(fractions)):
-            for b in range(a + 1, len(fractions)):
-                va = Lf.bracket_eval(grads_f[a], grads_f[b])
-                vb = Lg.bracket_eval(grads_g[a], grads_g[b])
-                residuals.append(
-                    residual_from_values(
-                        "glue/%s-%s" % (chart_f.name, chart_g.name),
-                        {
-                            "points": [repr(p) for p in pts],
-                            "pair": (fractions[a].name, fractions[b].name),
-                        },
-                        [va - vb],
-                        details={"value": qstr(va)},
-                    )
-                )
+        for a, b in combinations(range(len(fractions)), 2):
+            va = Lf.bracket_eval(grads_f[a], grads_f[b])
+            vb = Lg.bracket_eval(grads_g[a], grads_g[b])
+            sample = {"points": where, "pair": (fractions[a].name, fractions[b].name)}
+            residuals.append(
+                residual_from_values(name, sample, [va - vb], details={"value": qstr(va)})
+            )
     return residuals
 
 
@@ -429,10 +416,10 @@ def divisor_saturation(ring, interior_samples, boundary_samples):
         for a, va in interior:
             sample = {"interior": [repr(p) for p in a], "boundary": [repr(p) for p in b]}
             if unstable:
-                values, details = [Q(0)], {"unstable_boundary": True}
+                values, details = [Fraction(0)], {"unstable_boundary": True}
             else:
                 sep = _separation(pairs, va, vb)
-                values = [Q(0) if sep else Q(1)]
+                values = [Fraction(0) if sep else Fraction(1)]
                 details = sep or {"reason": "no separating pair found"}
             checks.append(
                 residual_from_values("saturation-separation", sample, values, details=details)

@@ -4,6 +4,10 @@ A connected group leaves a polynomial invariant iff every Lie algebra
 derivation annihilates it, so graded invariant spaces are exact kernels of
 stacked derivation matrices on monomial bases.  No averaging operator, no
 floating point: everything is a rational rref.
+
+A degree-zero ``ProjectiveInvariant`` evaluates through one compiled
+``poly.RationalFn``, and its chart gradients are covectors (integers over
+one denominator) that go to ``Bivector.bracket_eval`` as they are.
 """
 
 from fractions import Fraction
@@ -14,8 +18,6 @@ from wonderland.geometry import ChartDomainError, GroupPair, ProductChart
 from wonderland.linalg import ZERO, Matrix, row_span_contains
 from wonderland.poisson import mixed_value_in_charts, residual_from_values
 from wonderland.poly import MonomialTable, MultiPoly, RationalFn, grlex_key
-
-Q = Fraction
 
 
 class LinearAction:
@@ -224,7 +226,7 @@ def _conj_rho_4x4(x):
     out = Matrix.zero(4, 4)
     for col in range(4):
         A = Matrix.zero(2, 2)
-        A.data[col // 2][col % 2] = Q(1)
+        A.data[col // 2][col % 2] = Fraction(1)
         img = x * A - A * x
         flat = [img.data[0][0], img.data[0][1], img.data[1][0], img.data[1][1]]
         for row in range(4):
@@ -410,7 +412,7 @@ def express_in_generators(f, gens, bound, sampler, symbolic=True):
         ((ints, den),) = table.values(pt)
         return [Fraction(n, den) for n in ints]
 
-    def monomial(gvals, e, c=Q(1)):
+    def monomial(gvals, e, c=Fraction(1)):
         """c times the monomial with exponents e in the generators' values."""
         return prod((gv**k for gv, k in zip(gvals, e) if k), start=c)
 
@@ -442,7 +444,7 @@ def express_in_generators(f, gens, bound, sampler, symbolic=True):
     else:
         for _ in range(EXTRA_SAMPLES):
             *gvals, want = values(sampler())
-            if sum((monomial(gvals, e, c) for e, c in coeffs.items()), Q(0)) != want:
+            if sum((monomial(gvals, e, c) for e, c in coeffs.items()), Fraction(0)) != want:
                 return NO_EXPRESSION
     return coeffs
 
@@ -474,8 +476,6 @@ class ProjectiveInvariant:
         self.num = num
         self.den = den
         self.factors = factors
-        self._table = None
-        v = num.variables
         for l in range(1, factors + 1):
             dn = _factor_degree(num, l)
             dd = _factor_degree(den, l)
@@ -483,21 +483,18 @@ class ProjectiveInvariant:
                 raise ValueError(
                     "%s is not degree-0 homogeneous in factor %d" % (name, l)
                 )
+        self.fn = RationalFn(num, den)
 
-    def _values(self, points):
-        """[N, D, dN..., dD...]: num, den and their ambient partials at the
-        points' primitive integer vectors, over one denominator, from one
-        ``MonomialTable`` compiled at the first call."""
-        if self._table is None:
-            self._table = MonomialTable([[self.num, self.den] + self.num.grad() + self.den.grad()])
-        ((values, _),) = self._table.values([x for p in points for x in p.vec])
-        if values[1] == 0:
-            raise ZeroDivisionError("%s undefined at sample" % self.name)
-        return values
+    def _at(self, method, points, *args):
+        """``method`` of ``fn`` at the points' integer vectors; a vanishing
+        denominator names this invariant."""
+        try:
+            return method([x for p in points for x in p.vec], *args)
+        except ZeroDivisionError:
+            raise ZeroDivisionError("%s undefined at sample" % self.name) from None
 
     def value_at(self, points):
-        num, den = self._values(points)[:2]
-        return Fraction(num, den)
+        return self._at(self.fn.eval, points)
 
     def _check_factor_count(self, count):
         if count != self.factors:
@@ -508,18 +505,15 @@ class ProjectiveInvariant:
     def restrict(self, charts):
         """RationalFn in the coordinates of a product of factor charts."""
         pc = charts if isinstance(charts, ProductChart) else ProductChart(charts)
-        self._check_factor_count(pc_len(pc))
-        images = {}
-        amb_vars = self.num.variables
-        for l in range(pc_len(pc)):
-            polys = pc.ambient_polys(l)
-            for k in range(4):
-                images[amb_vars[4 * l + k]] = polys[k]
+        self._check_factor_count(len(pc.factors))
+        polys = [q for l in range(len(pc.factors)) for q in pc.ambient_polys(l)]
+        images = dict(zip(self.num.variables, polys))
         return RationalFn(self.num.subs(images), self.den.subs(images))
 
     def chart_grad_at(self, charts, points):
         """Gradient of num/den in the coordinates of per-factor ProjCharts
-        at the points, equal to ``restrict(charts).grad_at(coords)``.
+        at the points, as a covector equal to
+        ``restrict(charts).grad_at(coords)``.
 
         A ProjChart's coordinates are the entries at ``chart.positions`` of
         the representative whose normalizing entry is 1, so by the chain
@@ -527,9 +521,8 @@ class ProjectiveInvariant:
         the chart-normalized representative, read at the chart positions.
         F has degree 0 in each factor, so its partials along factor l have
         degree -1 there: at vec / c_l, c_l = vec_l[norm_index], they are c_l
-        times their value at the primitive integer vec.  With N, D, dN_i
-        and dD_i the integers of ``_values`` at vec, entry i of factor l is
-        c_l (dN_i D - N dD_i) / D^2, one ``Fraction`` per entry."""
+        times their value at the integer vec.  So ``fn.grad_at`` at vec
+        gives it, each chart position of factor l scaled by c_l."""
         self._check_factor_count(len(charts))
         entries = []
         for l, (chart, p) in enumerate(zip(charts, points)):
@@ -537,13 +530,7 @@ class ProjectiveInvariant:
             if c == 0:
                 raise ChartDomainError("point lies outside chart %d" % chart.norm_index)
             entries.extend((4 * l + k, c) for k in chart.positions)
-        num, den, *partials = self._values(points)
-        n = len(partials) // 2
-        return [Fraction(c * (partials[i] * den - num * partials[n + i]), den * den) for i, c in entries]
-
-
-def pc_len(pc):
-    return len(pc.factors)
+        return self._at(self.fn.grad_at, points, entries)
 
 
 def _factor_degree(p, factor):

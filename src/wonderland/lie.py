@@ -38,8 +38,6 @@ from wonderland.linalg import (
     row_span_contains,
 )
 
-Q = Fraction
-
 
 class LieAlgebra:
     """Lie algebra given by its nonzero structure constants

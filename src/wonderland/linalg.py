@@ -24,21 +24,22 @@ A ``Bivector`` is an integer matrix over one denominator.  ``from_wedges``
 takes integer legs as they are (the chart projections hand it those),
 scales any rational leg to integers and keeps the integer sum of
 ``wedge_sum`` (the one wedge assembler, also used over ``MultiPoly``
-entries by the polynomial fields); ``bracket_eval`` and ``contract`` scale
-their gradients or covector once, sum in integers and make one
-``Fraction`` per result.  ``integer_vector`` and ``integer_rows`` (also
-used by the chart projections and ``poly.MonomialTable``) scale rational
-vectors and matrices to integers over one lcm denominator, and ``ratio``
-turns an integer result back into one ``Fraction``.
+entries by the polynomial fields).  A covector, such as a gradient, is
+(ints, den) in lowest terms with den > 0 (``covector``), so equal ones
+compare equal; ``bracket_eval`` and ``contract`` take covectors, sum in
+integers and make one ``Fraction`` per result.  ``integer_vector`` and
+``integer_rows`` (also used by the chart projections and
+``poly.MonomialTable``) scale rational vectors and matrices to integers
+over one lcm denominator, and ``ratio`` turns an integer result back into
+one ``Fraction``.
 Everything else is thin bookkeeping on top.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from wonderland import backend
 
-Q = Fraction
 ZERO = Fraction(0)
 _ZERO_PAIR = (0, 1)
 
@@ -359,22 +360,21 @@ class Bivector:
         return [[ratio(x, self.den) for x in row] for row in self.ints]
 
     def bracket_eval(self, df, dg):
-        """Value of {f,g} from the differentials df, dg at this point,
-        summed in integers over the differentials' denominators."""
-        if len(df) != self.dim or len(dg) != self.dim:
+        """Value of {f,g} from the covectors df, dg of the differentials at
+        this point, summed in integers over their denominators."""
+        (f, fd), (g, gd) = df, dg
+        if len(f) != self.dim or len(g) != self.dim:
             raise ValueError("differential length mismatch")
-        f, fd = integer_vector(df)
-        g, gd = integer_vector(dg)
         g_nz = [(j, y) for j, y in enumerate(g) if y]
         acc = sum(x * sum(row[j] * y for j, y in g_nz) for x, row in zip(f, self.ints) if x)
         return Fraction(acc, self.den * fd * gd)
 
-    def contract(self, covector):
-        """The vector L(xi, .) for a covector xi; zero iff xi conormal
-        directions are preserved."""
-        if len(covector) != self.dim:
+    def contract(self, xi):
+        """The vector L(xi, .) for a covector xi = (ints, den), as
+        ``Fraction``s; zero iff xi conormal directions are preserved."""
+        c, d = xi
+        if len(c) != self.dim:
             raise ValueError("covector length mismatch")
-        c, d = integer_vector(covector)
         rows = [(x, row) for x, row in zip(c, self.ints) if x]
         return [ratio(sum(x * row[b] for x, row in rows), self.den * d) for b in range(self.dim)]
 
@@ -420,9 +420,16 @@ def echelon_rows(rows):
 
 
 def integer_vector(vec):
-    """(ints, d) with vec = ints / d, d the lcm of the entries' denominators."""
+    """The covector (ints, d) of vec = ints / d, d the lcm of the entries'
+    denominators."""
     (ints,), d = integer_rows([vec])
     return ints, d
+
+
+def covector(ints, den):
+    """The covector ints / den (``den > 0``) in lowest terms."""
+    g = gcd(den, *ints)
+    return ([x // g for x in ints], den // g) if g != 1 else (ints, den)
 
 
 def integer_rows(rows):

@@ -52,8 +52,10 @@ cancels there.  Only the nonzero entries a residual prints become
 from the field's ``poly.MonomialTable`` (one evaluation per distinct
 monomial) and sums every coordinate triple's Jacobiator in integers.  It
 is the one Jacobi computation: the Jacobiator of any three functions is
-its contraction with their gradients (``function_jacobiators``), and
-``BivectorField.value_at`` hands the same table's integers to ``Bivector``.
+its contraction with their gradients, given as covectors (integers over
+one denominator, ``function_jacobiators``), and ``BivectorField.value_at``
+hands the same table's integers to ``Bivector``.  ``tangency_check`` reads
+each defining polynomial and its gradient through one ``poly.RationalFn``.
 
 The action-compatibility identity pi_X(a.x) = a_* pi_X(x) + (orbit map)_*
 pi_G(a) is computed by one pipeline, ``action_residual``, for both models
@@ -108,9 +110,7 @@ from wonderland.linalg import (
     ratio,
     wedge_sum,
 )
-from wonderland.poly import MonomialTable, MultiPoly
-
-Q = Fraction
+from wonderland.poly import MonomialTable, MultiPoly, RationalFn
 
 # Sign of the cross terms coupling distinct factors of a product; -1 makes
 # the diagonal action of the pair group exactly Poisson for the bivector
@@ -597,17 +597,17 @@ def jacobi_sweep(field, coords):
 
 def function_jacobiators(field, coords, grads):
     """The Jacobiator {f,{g,h}} + {g,{h,f}} + {h,{f,g}} at a point of every
-    triple of functions, given by their gradients there, in
-    ``combinations`` order.
+    triple of functions, given by the covectors of their gradients there,
+    in ``combinations`` order.
 
     The Jacobiator of functions is the Schouten trivector (1/2)[pi, pi]
     contracted with df ^ dg ^ dh: the second derivatives cancel.  So one
     ``jacobi_sweep`` gives the trivector's coordinate values J_ijk, and each
     triple's value is the sum over i < j < k of J_ijk det[df, dg, dh] on
-    columns i, j, k."""
+    columns i, j, k, the minors taken in integers."""
     trivector = [(t, v) for t, v in jacobi_sweep(field, coords) if v]
     out = []
-    for df, dg, dh in combinations(grads, 3):
+    for (df, fd), (dg, gd), (dh, hd) in combinations(grads, 3):
         total = ZERO
         for (i, j, k), v in trivector:
             minor = (
@@ -616,22 +616,20 @@ def function_jacobiators(field, coords, grads):
                 + df[k] * (dg[i] * dh[j] - dg[j] * dh[i])
             )
             total += v * minor
-        out.append(total)
+        out.append(total / (fd * gd * hd))
     return out
 
 
 def tangency_check(field, defining, coords, name="tangency"):
     """Whether the field restricts to the subvariety cut out by ``defining``
     polynomials at a point on it: every contraction with a defining
-    differential must vanish as a vector, exactly."""
-    for F in defining:
-        if F.eval(coords) != 0:
-            raise ValueError("sample point does not lie on the subvariety")
+    differential must vanish as a vector, exactly.  Each F is read through
+    one ``RationalFn``, its value and its gradient's covector."""
+    fns = [RationalFn(F) for F in defining]
+    if any(F.eval(coords) != 0 for F in fns):
+        raise ValueError("sample point does not lie on the subvariety")
     L = field.value_at(coords)
-    values = []
-    for F in defining:
-        contraction = L.contract(F.grad_at(coords))
-        values.extend(contraction)
+    values = [x for F in fns for x in L.contract(F.grad_at(coords))]
     return residual_from_values(
         name, {"coords": [qstr(Fraction(c)) for c in coords]}, values
     )

@@ -11,14 +11,16 @@ The canonical term order is graded lexicographic (total degree
 first, then lexicographic on exponent tuples, largest first), which fixes the
 serialized form.  Binary operations require both operands to share the same
 variable tuple; charts declare their variables once and everything downstream
-sticks to them.
+sticks to them.  ``MultiPoly.eval`` compiles a table per call; a
+``RationalFn`` compiles num, den and their partials into one at first use,
+and its ``grad_at`` is a ``linalg`` covector, made with no ``Fraction``.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from wonderland import backend
-from wonderland.linalg import integer_vector, qparse, qstr
+from wonderland.linalg import covector, integer_vector, qparse, qstr
 
 
 def _canonical(ints, den):
@@ -206,9 +208,6 @@ class MultiPoly:
     def grad(self):
         return [self.diff(v) for v in self.variables]
 
-    def grad_at(self, point):
-        return [self.diff(v).eval(point) for v in self.variables]
-
     def eval(self, point):
         """Evaluate at a rational point (sequence aligned with variables).
 
@@ -330,7 +329,7 @@ class RationalFn:
     denominator is nonzero.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_table")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -346,6 +345,7 @@ class RationalFn:
             den = den * inv
         self.num = num
         self.den = den
+        self._table = None
 
     @property
     def variables(self):
@@ -357,21 +357,33 @@ class RationalFn:
         dv = self.den.diff(name)
         return RationalFn(du * self.den - self.num * dv, self.den * self.den)
 
-    def eval(self, point):
-        d = self.den.eval(point)
-        if d == 0:
+    def _values(self, point):
+        """[N, D, dN..., dD...]: num, den and their partials at the point,
+        integers over one denominator."""
+        if len(point) != len(self.variables):
+            raise ValueError("point length mismatch")
+        if self._table is None:
+            self._table = MonomialTable([[self.num, self.den] + self.num.grad() + self.den.grad()])
+        ((values, _),) = self._table.values(point)
+        if values[1] == 0:
             raise ZeroDivisionError("denominator vanishes at sample point")
-        return self.num.eval(point) / d
+        return values
 
-    def grad_at(self, point):
-        """Pointwise gradient by the quotient rule (no symbolic quotients)."""
-        u = self.num.eval(point)
-        v = self.den.eval(point)
-        if v == 0:
-            raise ZeroDivisionError("denominator vanishes at sample point")
-        du = self.num.grad_at(point)
-        dv = self.den.grad_at(point)
-        return [(a * v - u * b) / (v * v) for a, b in zip(du, dv)]
+    def eval(self, point):
+        num, den = self._values(point)[:2]
+        return Fraction(num, den)
+
+    def grad_at(self, point, entries=None):
+        """The gradient at the point as a covector, by the quotient rule:
+        (dN_i D - N dD_i) / D^2 in the integers of ``_values``.  ``entries``
+        lists (i, c) pairs, one per covector entry, for c times partial i;
+        by default every partial, once, unscaled."""
+        num, den, *partials = self._values(point)
+        n = len(partials) // 2
+        if entries is None:
+            entries = [(i, 1) for i in range(n)]
+        grad = [c * (partials[i] * den - num * partials[n + i]) for i, c in entries]
+        return covector(grad, den * den)
 
     def __str__(self):
         return "(%s) / (%s)" % (self.num, self.den)

@@ -441,12 +441,8 @@ class TestQuotientWork:
         reports.run_experiment(reports.ExperimentConfig("all", samples=20, seed=42))
         assert counts == {"bivectors": 9, "gradients": 21}
 
-    def test_saturation_makes_no_polynomial_eval(self, ctx, monkeypatch):
-        """The separating pairs are evaluated through one compiled table,
-        not by ``MultiPoly.eval``, which compiles a table per call."""
-        st = RationalStream(353)
-        interior = [(ProjMatrixPoint(st.invertible2()),) for _ in range(3)]
-        boundary = [(ProjMatrixPoint(st.rank_one2()),) for _ in range(3)]
+    @staticmethod
+    def _count_evals(monkeypatch):
         calls = []
         real = MultiPoly.eval
 
@@ -455,6 +451,26 @@ class TestQuotientWork:
             return real(self, point)
 
         monkeypatch.setattr(MultiPoly, "eval", counted)
+        return calls
+
+    def test_run_all_makes_no_polynomial_eval(self, monkeypatch):
+        """The seed-42 run-all report reads every polynomial through a table
+        compiled once for it (the quotient charts' invariants in
+        ``glue_consistency`` through their ``RationalFn``), never through
+        ``MultiPoly.eval``, which compiles a table per call."""
+        from wonderland import reports
+
+        calls = self._count_evals(monkeypatch)
+        reports.run_experiment(reports.ExperimentConfig("all", samples=20, seed=42))
+        assert calls == []
+
+    def test_saturation_makes_no_polynomial_eval(self, ctx, monkeypatch):
+        """The separating pairs are evaluated through one compiled table,
+        not by ``MultiPoly.eval``, which compiles a table per call."""
+        st = RationalStream(353)
+        interior = [(ProjMatrixPoint(st.invertible2()),) for _ in range(3)]
+        boundary = [(ProjMatrixPoint(st.rank_one2()),) for _ in range(3)]
+        calls = self._count_evals(monkeypatch)
         checks, reports = divisor_saturation(ctx["ring1"], interior, boundary)
         assert calls == []
         assert checks and all(c.passed for c in checks) and len(reports) == 3

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -26,7 +27,7 @@ from wonderland.invariants import (
 )
 from wonderland.lie import build_sl, standard_splitting
 from wonderland.linalg import Matrix
-from wonderland.poly import MultiPoly
+from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
 
@@ -260,7 +261,8 @@ class TestGenerators:
         v = m2_variables(1)
         tr, det = trace_of_word(v, (1,)), det_of_factor(v, 1)
         pt = [Q(2), Q(3), Q(5), Q(7)]
-        jac = Matrix([tr.grad_at(pt), det.grad_at(pt)])
+        # each row is its gradient's integers, a positive multiple of it
+        jac = Matrix([RationalFn(p).grad_at(pt)[0] for p in (tr, det)])
         assert jac.rank() == 2
 
 
@@ -401,6 +403,12 @@ class TestBracketClosure:
         assert found_nonzero
 
 
+def is_covector(c):
+    """True iff c is a covector in lowest terms: integers over den > 0."""
+    ints, den = c
+    return den > 0 and all(type(x) is int for x in ints) and gcd(den, *ints) == 1
+
+
 class TestPointwiseGradients:
     """The chain-rule gradients behind mixed_bracket_value against the
     symbolic path: restrict to the product chart, then differentiate."""
@@ -433,7 +441,8 @@ class TestPointwiseGradients:
         pc = ProductChart(charts)
         z = pc.coords_of(pts)
         for f in funcs:
-            assert f.chart_grad_at(charts, pts) == f.restrict(pc).grad_at(z), f.name
+            want = f.restrict(pc).grad_at(z)
+            assert f.chart_grad_at(charts, pts) == want and is_covector(want), f.name
         for i, f in enumerate(funcs):
             for g in funcs[i + 1 :]:
                 got = mixed_bracket_value(ctx["model"], ctx["split"], pts, f, g, charts=charts)
@@ -529,14 +538,18 @@ class TestIntegerChartGradients:
                 z = pc.coords_of(reps)
                 for f in funcs:
                     want = f.restrict(pc).grad_at(z)
+                    assert is_covector(want), (f.name, k)
                     assert f.chart_grad_at(charts, reps) == want, (f.name, k)
                     assert f.chart_grad_at(charts, pts) == want, (f.name, k)
                     assert f.value_at(reps) == f.value_at(pts) == f.restrict(pc).eval(z)
             checked += 1
 
-    def test_runs_without_multipoly_eval(self, monkeypatch):
-        """Gradients and values come from the compiled integer table."""
+    def test_runs_without_multipoly_eval(self, ctx, monkeypatch, fraction_count):
+        """Gradients and values come from the compiled integer table.  A
+        chart gradient makes no ``Fraction``, and its bracket and a value
+        make one each, the result."""
         from wonderland.geometry import ProjChart
+        from wonderland.poisson import mixed_value_in_charts
 
         def refuse(self, point):
             raise AssertionError("MultiPoly.eval called")
@@ -544,6 +557,12 @@ class TestIntegerChartGradients:
         monkeypatch.setattr(MultiPoly, "eval", refuse)
         pts = (ProjMatrixPoint([3, -1, 2, 5]), ProjMatrixPoint([1, 4, -2, 7]))
         charts = [ProjChart(0), ProjChart(3)]
+        L = mixed_value_in_charts(ctx["model"], ctx["split"], pts, charts)
         for f in pgl2_surrogates(2) + [self.control_third()]:
-            assert len(f.chart_grad_at(charts, pts)) == 6
+            start = fraction_count[0]
+            grad = f.chart_grad_at(charts, pts)
+            assert fraction_count[0] == start and len(grad[0]) == 6
+            L.bracket_eval(grad, grad)
+            assert fraction_count[0] == start + 1
             f.value_at(pts)
+            assert fraction_count[0] == start + 2

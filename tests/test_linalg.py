@@ -15,6 +15,7 @@ from wonderland.linalg import (
     Bivector,
     Matrix,
     integer_inverse,
+    integer_vector,
     row_span_contains,
     wedge_sum,
 )
@@ -300,14 +301,14 @@ class TestBivector:
                 [-vals[1], -vals[2], 0],
             ]
         )
-        df = st.vector(3)
-        dg = st.vector(3)
+        df = integer_vector(st.vector(3))
+        dg = integer_vector(st.vector(3))
         assert L.bracket_eval(df, dg) == -L.bracket_eval(dg, df)
         assert L.bracket_eval(df, df) == 0
 
     def test_symplectic_block(self):
         L = Bivector([[0, 1], [-1, 0]])
-        assert L.bracket_eval([Q(1), Q(0)], [Q(0), Q(1)]) == 1
+        assert L.bracket_eval(integer_vector([Q(1), Q(0)]), integer_vector([Q(0), Q(1)])) == 1
 
     def test_bracket_matches_pair_double_sum(self):
         # oracle: sum over unordered pairs of L_ij (df_i dg_j - df_j dg_i)
@@ -325,7 +326,7 @@ class TestBivector:
         for i in range(3):
             for j in range(i + 1, 3):
                 want += L.entries[i][j] * (df[i] * dg[j] - df[j] * dg[i])
-        assert L.bracket_eval(df, dg) == want
+        assert L.bracket_eval(integer_vector(df), integer_vector(dg)) == want
 
     def test_from_wedges(self):
         u = [Q(1), Q(0), Q(2)]
@@ -349,7 +350,7 @@ class TestBivector:
 
     def test_contract(self):
         L = Bivector([[0, 1], [-1, 0]])
-        assert L.contract([Q(1), Q(0)]) == [Q(0), Q(1)]
+        assert L.contract(integer_vector([Q(1), Q(0)])) == [Q(0), Q(1)]
 
     def test_square_enforced(self):
         with pytest.raises(ValueError):
@@ -373,10 +374,10 @@ class TestBivector:
         (dim, wedges), df, dg = data
         L = Bivector.from_wedges(dim, wedges)
         dense = dense_wedge_formula(dim, wedges)
-        value = L.bracket_eval(df, dg)
+        value = L.bracket_eval(integer_vector(df), integer_vector(dg))
         want = sum((dense[i][j] * df[i] * dg[j] for i in range(dim) for j in range(dim)), Q(0))
         assert type(value) is Q and value == want
-        vector = L.contract(df)
+        vector = L.contract(integer_vector(df))
         assert all(type(x) is Q for x in vector)
         assert vector == [sum((df[a] * dense[a][b] for a in range(dim)), Q(0)) for b in range(dim)]
 

@@ -17,7 +17,7 @@ from wonderland.geometry import (
     GrassmannModel,
 )
 from wonderland.lie import _dualize, build_sl, double_algebra, standard_splitting
-from wonderland.linalg import Bivector
+from wonderland.linalg import Bivector, integer_vector
 from wonderland.poisson import (
     BivectorField,
     _collected,
@@ -36,7 +36,7 @@ from wonderland.poisson import (
     projected_bivector,
     tangency_check,
 )
-from wonderland.poly import MultiPoly
+from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
 # frozen regression fixture: the mixed two-factor field on the chart a=1,
@@ -210,8 +210,8 @@ class TestJacobi:
         on a field that is not Poisson."""
         x, y, z = MultiPoly.gens(ctx["ch0"].variables)
         pt = [Q(1), Q(2), Q(-1)]
-        df = (x * y + z).grad_at(pt)
-        dg = (x * x - y * z).grad_at(pt)
+        df = RationalFn(x * y + z).grad_at(pt)
+        dg = RationalFn(x * x - y * z).grad_at(pt)
         control = _non_poisson_field(RationalStream(181))
         for fld in (ctx["field0"], control):
             assert function_jacobiators(fld, pt, [df, df, df]) == [0]
@@ -231,7 +231,7 @@ class TestJacobi:
                     terms[e] = terms.get(e, Q(0)) + st.take()
                 polys.append(MultiPoly(names, terms))
             pt = st.vector(3)
-            grads = [p.grad_at(pt) for p in polys]
+            grads = [RationalFn(p).grad_at(pt) for p in polys]
             assert function_jacobiators(ctx["field0"], pt, grads) == [0] * 4
 
     def test_function_jacobiators_match_sympy_on_control_fields(self, ctx):
@@ -297,7 +297,7 @@ class TestJacobi:
                 dB = inner[g, h]
                 return sum(L_at[a][b] * grads[f][a] * dB[b] for a, b in product(range(dim), repeat=2))
 
-            got = function_jacobiators(control, pt, grads)
+            got = function_jacobiators(control, pt, [integer_vector(g) for g in grads])
             triples = list(combinations(range(len(funcs)), 3))
             assert len(got) == len(triples)
             for (f, g, h), val in zip(triples, got):
@@ -869,7 +869,7 @@ class TestFieldDerivativeWork:
         fld = splitting_bivector_field(model, chart, ctx["split"])
         st = RationalStream(211)
         z = st.vector(fld.dim)
-        grads = [st.vector(fld.dim) for _ in range(4)]
+        grads = [integer_vector(st.vector(fld.dim)) for _ in range(4)]
 
         def refuse(self, point):
             raise AssertionError("MultiPoly.eval called")

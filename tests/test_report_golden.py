@@ -10,7 +10,9 @@ usage error (exit 2, nothing on stdout).  ``poisson action`` and
 --experiment jacobi`` and so share their hashes.  The ``invariants``,
 ``git ring``, ``charvar`` and ``lie`` configs pin what exact elimination
 (``Matrix.rref`` and ``kernel_basis``) puts in a report; the ``lie build``
-configs also pin the sl_n structure constants.
+configs also pin the sl_n structure constants.  The seed-7 ``run`` configs
+pin the gradient and bracket paths (tangency, gluing, the product-bracket
+and projection identities, the quotient tables) at a second seed.
 """
 
 import hashlib
@@ -24,6 +26,14 @@ GRASS_DIAGONAL = "[[1,0,0,1,0,0],[0,1,0,0,1,0],[0,0,1,0,0,1]]"
 GOLDEN = {
     "run --experiment all --samples 20 --seed 42":
         "5812d54ae5cb3fd8786a46bb11be9694cd1ea6a16dc8ce17b259be98d5bcb24a",
+    "run --experiment all --samples 20 --seed 7":
+        "493758c5b7f140a5a2ee09c2e18536c5751e6283fc8c19fea0c58af29907c6e1",
+    "run --experiment tangency --seed 7":
+        "854eed12b4a3e37b6bb1da8200e634b9623b13673a60602d792c779b235e2d14",
+    "run --experiment glue --seed 7":
+        "be23171bcaecd1cb00f96a194c614c1ebb827e200ac0990912a23752e64527c0",
+    "run --experiment f2-demo --seed 7":
+        "eddd1c13e16b791eaab96b242bb132ecd3ae89781cbf54f1511d5f03fd597ba2",
     "run --model sl2-grassmann --experiment jacobi --seed 42":
         "6489eba5a5ea61bf4e59cd9f50115795c6ecedd1d38049f82026fb6fee5c18ce",
     "run --model sl2-grassmann --experiment action --seed 42":

@@ -236,6 +236,41 @@ class TestCli:
         assert cli_main(["lie", "splitting", "--l2", str(payload)]) == 2
         assert "l2_basis" in capsys.readouterr().err
 
+    BAD_2X2 = '[[1,"1/0"],[0,1]]'
+    BAD_INPUT = {
+        "charvar trace --A": ["charvar", "trace", "--A", BAD_2X2, "--B", "[[1,0],[0,1]]"],
+        "orbit-dim pgl2": ["geom", "orbit-dim", "--point", BAD_2X2],
+        "orbit-dim grassmann": [
+            "geom", "orbit-dim", "--model", "grassmann",
+            "--point", '[[1,0,0,"1/0",0,0],[0,1,0,0,1,0],[0,0,1,0,0,1]]',
+        ],
+        "charvar stratify --tuple": ["charvar", "stratify", "--tuple", "[%s]" % BAD_2X2],
+        "sweep entry": ["geom", "boundary", "--sweep", "{sweep}"],
+        "l2 entry": ["lie", "splitting", "--l2", "{l2}"],
+        "missing sweep": ["geom", "boundary", "--sweep", "{missing}"],
+        "directory sweep": ["geom", "boundary", "--sweep", "{dir}"],
+        "missing l2": ["lie", "splitting", "--l2", "{missing}"],
+        "directory l2": ["lie", "splitting", "--l2", "{dir}"],
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUT))
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, case):
+        """A "1/0" entry in a matrix option or an input file, and an input
+        file that is missing or a directory, exit 2 with an error line and
+        no traceback."""
+        (tmp_path / "sweep.json").write_text("[%s]" % self.BAD_2X2)
+        (tmp_path / "l2.json").write_text('{"l2_basis": [[1,"1/0",0,0,0,0]]}')
+        paths = {
+            "sweep": tmp_path / "sweep.json",
+            "l2": tmp_path / "l2.json",
+            "missing": tmp_path / "missing.json",
+            "dir": tmp_path,
+        }
+        argv = [a.format(**paths) for a in self.BAD_INPUT[case]]
+        assert cli_main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+
     def test_geom_orbit_dim(self, capsys):
         code = cli_main(
             ["geom", "orbit-dim", "--model", "pgl2", "--point", "[[1,0],[0,1]]"]
