@@ -5,18 +5,15 @@ represented by its graded invariant ring, the affine charts where a chosen
 homogeneous invariant is nonzero, and evaluators for degree-zero fractions
 on those charts.  Everything downstream consumes evaluations and bracket
 tables, so no abstract variety objects appear.
+
+Importing this module loads ``backend``, ``linalg``, ``poly`` and
+``invariants`` only; what reads charts or brackets imports ``geometry`` or
+``poisson`` when called.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from wonderland.geometry import (
-    ChartDomainError,
-    ProductChart,
-    ProjChart,
-    ProjMatrixPoint,
-    flat_from_mat2,
-)
 from wonderland.invariants import (
     ProjectiveInvariant,
     closure_residual,
@@ -27,16 +24,7 @@ from wonderland.invariants import (
     traces_over_dets,
 )
 from wonderland.linalg import covector, qstr
-from wonderland.poisson import (
-    function_jacobiators,
-    mixed_product_field,
-    mixed_value_in_charts,
-    mixed_wedges,
-    pi_wedges,
-    projected_bivector,
-    residual_from_values,
-)
-from wonderland.poly import MonomialTable, RationalFn
+from wonderland.poly import MonomialTable
 
 
 class GradedInvariantRing:
@@ -100,12 +88,15 @@ class AffineChartQuotient:
         self.degree = degree
         self.factors = factors
         self.route = tuple(route)
-        self.fn = RationalFn(poly)
+        self.table = MonomialTable([[poly]])
 
     def contains(self, points):
-        return self.fn.eval([x for p in points for x in p.vec]) != 0
+        ((ints, _),) = self.table.values([x for p in points for x in p.vec])
+        return ints[0] != 0
 
     def route_charts(self):
+        from wonderland.geometry import ProjChart
+
         return [ProjChart(k) for k in self.route]
 
     def fraction(self, name, h, power=1):
@@ -147,6 +138,8 @@ def cover_report(charts, samples):
 
 def _pair_points(pair):
     """[g] and [h] as points of P(M_2)."""
+    from wonderland.geometry import ProjMatrixPoint, flat_from_mat2
+
     return [ProjMatrixPoint(flat_from_mat2(pair.g)), ProjMatrixPoint(flat_from_mat2(pair.h))]
 
 
@@ -154,6 +147,8 @@ def product_bivector(model, splitting, pair, points):
     """The product structure on (G x G) x X^n at one sample: the group
     block, the mixed block, and no cross terms.  Returns the charts at
     [g], [h] and the points, those points, and the bivector."""
+    from wonderland.poisson import mixed_wedges, pi_wedges, projected_bivector
+
     pts = _pair_points(pair) + list(points)
     charts = [model.chart_at(p) for p in pts]
     reps = [model.rep(p) for p in pts]
@@ -178,6 +173,9 @@ def _x_side(model, splitting, pair, points, f1, f2):
     [g], [h] and the points (its charts, points and value), then on the
     points' charts the restrictions of f1 and f2, their coordinates there,
     the restrictions' gradients, and {f1, f2}_X from the mixed bivector."""
+    from wonderland.geometry import ProductChart
+    from wonderland.poisson import mixed_value_in_charts
+
     charts, pts, L = product_bivector(model, splitting, pair, points)
     x_charts = charts[2:]
     x_pc = ProductChart(x_charts)
@@ -192,6 +190,9 @@ def product_bracket_residual(model, splitting, pair, points, phi1, f1, phi2, f2)
     """The product-bracket identity at one sample of (G x G) x X^n:
     contracting the product bivector against the gradients of phi (x) f
     equals {phi1,phi2}_G f1 f2 + phi1 phi2 {f1,f2}_X, exactly."""
+    from wonderland.geometry import ProductChart
+    from wonderland.poisson import pi_wedges, projected_bivector, residual_from_values
+
     charts, pts, L, (rf1, rf2), z_x, (gf1, gf2), x_bracket = _x_side(
         model, splitting, pair, points, f1, f2
     )
@@ -235,6 +236,8 @@ def _product_grad(dphi, f, df, phi):
 def projection_poisson_residual(model, splitting, pair, points, f1, f2):
     """Pullbacks along the projection to X bracket to the pullback of the
     X-bracket: the projection is a Poisson map for the product structure."""
+    from wonderland.poisson import residual_from_values
+
     charts, _, L, _, _, (gf1, gf2), rhs = _x_side(model, splitting, pair, points, f1, f2)
     npair = sum(c.dim for c in charts[:2])
     pull1, pull2 = (([0] * npair + g, d) for g, d in (gf1, gf2))
@@ -265,6 +268,8 @@ def quotient_bracket_table(model, splitting, invariants, samples, conjugators):
     report to record, pair by pair and sample by sample.  The table records
     {g_i, g_j} values per sample, which are exactly antisymmetric.
     """
+    from wonderland.poisson import mixed_value_in_charts
+
     pairs = list(combinations(range(len(invariants)), 2))
 
     def brackets(points):
@@ -304,6 +309,8 @@ def quotient_jacobi_residual(model, splitting, invariants, points):
     through the mixed field on the product chart at the points, over every
     triple of the given functions: one sweep of the field, contracted with
     the functions' chart gradients."""
+    from wonderland.poisson import function_jacobiators, mixed_product_field, residual_from_values
+
     charts = [model.chart_at(p) for p in points]
     field = mixed_product_field(model, splitting, charts)
     grads = [f.chart_grad_at(charts, points) for f in invariants]
@@ -320,6 +327,9 @@ def glue_consistency(model, splitting, chart_f, chart_g, fractions, samples):
     ``fractions`` are degree-0 functions defined on the overlap; each
     sample must lie in both quotient charts and in both ambient routes
     (otherwise it is reported as skipped)."""
+    from wonderland.geometry import ChartDomainError
+    from wonderland.poisson import mixed_wedges, projected_bivector, residual_from_values
+
     name = "glue/%s-%s" % (chart_f.name, chart_g.name)
     residuals = []
     for pts in samples:
@@ -404,6 +414,8 @@ def divisor_saturation(ring, interior_samples, boundary_samples):
     The pairs are read off ``ring.generators``: each trace t squared,
     against the product of the dets of the factors t involves.  Each pair
     is evaluated once per sample, through one ``MonomialTable``."""
+    from wonderland.poisson import residual_from_values
+
     pairs = [
         (n + "2", t**2, dn, d) for (n, t, _), (dn, d, _) in traces_over_dets(ring.generators)
     ]

@@ -8,15 +8,17 @@ floating point: everything is a rational rref.
 A degree-zero ``ProjectiveInvariant`` evaluates through one compiled
 ``poly.RationalFn``, and its chart gradients are covectors (integers over
 one denominator) that go to ``Bivector.bracket_eval`` as they are.
+
+Importing this module loads ``backend``, ``linalg`` and ``poly`` only;
+what reads charts or brackets imports ``geometry`` or ``poisson`` when
+called, and the actions import ``lie``.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
-from wonderland.geometry import ChartDomainError, GroupPair, ProductChart
 from wonderland.linalg import ZERO, Matrix, row_span_contains
-from wonderland.poisson import mixed_value_in_charts, residual_from_values
 from wonderland.poly import MonomialTable, MultiPoly, RationalFn, grlex_key
 
 
@@ -44,13 +46,25 @@ class LinearAction:
         self._check_representation()
 
     def _check_representation(self):
-        for i in range(self.alg.dim):
-            for j in range(i + 1, self.alg.dim):
-                comm = self.rho_mats[i] * self.rho_mats[j] - self.rho_mats[j] * self.rho_mats[i]
-                want = Matrix.zero(len(self.variables), len(self.variables))
+        """R_i R_j - R_j R_i = d sum_k c_ij^k R_k for every pair i < j, on
+        the sparse integer rows R_i = d rho_mats[i], d their common
+        denominator."""
+        d = lcm(*(x.denominator for m in self.rho_mats for row in m.data for x in row))
+        R = [
+            [{b: x.numerator * (d // x.denominator) for b, x in enumerate(r) if x} for r in m.data]
+            for m in self.rho_mats
+        ]
+        for i, j in combinations(range(self.alg.dim), 2):
+            for a in range(len(self.variables)):
+                diff = {}
+                for x, y, s in ((R[i], R[j], 1), (R[j], R[i], -1)):
+                    for b, c in x[a].items():
+                        for col, v in y[b].items():
+                            diff[col] = diff.get(col, 0) + s * c * v
                 for k, c in self.alg._nonzero[i][j]:
-                    want = want + self.rho_mats[k] * c
-                if comm != want:
+                    for col, v in R[k][a].items():
+                        diff[col] = diff.get(col, 0) - d * c * v
+                if any(diff.values()):
                     raise ValueError(
                         "action matrices do not represent the bracket at (%d,%d)" % (i, j)
                     )
@@ -504,6 +518,8 @@ class ProjectiveInvariant:
 
     def restrict(self, charts):
         """RationalFn in the coordinates of a product of factor charts."""
+        from wonderland.geometry import ProductChart
+
         pc = charts if isinstance(charts, ProductChart) else ProductChart(charts)
         self._check_factor_count(len(pc.factors))
         polys = [q for l in range(len(pc.factors)) for q in pc.ambient_polys(l)]
@@ -528,6 +544,7 @@ class ProjectiveInvariant:
         for l, (chart, p) in enumerate(zip(charts, points)):
             c = p.vec[chart.norm_index]
             if c == 0:
+                from wonderland.geometry import ChartDomainError
                 raise ChartDomainError("point lies outside chart %d" % chart.norm_index)
             entries.extend((4 * l + k, c) for k in chart.positions)
         return self._at(self.fn.grad_at, points, entries)
@@ -566,6 +583,8 @@ def mixed_bracket_value(model, splitting, points, f, g, charts=None):
     of the functions at the points.  The result is a value of the bracket
     function at the point tuple, independent of the charts.
     """
+    from wonderland.poisson import mixed_value_in_charts
+
     if charts is None:
         charts = [model.chart_at(p) for p in points]
     L = mixed_value_in_charts(model, splitting, points, charts)
@@ -574,6 +593,8 @@ def mixed_bracket_value(model, splitting, points, f, g, charts=None):
 
 def conjugated(model, points, conj):
     """The points moved by the conjugating element c: c . m."""
+    from wonderland.geometry import GroupPair
+
     pair = GroupPair(conj, conj)
     return [model.act(pair, p) for p in points]
 
@@ -581,6 +602,8 @@ def conjugated(model, points, conj):
 def closure_residual(f, g, points, before, after, name="bracket-closure"):
     """The closure residual {f,g}(m) - {f,g}(c . m) at the points m, from
     the two bracket values."""
+    from wonderland.poisson import residual_from_values
+
     return residual_from_values(
         name,
         {"points": [repr(p) for p in points], "f": f.name, "g": g.name},

@@ -407,11 +407,13 @@ class TestQuotientWork:
         invariant, 3 samples) and f2-demo (three invariants, 3 samples)
         build one mixed bivector per sample, plus one at the conjugated
         points where there is a pair to close, and one gradient per
-        invariant at each: 3 + 2 * 3 bivectors and 3 + 2 * 3 * 3 gradients."""
-        import wonderland.invariants as invariants
+        invariant at each: 3 + 2 * 3 bivectors and 3 + 2 * 3 * 3 gradients.
+
+        ``gitq`` and ``invariants`` import ``mixed_value_in_charts`` from
+        ``poisson`` when they call it, so patching it there counts every
+        call."""
         import wonderland.poisson as poisson
         import wonderland.reports as reports
-        from wonderland import gitq
 
         inside = []
         counts = {"bivectors": 0, "gradients": 0}
@@ -435,11 +437,41 @@ class TestQuotientWork:
             return real_grad(self, *args)
 
         monkeypatch.setattr(reports, "quotient_bracket_table", table)
-        for module in (gitq, invariants):
-            monkeypatch.setattr(module, "mixed_value_in_charts", mixed)
+        monkeypatch.setattr(poisson, "mixed_value_in_charts", mixed)
         monkeypatch.setattr(ProjectiveInvariant, "chart_grad_at", grad)
         reports.run_experiment(reports.ExperimentConfig("all", samples=20, seed=42))
         assert counts == {"bivectors": 9, "gradients": 21}
+
+    def test_chart_membership_evaluates_only_its_invariant(self, monkeypatch):
+        """In the seed-42 run-all report each ``AffineChartQuotient.contains``
+        call evaluates its chart invariant's monomials once and nothing
+        else, no partial derivative: 60 calls, on invariants of 2 or 4
+        monomials."""
+        from wonderland import backend, reports
+
+        inside = []
+        sizes = []
+        real_contains = AffineChartQuotient.contains
+        real_eval = backend.poly_eval
+
+        def contains(self, points):
+            inside.append(self)
+            try:
+                return real_contains(self, points)
+            finally:
+                inside.pop()
+
+        def poly_eval(table, *args):
+            if inside:
+                sizes.append((len(inside[-1].poly.ints), len(table)))
+            return real_eval(table, *args)
+
+        monkeypatch.setattr(AffineChartQuotient, "contains", contains)
+        monkeypatch.setattr(backend, "poly_eval", poly_eval)
+        reports.run_experiment(reports.ExperimentConfig("all", samples=20, seed=42))
+        assert len(sizes) == 60
+        assert all(want == got for want, got in sizes)
+        assert {want for want, _ in sizes} == {2, 4}
 
     @staticmethod
     def _count_evals(monkeypatch):

@@ -25,7 +25,7 @@ from wonderland.invariants import (
     trace_generators,
     trace_of_word,
 )
-from wonderland.lie import build_sl, standard_splitting
+from wonderland.lie import build_sl, sl_matrix_of, standard_splitting
 from wonderland.linalg import Matrix
 from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
@@ -96,6 +96,74 @@ class TestActions:
             lhs = act.derive_poly(i, p * q)
             rhs = act.derive_poly(i, p) * q + p * act.derive_poly(i, q)
             assert lhs == rhs
+
+    @staticmethod
+    def _rebased(act):
+        """The matrices P rho P^-1 of the one-factor conjugation action, for
+        a change of basis P with entries over 3 and 7."""
+        P = Matrix(
+            [[Q(1, 3), Q(2, 7), 0, 1], [0, Q(5, 7), Q(-1, 3), 0], [1, 0, Q(4, 7), 0], [0, 1, 0, Q(2, 3)]]
+        )
+        return [P * m * P.inverse() for m in act.rho_mats]
+
+    def test_representation_survives_rational_change_of_basis(self, ctx):
+        sl2 = ctx["sl2"]
+        rho = self._rebased(conjugation_action(sl2, 1))
+        assert any(x.denominator % 21 == 0 for m in rho for row in m.data for x in row)
+        LinearAction(sl2, m2_variables(1), rho)
+
+    def test_representation_check_sees_one_entry_moved_by_a_seventh(self, ctx):
+        sl2 = ctx["sl2"]
+        rho = self._rebased(conjugation_action(sl2, 1))
+        rho[0].data[1][2] += Q(1, 7)
+        with pytest.raises(ValueError, match="represent the bracket"):
+            LinearAction(sl2, m2_variables(1), rho)
+
+    def test_representation_check_rejects_twice_rho(self, ctx):
+        """[2x, 2y] = 4[x, y], not 2[x, y]."""
+        sl2 = ctx["sl2"]
+        act = conjugation_action(sl2, 1)
+        with pytest.raises(ValueError, match="represent the bracket"):
+            LinearAction(sl2, act.variables, [m * 2 for m in act.rho_mats])
+
+    @staticmethod
+    def _reference_rho(sl2, kinds):
+        """Block-diagonal matrices of each sl2 basis element on factors of
+        the given kinds, from ``Matrix`` products: on 'm2' column (p, q) is
+        the flattened x E_pq - E_pq x, on 'line' x, on 'line_dual' -x^T."""
+        out = []
+        for i in range(3):
+            x = sl_matrix_of(2, sl2._basis_vec(i))
+            blocks = []
+            for kind in kinds:
+                if kind == "m2":
+                    cols = []
+                    for p, q in product(range(2), repeat=2):
+                        E = Matrix([[int((r, s) == (p, q)) for s in range(2)] for r in range(2)])
+                        img = x * E - E * x
+                        cols.append([img[r, s] for r, s in product(range(2), repeat=2)])
+                    blocks.append(Matrix(cols).transpose())
+                else:
+                    blocks.append(x if kind == "line" else -x.transpose())
+            n = sum(b.rows for b in blocks)
+            big = [[0] * n for _ in range(n)]
+            pos = 0
+            for b in blocks:
+                for r in range(b.rows):
+                    big[pos + r][pos : pos + b.cols] = b.data[r]
+                pos += b.rows
+            out.append(Matrix(big))
+        return out
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_conjugation_matrices_match_matrix_products(self, ctx, r):
+        sl2 = ctx["sl2"]
+        assert conjugation_action(sl2, r).rho_mats == self._reference_rho(sl2, ["m2"] * r)
+
+    def test_mixed_factor_matrices_match_matrix_products(self, ctx):
+        sl2 = ctx["sl2"]
+        kinds = ("m2", "line", "line_dual")
+        assert mixed_factor_action(sl2, kinds).rho_mats == self._reference_rho(sl2, kinds)
 
 
 class TestInvariantSpaces:
