@@ -42,10 +42,10 @@ class Presentation:
 
 
 class RepresentationPoint:
-    """A tuple of SL2 matrices standing for a PGL2 representation."""
+    """A tuple of SL2 ``Matrix`` entries standing for a PGL2 representation."""
 
     def __init__(self, mats):
-        self.mats = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in mats)
+        self.mats = tuple(mats)
         for m in self.mats:
             if m.det() != 1:
                 raise ValueError("representation matrices must have determinant 1")

@@ -150,27 +150,18 @@ class ProjMatrixPoint:
     def to_json(self):
         return {"entries": [qstr(Fraction(v)) for v in self.vec]}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls([Fraction(s) for s in obj["entries"]])
-
 
 class GroupPair:
-    """An element (g, h) of G x G carried by SL_n representatives."""
+    """An element (g, h) of G x G carried by SL_n representatives, two
+    ``Matrix`` entries."""
 
     __slots__ = ("g", "h")
 
     def __init__(self, g, h):
-        g = g if isinstance(g, Matrix) else Matrix(g)
-        h = h if isinstance(h, Matrix) else Matrix(h)
         if g.det() != 1 or h.det() != 1:
             raise ValueError("group pair entries must have determinant 1")
         self.g = g
         self.h = h
-
-    @classmethod
-    def identity(cls, n=2):
-        return cls(Matrix.identity(n), Matrix.identity(n))
 
     def __repr__(self):
         return "GroupPair(%r, %r)" % (self.g, self.h)
@@ -490,13 +481,6 @@ class Pgl2Model:
         return "poisson-action", {"point": repr(point), "image": repr(image)}
 
     # -- elements of the double ------------------------------------------
-    def elem_matrices(self, elem6):
-        """A 6-vector in sl2 (+) sl2 coordinates as a pair of 2x2 matrices;
-        the reference that ``elem_flats`` is tested against."""
-        a = sl_matrix_of(2, elem6[:3])
-        b = sl_matrix_of(2, elem6[3:])
-        return a, b
-
     def elem_flats(self, elem6):
         """A 6-vector in sl2 (+) sl2 coordinates as a pair of flat 2x2
         matrices: e E12 + h H + f E21 is (h, e, f, -h)."""
@@ -656,22 +640,16 @@ class GrassmannModel:
         """The chart on the point's pivots."""
         return GrassChart(point.pivots, 2 * self.n)
 
-    def _action_rows(self, point):
-        """The infinitesimal-action map into the tangent space at the point:
-        one projected flow tangent per basis element of the double."""
+    def orbit_dimension(self, point):
+        """The dimension of the G x G orbit through the point: the rank of
+        the infinitesimal-action map into the tangent space there, one
+        projected flow tangent per basis element of the double."""
         base = self.rep(point)
         dim = self.double.dim
         tangents = [
             self.flow_tangent([int(i == j) for j in range(dim)], base) for i in range(dim)
         ]
-        return Matrix(self.chart_at(point).tangent_project_general(base, tangents)[0])
-
-    def orbit_dimension(self, point):
-        """The dimension of the G x G orbit through the point."""
-        return self._action_rows(point).rank()
-
-    def stabilizer_basis(self, point):
-        return self._action_rows(point).transpose().kernel_basis()
+        return Matrix(self.chart_at(point).tangent_project_general(base, tangents)[0]).rank()
 
 
 def integer_adjoint(n, g):
@@ -709,9 +687,9 @@ def integer_adjoint(n, g):
     return [[x // g0 for x in row] for row in rows], s // g0
 
 
-def infinitesimal_field(model, chart, elem, variables=None, var_offset=0):
+def infinitesimal_field(model, chart, elem):
     """Polynomial field of the one-parameter flow of a double element on a
     chart: the model's flow tangent at the chart's parametrized
     representative, projected there.  Components are quadratic."""
-    amb = chart.ambient_polys(variables, var_offset)
+    amb = chart.ambient_polys()
     return chart.project_normalized(amb, model.flow_tangent(elem, amb))

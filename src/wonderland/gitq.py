@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from wonderland.invariants import (
-    ProjectiveInvariant,
     closure_residual,
     conjugated,
     conjugation_action,
@@ -36,7 +35,7 @@ class GradedInvariantRing:
     against the kernel space of its degree.
     """
 
-    def __init__(self, sl2, factors, bound=4):
+    def __init__(self, sl2, factors, bound):
         if bound < 0:
             raise ValueError("degree bound must be >= 0")
         if factors not in (1, 2):
@@ -99,25 +98,40 @@ class AffineChartQuotient:
 
         return [ProjChart(k) for k in self.route]
 
-    def fraction(self, name, h, power=1):
-        """The degree-0 fraction h / f^power, validated multihomogeneous."""
-        den = self.poly**power
-        return ProjectiveInvariant(name, h, den, self.factors)
-
 
 def semistable_charts(ring):
-    """One chart per ring generator, with a fixed evaluation route."""
-    routes = {1: [(0,), (3,)], 2: [(0, 0), (3, 3), (0, 3), (3, 0), (1, 2)]}
-    out = []
-    for idx, (name, poly, deg) in enumerate(ring.generators):
-        route = routes[ring.factors][idx % len(routes[ring.factors])]
-        out.append(AffineChartQuotient(name, poly, deg, ring.factors, route))
-    return out
+    """The charts {s != 0} that cover the semistable locus of the
+    linearization O(1, ..., 1), one per invariant s that generates the
+    invariants of diagonal degree (d, ..., d), each with a fixed evaluation
+    route.  A tuple is semistable exactly when some invariant of diagonal
+    degree is nonzero there, so exactly when one of these charts holds it.
+
+    One factor: tr and det.  Two factors: trA trB, trAB, detA detB,
+    trA^2 detB and trB^2 detA; a trace coordinate such as trB of degree
+    (0, 1) is no test there, since ([E12], [I]) has trB = 2 but
+    diag(t, 1/t) destabilises it."""
+    if ring.factors == 1:
+        invariants = ring.generators
+    else:
+        (_, trA, _), (_, trB, _), trAB, (_, detA, _), (_, detB, _) = ring.generators
+        invariants = [
+            ("trA*trB", trA * trB, (1, 1)),
+            trAB,
+            ("detA*detB", detA * detB, (2, 2)),
+            ("trA^2*detB", trA**2 * detB, (2, 2)),
+            ("trB^2*detA", trB**2 * detA, (2, 2)),
+        ]
+    routes = {1: [(0,), (3,)], 2: [(0, 0), (3, 3), (0, 3), (3, 0), (1, 2)]}[ring.factors]
+    return [
+        AffineChartQuotient(name, poly, deg, ring.factors, route)
+        for (name, poly, deg), route in zip(invariants, routes)
+    ]
 
 
 def cover_report(charts, samples):
-    """Which chart covers each sample; empty cover flags a candidate
-    unstable point (every homogeneous invariant vanishes there)."""
+    """Which of the ``semistable_charts`` cover each sample; a sample that
+    none covers is unstable (every invariant of diagonal degree vanishes
+    there)."""
     rows = []
     for pts in samples:
         covering = [c.name for c in charts if c.contains(pts)]
@@ -395,13 +409,6 @@ def _separation(pairs, values_a, values_b):
                 "values_b": (qstr(vb[0]), qstr(vb[1])),
             }
     return None
-
-
-def separation_report(pairs_of_invariants, point_a, point_b):
-    """Look for a same-degree invariant pair whose projective values differ
-    at the two samples; returns the separating pair or None."""
-    evaluate = _pair_values(pairs_of_invariants)
-    return _separation(pairs_of_invariants, evaluate(point_a), evaluate(point_b))
 
 
 def divisor_saturation(ring, interior_samples, boundary_samples):

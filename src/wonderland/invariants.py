@@ -29,9 +29,10 @@ class LinearAction:
     space itself; the induced derivation on coordinate functions is
     D_x(z_a) = -sum_b rho(x)[a][b] z_b, extended by Leibniz.  The matrices
     must satisfy rho([x,y]) = [rho(x), rho(y)] exactly, which is checked.
+    ``groups`` lists the variable indices of each grading factor.
     """
 
-    def __init__(self, alg, variables, rho_mats, groups=None):
+    def __init__(self, alg, variables, rho_mats, groups):
         self.alg = alg
         self.variables = tuple(variables)
         self.rho_mats = list(rho_mats)
@@ -40,8 +41,6 @@ class LinearAction:
             raise ValueError("action matrix size does not match variable count")
         if len(self.rho_mats) != alg.dim:
             raise ValueError("need one action matrix per basis element")
-        if groups is None:
-            groups = [list(range(n))]
         self.groups = [list(g) for g in groups]
         self._check_representation()
 
@@ -148,12 +147,9 @@ def compositions(total, k):
 
 
 def monomial_basis(action, degree):
-    """Exponent tuples of the given (multi)degree in canonical order."""
+    """Exponent tuples of the given multidegree, a tuple with one degree
+    per grading group, in canonical order."""
     n = len(action.variables)
-    if isinstance(degree, int):
-        if len(action.groups) != 1:
-            raise ValueError("multidegree required for a multigraded action")
-        degree = (degree,)
     if len(degree) != len(action.groups):
         raise ValueError("multidegree length does not match grading groups")
     if any(d < 0 for d in degree):
@@ -175,7 +171,7 @@ def monomial_basis(action, degree):
 
 
 class InvariantSpace:
-    """Echelonized basis of the invariants of one (multi)degree."""
+    """Echelonized basis of the invariants of one multidegree."""
 
     def __init__(self, degree, basis):
         self.degree = degree
@@ -198,18 +194,15 @@ class InvariantSpace:
 
     def to_json(self):
         return {
-            "degree": list(self.degree) if isinstance(self.degree, tuple) else self.degree,
+            "degree": list(self.degree),
             "dimension": self.dimension,
             "basis": [p.to_json() for p in self.basis],
         }
 
 
 def invariants_of_degree(action, degree):
-    """Exact kernel of the stacked derivations on the monomial basis."""
-    if isinstance(degree, int):
-        if len(action.groups) != 1:
-            raise ValueError("multidegree required for a multigraded action")
-        degree = (degree,)
+    """Exact kernel of the stacked derivations on the monomial basis of
+    the multidegree ``degree``, a tuple."""
     monos = monomial_basis(action, degree)
     if not monos:
         return InvariantSpace(degree, [])
@@ -248,7 +241,7 @@ def _conj_rho_4x4(x):
     return out
 
 
-def conjugation_action(sl2, factors=1):
+def conjugation_action(sl2, factors):
     """Simultaneous conjugation on ``factors`` copies of M_2."""
     from wonderland.lie import sl_matrix_of
 
@@ -516,11 +509,9 @@ class ProjectiveInvariant:
                 "%s lives on %d factors, chart has %d" % (self.name, self.factors, count)
             )
 
-    def restrict(self, charts):
-        """RationalFn in the coordinates of a product of factor charts."""
-        from wonderland.geometry import ProductChart
-
-        pc = charts if isinstance(charts, ProductChart) else ProductChart(charts)
+    def restrict(self, pc):
+        """RationalFn in the coordinates of a ``ProductChart`` of factor
+        charts."""
         self._check_factor_count(len(pc.factors))
         polys = [q for l in range(len(pc.factors)) for q in pc.ambient_polys(l)]
         images = dict(zip(self.num.variables, polys))
@@ -575,18 +566,17 @@ def pgl2_surrogates(factors):
     return out
 
 
-def mixed_bracket_value(model, splitting, points, f, g, charts=None):
+def mixed_bracket_value(model, splitting, points, f, g):
     """{f, g} at a tuple of points, through the mixed product structure.
 
-    The bivector value is assembled pointwise in charts at the points
-    (canonical ones unless given) and paired with the exact chart gradients
-    of the functions at the points.  The result is a value of the bracket
-    function at the point tuple, independent of the charts.
+    The bivector value is assembled pointwise in the canonical charts at
+    the points and paired with the exact chart gradients of the functions
+    at the points.  The result is a value of the bracket function at the
+    point tuple, which does not depend on the charts.
     """
     from wonderland.poisson import mixed_value_in_charts
 
-    if charts is None:
-        charts = [model.chart_at(p) for p in points]
+    charts = [model.chart_at(p) for p in points]
     L = mixed_value_in_charts(model, splitting, points, charts)
     return L.bracket_eval(f.chart_grad_at(charts, points), g.chart_grad_at(charts, points))
 
@@ -612,7 +602,7 @@ def closure_residual(f, g, points, before, after, name="bracket-closure"):
     )
 
 
-def invariant_bracket_closure(model, splitting, f, g, points, conj, name="bracket-closure"):
+def invariant_bracket_closure(model, splitting, f, g, points, conj, name):
     """{f,g}(c . m) = {f,g}(m) for a conjugating element c: the pointwise
     content of invariants forming a Poisson subalgebra."""
     before = mixed_bracket_value(model, splitting, points, f, g)

@@ -26,6 +26,7 @@ the constants of g by 0 and by dim g.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import neg
 
 from wonderland.linalg import (
     ZERO,
@@ -33,7 +34,6 @@ from wonderland.linalg import (
     Matrix,
     integer_rows,
     integer_vector,
-    qparse,
     qstr,
     row_span_contains,
 )
@@ -113,9 +113,6 @@ class LieAlgebra:
         v[i] = Fraction(1)
         return v
 
-    def basis_vectors(self):
-        return [self._basis_vec(i) for i in range(self.dim)]
-
     def bracket(self, x, y):
         """Bracket of coordinate vectors, by bilinear extension over the
         nonzero coordinates and structure constants only.  Over ``int``
@@ -143,23 +140,17 @@ class LieAlgebra:
         sc = [[i, j, m, qstr(c)] for i, j, m, c in self.structure_constants()]
         return {"dim": self.dim, "names": list(self.names), "structure_constants": sc}
 
-    @classmethod
-    def from_json(cls, obj):
-        names = obj["names"]
-        if obj["dim"] != len(names):
-            raise ValueError("dim %r differs from the %d names" % (obj["dim"], len(names)))
-        return cls(names, [(i, j, m, qparse(c)) for i, j, m, c in obj["structure_constants"]])
-
 
 class BilinearForm:
-    """Symmetric bilinear form given by its gram matrix in the basis.
+    """Symmetric bilinear form given by the rows of its gram matrix in the
+    basis.
 
-    Next to ``gram`` it keeps the same matrix as sparse integer rows
-    ``{column: int}`` over one denominator, which ``value`` and the
-    ad-invariance check read."""
+    Next to the ``Matrix`` ``gram`` it keeps the same matrix as sparse
+    integer rows ``{column: int}`` over one denominator, which ``value`` and
+    the ad-invariance check read."""
 
-    def __init__(self, gram):
-        self.gram = gram if isinstance(gram, Matrix) else Matrix(gram)
+    def __init__(self, rows):
+        self.gram = Matrix(rows)
         if self.gram.rows != self.gram.cols:
             raise ValueError("gram matrix must be square")
         if self.gram != self.gram.transpose():
@@ -366,18 +357,13 @@ def double_algebra(alg, kform=None):
     if not kform.is_nondegenerate():
         raise ValueError("Killing form is degenerate; double requires semisimple input")
     n = alg.dim
-    dim = 2 * n
     names = tuple(["%s|1" % s for s in alg.names] + ["%s|2" % s for s in alg.names])
     constants = alg.structure_constants()
     double = LieAlgebra(
         names, [(i + off, j + off, m + off, c) for off in (0, n) for i, j, m, c in constants]
     )
-    gram = Matrix.zero(dim, dim)
-    for i in range(n):
-        for j in range(n):
-            gram.data[i][j] = kform.gram.data[i][j]
-            gram.data[n + i][n + j] = -kform.gram.data[i][j]
-    form = BilinearForm(gram)
+    rows, zero = kform.gram.data, [ZERO] * n
+    form = BilinearForm([row + zero for row in rows] + [zero + list(map(neg, row)) for row in rows])
     form.check_ad_invariant(double)
     if not form.is_nondegenerate():
         raise ValueError("double form unexpectedly degenerate")
@@ -460,16 +446,6 @@ class DoubleSplitting:
                 want = Fraction(1) if i == j else Fraction(0)
                 if self.form.value(self.x_basis[i], self.y_basis[j]) != want:
                     raise ValueError("dual basis condition fails at (%d,%d)" % (i, j))
-
-    def decompose(self, vec):
-        """Coefficients (a, b) with vec = sum a_i x_i + sum b_j y_j."""
-        cols = self.x_basis + self.y_basis
-        m = Matrix([[cols[k][r] for k in range(len(cols))] for r in range(self.double.dim)])
-        sol = m.solve([Fraction(v) for v in vec])
-        if sol is None:
-            raise ValueError("vector not in the double")
-        n = self.half_dim
-        return sol[:n], sol[n:]
 
 
 def standard_splitting(alg):

@@ -104,10 +104,6 @@ def qstr(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def qparse(s) -> Fraction:
-    return Fraction(s)
-
-
 class Matrix:
     """A rows x cols matrix of Fractions, row-major."""
 
@@ -192,15 +188,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix([self.col(j) for j in range(self.cols)])
-
-    def apply_to(self, vec):
-        """Matrix times column vector (a list of Fractions)."""
-        if len(vec) != self.cols:
-            raise ValueError("length mismatch")
-        return [
-            sum((row[j] * vec[j] for j in range(self.cols)), Fraction(0))
-            for row in self.data
-        ]
 
     def rref(self):
         """Return (R, rank, pivot_columns) with R in reduced row echelon form."""
@@ -295,14 +282,6 @@ class Matrix:
             "cols": self.cols,
             "entries": [qstr(x) for row in self.data for x in row],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        r, c = obj["rows"], obj["cols"]
-        ent = [qparse(s) for s in obj["entries"]]
-        if len(ent) != r * c:
-            raise ValueError("entry count does not match rows*cols")
-        return cls([ent[i * c : (i + 1) * c] for i in range(r)])
 
 
 class Bivector:

@@ -252,19 +252,14 @@ def pair_group_field(model, chart_pair, splitting):
     )
 
 
-def mixed_product_field(model, splitting, factor_charts, n=None):
-    """The product field on compactification factors plus cross terms.
+def mixed_product_field(model, splitting, factor_charts):
+    """The product field on compactification factors plus cross terms, on
+    the product of the list ``factor_charts``.
 
     Block-diagonal copies of the one-factor field; for factors j < k the
     cross block couples lambda(y_i) on factor j with lambda(x_i) on factor k
-    (see ``mixed_wedges``).  ``factor_charts`` is either a list of
-    per-factor charts or a single chart replicated n times.
+    (see ``mixed_wedges``).
     """
-    if n is not None:
-        factor_charts = [factor_charts] * n
-    factor_charts = list(factor_charts)
-    if not factor_charts:
-        raise ValueError("n must be >= 1")
     chart = ProductChart(factor_charts)
     ambs = [chart.ambient_polys(l) for l in range(len(factor_charts))]
     return polynomial_field(chart, factor_charts, ambs, mixed_wedges(model, splitting, ambs))
@@ -283,13 +278,13 @@ def mixed_value_in_charts(model, splitting, points, charts):
 # ---------------------------------------------------------------------------
 
 
-def mixed_wedges(model, splitting, reps, cross_sign=None):
+def mixed_wedges(model, splitting, reps):
     """Pointwise wedge list of the mixed field on a tuple of factors.
 
     Each flow tangent is computed once per (basis element, factor) and
     shared by the diagonal and cross wedges; a leg is None on every factor
-    it does not touch."""
-    sign = MIXED_CROSS_SIGN if cross_sign is None else cross_sign
+    it does not touch.  The cross terms' sign is ``MIXED_CROSS_SIGN``, read
+    at each call."""
     n = len(reps)
     pairs = splitting.integer_pairs
     xs = [[model.flow_tangent(x, rep) for x, _, _ in pairs] for rep in reps]
@@ -305,7 +300,7 @@ def mixed_wedges(model, splitting, reps, cross_sign=None):
     for j in range(n):
         for k in range(j + 1, n):
             for i, (_, _, d) in enumerate(pairs):
-                out.append((Fraction(sign, d), emb(ys[j][i], j), emb(xs[k][i], k)))
+                out.append((Fraction(MIXED_CROSS_SIGN, d), emb(ys[j][i], j), emb(xs[k][i], k)))
     return out
 
 
@@ -488,7 +483,7 @@ def multiplicativity_residual(model, splitting, pair1, pair2):
     return residual_from_matrix("pi-multiplicativity", {}, res)
 
 
-def action_residual(model, splitting, pair, points, cross_sign=None):
+def action_residual(model, splitting, pair, points):
     """The action-compatibility identity pi_X(a.x) = a_* pi_X(x) +
     (orbit map)_* pi_G(a) on a tuple of factors carrying the mixed field.
 
@@ -502,13 +497,11 @@ def action_residual(model, splitting, pair, points, cross_sign=None):
     images = [model.act(pair, p) for p in points]
     charts = [model.chart_at(im) for im in images]
     img_reps = [model.rep(im) for im in images]
-    lhs = project_wedges(
-        charts, img_reps, mixed_wedges(model, splitting, img_reps, cross_sign)
-    )
+    lhs = project_wedges(charts, img_reps, mixed_wedges(model, splitting, img_reps))
     push, adjoint, scale = model.differentials(pair)
     src_reps = [model.rep(p) for p in points]
     reps = [push(r) for r in src_reps]
-    t1 = _mapped(mixed_wedges(model, splitting, src_reps, cross_sign), [push] * len(reps))
+    t1 = _mapped(mixed_wedges(model, splitting, src_reps), [push] * len(reps))
     t2 = orbit_wedges(model, splitting, adjoint, scale, reps)
     rhs = project_wedges(charts, reps, t1 + t2)
     return images, _collected(sum(c.dim for c in charts), lhs, rhs)
@@ -542,14 +535,12 @@ def action_map_identities(model, pair, point, args):
     )
 
 
-def diagonal_action_residual(model, splitting, pair, points, cross_sign=None):
+def diagonal_action_residual(model, splitting, pair, points):
     """Exact residual of the Poisson condition for the (diagonal) pair action
     on a tuple of P(M_2) factors carrying the mixed product field; a
-    diagonal pair must also act by conjugation.
-
-    ``cross_sign`` overrides the module cross-term sign; the tests use it as
-    a negative control (the wrong sign must break the identity)."""
-    images, res = action_residual(model, splitting, pair, points, cross_sign)
+    diagonal pair must also act by conjugation.  With ``MIXED_CROSS_SIGN``
+    flipped the identity breaks, the tests' negative control."""
+    images, res = action_residual(model, splitting, pair, points)
     conj_ok = True
     if pair.g == pair.h:
         ginv = pair.g.inverse()
@@ -620,7 +611,7 @@ def function_jacobiators(field, coords, grads):
     return out
 
 
-def tangency_check(field, defining, coords, name="tangency"):
+def tangency_check(field, defining, coords, name):
     """Whether the field restricts to the subvariety cut out by ``defining``
     polynomials at a point on it: every contraction with a defining
     differential must vanish as a vector, exactly.  Each F is read through

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from wonderland import backend
-from wonderland.linalg import covector, integer_vector, qparse, qstr
+from wonderland.linalg import covector, integer_vector, qstr
 
 
 def _canonical(ints, den):
@@ -66,9 +66,9 @@ class MultiPoly:
 
     __slots__ = ("variables", "ints", "den")
 
-    def __init__(self, variables, terms=None):
+    def __init__(self, variables, terms):
         self.variables = tuple(variables)
-        ints, self.den = _pairs(terms or {})
+        ints, self.den = _pairs(terms)
         self.ints = {}
         for e, c in ints.items():
             k = tuple(map(int, e))
@@ -276,13 +276,6 @@ class MultiPoly:
             "variables": list(self.variables),
             "terms": [[list(e), qstr(c)] for e, c in self.sorted_items()],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            tuple(obj["variables"]),
-            {tuple(e): qparse(c) for e, c in obj["terms"]},
-        )
 
 
 class MonomialTable:

@@ -138,10 +138,12 @@ class ExperimentConfig:
 
 
 class ExperimentReport:
-    def __init__(self, config, checks, wall_time=0.0):
+    """A config's checks; ``run_experiment`` sets ``wall_time``, which the
+    report body leaves out."""
+
+    def __init__(self, config, checks):
         self.config = config
         self.checks = checks
-        self.wall_time = wall_time
 
     @property
     def passed(self):

@@ -3,6 +3,7 @@
 All randomness in the package flows through ``sample_rational``, a pure
 function of (seed, index) built on the splitmix64 mixer, so every experiment
 is replayable bit-for-bit on any platform.  No ambient entropy anywhere.
+A ``RationalStream`` draws every value with the one bound ``BOUND``.
 """
 
 from fractions import Fraction
@@ -13,6 +14,9 @@ from wonderland.linalg import Matrix, integer_rows, ratio
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
+
+# |p| <= BOUND and 1 <= q <= BOUND for every p/q a stream draws
+BOUND = 9
 
 
 def _mix(z):
@@ -53,41 +57,40 @@ class RationalStream:
     another seed's stream.
     """
 
-    def __init__(self, seed, bound=9):
+    def __init__(self, seed):
         if not 0 <= seed <= _MASK:
             raise ValueError("seed must lie in [0, 2^64)")
         self.seed = seed
-        self.bound = bound
         self.index = 0
 
-    def take(self, bound=None):
-        x = sample_rational(self.seed, self.index, bound or self.bound)
+    def take(self):
+        x = sample_rational(self.seed, self.index, BOUND)
         self.index += 1
         return x
 
-    def take_nonzero(self, bound=None):
+    def take_nonzero(self):
         while True:
-            x = self.take(bound)
+            x = self.take()
             if x != 0:
                 return x
 
-    def vector(self, n, bound=None):
-        return [self.take(bound) for _ in range(n)]
+    def vector(self, n):
+        return [self.take() for _ in range(n)]
 
-    def nonzero_vector(self, n, bound=None):
+    def nonzero_vector(self, n):
         while True:
-            v = self.vector(n, bound)
+            v = self.vector(n)
             if any(x != 0 for x in v):
                 return v
 
-    def matrix(self, rows, cols, bound=None):
-        return Matrix([[self.take(bound) for _ in range(cols)] for _ in range(rows)])
+    def matrix(self, rows, cols):
+        return Matrix([[self.take() for _ in range(cols)] for _ in range(rows)])
 
-    def sl2(self, bound=None):
+    def sl2(self):
         """A generic exact SL2 element: lower * upper * diag(t, 1/t)."""
-        return self.sl(2, bound)
+        return self.sl(2)
 
-    def sl(self, n, bound=None):
+    def sl(self, n):
         """A generic determinant-one n x n matrix: unit lower and upper
         triangular factors times a diagonal with reciprocal last entry.
 
@@ -98,9 +101,9 @@ class RationalStream:
         upper = [[int(i == j) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i):
-                lower[i][j] = self.take(bound)
-                upper[j][i] = self.take(bound)
-        diag = [self.take_nonzero(bound) for _ in range(n - 1)]
+                lower[i][j] = self.take()
+                upper[j][i] = self.take()
+        diag = [self.take_nonzero() for _ in range(n - 1)]
         num = prod(t.numerator for t in diag)
         den = prod(t.denominator for t in diag)
         cols = [(t.numerator, t.denominator) for t in diag] + [(den, num)]
@@ -109,14 +112,14 @@ class RationalStream:
             [[ratio(x * a, dl * du * b) for x, (a, b) in zip(row, cols)] for row in mat_mul(lz, uz)]
         )
 
-    def invertible2(self, bound=None):
+    def invertible2(self):
         while True:
-            m = self.matrix(2, 2, bound)
+            m = self.matrix(2, 2)
             if m.det() != 0:
                 return m
 
-    def rank_one2(self, bound=None):
+    def rank_one2(self):
         """A nonzero 2x2 matrix u v^T of rank exactly one."""
-        u = self.nonzero_vector(2, bound)
-        v = self.nonzero_vector(2, bound)
+        u = self.nonzero_vector(2)
+        v = self.nonzero_vector(2)
         return Matrix([[u[0] * v[0], u[0] * v[1]], [u[1] * v[0], u[1] * v[1]]])

@@ -192,10 +192,10 @@ def test_criterion_4_poisson_identities(ctx):
         chart = ProjChart(k)
         if k not in fields:
             fields[k] = splitting_bivector_field(model, chart, split)
-        assert tangency_check(fields[k], [chart.det_poly()], chart.coords_of(p)).passed
+        assert tangency_check(fields[k], [chart.det_poly()], chart.coords_of(p), "tangency").passed
         done += 1
     hyper = MultiPoly.var(ch0.variables, "b") - 1
-    control = tangency_check(f0, [hyper], [Q(1), stream.take(), stream.take()])
+    control = tangency_check(f0, [hyper], [Q(1), stream.take(), stream.take()], "tangency")
     assert not control.passed
     report(4, "poisson identities", started, 300)
 
@@ -204,8 +204,8 @@ def test_criterion_5_invariant_theory(ctx):
     started = time.monotonic()
     act1 = conjugation_action(ctx["sl2"], 1)
     v = act1.variables
-    s1 = invariants_of_degree(act1, 1)
-    s2 = invariants_of_degree(act1, 2)
+    s1 = invariants_of_degree(act1, (1,))
+    s2 = invariants_of_degree(act1, (2,))
     assert (s1.dimension, s2.dimension) == (1, 2)
     assert s1.contains(trace_of_word(v, (1,)))
     assert s2.contains(trace_of_word(v, (1,)) ** 2)
@@ -262,7 +262,7 @@ def test_criterion_6_appendix_realized(ctx):
         for i in range(3):
             for j in range(i + 1, 3):
                 assert invariant_bracket_closure(
-                    model, split, gens[i], gens[j], pts, c
+                    model, split, gens[i], gens[j], pts, c, "bracket-closure"
                 ).passed
     # chart gluing at 20 overlap samples
     chart_f = AffineChartQuotient("trAB", trace_of_word(v2, (1, 2)), (1, 1), 2, (0, 0))

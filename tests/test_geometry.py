@@ -36,6 +36,8 @@ from wonderland.linalg import Matrix, echelon_rows, integer_vector
 from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
+from references import apply_to, bounded, elem_matrices
+
 
 def as_fractions(projected):
     """The (coords, den) of ``tangent_project_general`` as Fraction lists."""
@@ -76,7 +78,7 @@ class TestProjPoints:
 
     def test_json_round_trip(self):
         p = ProjMatrixPoint([1, 2, 3, 4])
-        assert ProjMatrixPoint.from_json(p.to_json()) == p
+        assert ProjMatrixPoint([Q(x) for x in p.to_json()["entries"]]) == p
 
 
 class TestDiagonalPoint:
@@ -91,18 +93,12 @@ class TestDiagonalPoint:
         ok, cert = is_lagrangian(ctx["double"], ctx["form"], d.mat.data)
         assert ok, cert
 
-    def test_stabilizer_is_diagonal(self, ctx):
-        stab = ctx["gr"].stabilizer_basis(ctx["gr"].diagonal_point())
-        assert len(stab) == 3
-        for v in stab:
-            assert v[:3] == v[3:]
-
 
 class TestAction:
     def test_identity_pair_fixes(self, ctx):
         st = RationalStream(31)
         p = ctx["gr"].act(GroupPair(st.sl2(), st.sl2()), ctx["gr"].diagonal_point())
-        assert ctx["gr"].act(GroupPair.identity(), p) == p
+        assert ctx["gr"].act(GroupPair(Matrix.identity(2), Matrix.identity(2)), p) == p
 
     def test_diagonal_pair_stabilizes_diagonal(self, ctx):
         st = RationalStream(32)
@@ -203,7 +199,6 @@ class TestOrbitDimension:
         gr = GrassmannModel(sl3, double, form)
         d = gr.diagonal_point()
         assert gr.orbit_dimension(d) == 8
-        assert len(gr.stabilizer_basis(d)) == 8
 
     def test_orbit_dimension_semicontinuous_on_fixed_samples(self, ctx):
         """Special boundary points (a vanishing line coordinate, and the
@@ -328,7 +323,7 @@ class TestInfinitesimalField:
         st = RationalStream(81)
         model = ctx["model"]
         for elem in [st.vector(6) for _ in range(4)] + [[1, 0, 0, 0, 2, 0], [0] * 6]:
-            want = [flat_from_mat2(m) for m in model.elem_matrices(elem)]
+            want = [flat_from_mat2(m) for m in elem_matrices(elem)]
             assert list(model.elem_flats(elem)) == want
 
     def test_flow_consistency_first_order(self, ctx):
@@ -340,7 +335,7 @@ class TestInfinitesimalField:
         for _ in range(4):
             z = st.vector(3)
             elem = st.vector(6)
-            a, b = model.elem_matrices(elem)
+            a, b = elem_matrices(elem)
             A = ch.rep_at(z)
             Am = Matrix([[A[0], A[1]], [A[2], A[3]]])
             tvars = ("t",)
@@ -379,14 +374,14 @@ class TestInfinitesimalField:
         st = RationalStream(89)
         elem = st.vector(6)
         fld = infinitesimal_field(gr, ch, elem)
-        z = st.vector(9, 3)
+        z = bounded(st, 3).vector(9)
         base = ch.rep_rows_at(z)
         ad = ctx["double"].ad(elem)
-        vel = [ad.apply_to(r) for r in base]
+        vel = [apply_to(ad, r) for r in base]
         want = ch.tangent_project(base, vel)
         assert [f.eval(z) for f in fld] == want
         mixed = (Matrix([[2, 1, 0], [0, 1, -1], [1, 0, 3]]) * Matrix(base)).data
-        assert ch.tangent_project(mixed, [ad.apply_to(r) for r in mixed]) == want
+        assert ch.tangent_project(mixed, [apply_to(ad, r) for r in mixed]) == want
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +425,7 @@ class TestGrassmannFlowTangent:
         gr = _grass_model(n)
         ad = gr.double.ad(elem)
         got = gr.flow_tangent(elem, rows)
-        assert got == [ad.apply_to(list(r)) for r in rows]
+        assert got == [apply_to(ad, list(r)) for r in rows]
 
     @settings(max_examples=40, deadline=None)
     @given(hst.sampled_from([2, 3]).flatmap(lambda n: _flow_case(n, _sparse_fractions)))
@@ -451,7 +446,7 @@ class TestGrassmannFlowTangent:
         for i in range(gr.double.dim):
             elem = gr.double._basis_vec(i)
             got = gr.flow_tangent(elem, rows)
-            want = [gr.double.ad(elem).apply_to(r) for r in rows]
+            want = [apply_to(gr.double.ad(elem), r) for r in rows]
             assert got == want
 
 

@@ -16,7 +16,6 @@ from wonderland.gitq import (
     quotient_bracket_table,
     quotient_jacobi_residual,
     semistable_charts,
-    separation_report,
 )
 from wonderland.invariants import (
     ProjectiveInvariant,
@@ -26,6 +25,7 @@ from wonderland.invariants import (
     trace_of_word,
 )
 from wonderland.lie import build_sl, standard_splitting
+from wonderland.linalg import Matrix
 from wonderland.poly import MultiPoly
 from wonderland.sampling import RationalStream
 
@@ -91,7 +91,7 @@ class TestGradedRing:
 
     def test_unsupported_factors(self, ctx):
         with pytest.raises(ValueError):
-            GradedInvariantRing(ctx["sl2"], 3)
+            GradedInvariantRing(ctx["sl2"], 3, 4)
 
 
 class TestSemistableCharts:
@@ -121,17 +121,115 @@ class TestSemistableCharts:
         charts = semistable_charts(ctx["ring1"])
         det_chart = [c for c in charts if c.name == "det"][0]
         v = m2_variables(1)
-        frac = det_chart.fraction("tr2_over_det", trace_of_word(v, (1,)) ** 2, 1)
+        tr = trace_of_word(v, (1,))
+        frac = ProjectiveInvariant("tr2_over_det", tr**2, det_chart.poly, 1)
         assert frac.value_at((ProjMatrixPoint([1, 0, 0, 1]),)) == 4
         with pytest.raises(ValueError):
-            det_chart.fraction("bad", trace_of_word(v, (1,)), 1)
+            ProjectiveInvariant("bad", tr, det_chart.poly, 1)
 
     def test_fraction_with_higher_power(self, ctx):
         charts = semistable_charts(ctx["ring1"])
         det_chart = [c for c in charts if c.name == "det"][0]
         v = m2_variables(1)
-        frac = det_chart.fraction("tr4_over_det2", trace_of_word(v, (1,)) ** 4, 2)
+        tr = trace_of_word(v, (1,))
+        frac = ProjectiveInvariant("tr4_over_det2", tr**4, det_chart.poly**2, 1)
         assert frac.value_at((ProjMatrixPoint([1, 0, 0, 1]),)) == 16
+
+    def test_nilpotent_beside_a_matrix_fixing_its_kernel_is_unstable(self, ctx):
+        """diag(t, 1/t) has weight 2 on [E12] and 0 on [I], so ([E12], [I])
+        is unstable for O(1, 1), although trB = 2 there."""
+        E12, I = ProjMatrixPoint([0, 1, 0, 0]), ProjMatrixPoint([1, 0, 0, 1])
+        charts = semistable_charts(ctx["ring2"])
+        assert cover_report(charts, [(E12, I), (I, E12)]) == [
+            {"point": [repr(E12), repr(I)], "charts": [], "semistable": False},
+            {"point": [repr(I), repr(E12)], "charts": [], "semistable": False},
+        ]
+        assert cover_report(charts, [(I, I)])[0]["semistable"]
+
+    def test_chart_invariants_have_diagonal_degree_in_the_ring(self, ctx):
+        for ring, names in (
+            (ctx["ring1"], ["tr", "det"]),
+            (ctx["ring2"], ["trA*trB", "trAB", "detA*detB", "trA^2*detB", "trB^2*detA"]),
+        ):
+            charts = semistable_charts(ring)
+            assert [c.name for c in charts] == names
+            for c in charts:
+                assert len(set(c.degree)) == 1
+                assert ring.spaces[c.degree].contains(c.poly), c.name
+
+    @staticmethod
+    def _hilbert_mumford_unstable(mats):
+        """Route A, by the Hilbert-Mumford criterion for O(1, ..., 1)
+        (Mumford, Fogarty and Kirwan, GIT, Thm 2.1): in a basis (v, w),
+        diag(t, 1/t) has weight +2 on a nonzero A with A v = 0 and A^2 = 0,
+        0 on one with A v in <v> otherwise, and -2 on the rest; the tuple is
+        unstable exactly when the weights sum to more than 0 for some v.
+        Only the kernel of a nonzero nilpotent factor can give that."""
+
+        def nilpotent(m):
+            return m[0][0] + m[1][1] == 0 and m[0][0] * m[1][1] == m[0][1] * m[1][0]
+
+        def weight(m, v):
+            mv = [m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1]]
+            if mv[0] * v[1] != mv[1] * v[0]:
+                return -2
+            return 2 if nilpotent(m) and mv == [0, 0] else 0
+
+        kernels = [
+            [-m[0][1], m[0][0]] if any(m[0]) else [-m[1][1], m[1][0]]
+            for m in mats
+            if nilpotent(m) and any(map(any, m))
+        ]
+        return any(sum(weight(m, v) for m in mats) > 0 for v in kernels)
+
+    @staticmethod
+    def _stratified_tuples(seed, r, count):
+        """Tuples that run through every choice of kind per factor, the
+        whole tuple conjugated by one invertible matrix so that factors
+        share invariant lines: nilpotent, upper triangular, the two
+        diagonal rank-one shapes, traceless diagonal, antidiagonal (with
+        those, each of the five charts is the only one holding some tuple),
+        generic, rank-one and scalar."""
+        st = RationalStream(seed)
+
+        def traceless_diagonal():
+            a = st.take_nonzero()
+            return [[a, 0], [0, -a]]
+
+        kinds = [
+            lambda: [[0, st.take_nonzero()], [0, 0]],
+            lambda: [[st.take(), st.take()], [0, st.take()]],
+            lambda: [[st.take_nonzero(), 0], [0, 0]],
+            lambda: [[0, 0], [0, st.take_nonzero()]],
+            traceless_diagonal,
+            lambda: [[0, st.take()], [st.take(), 0]],
+            lambda: [[st.take(), st.take()], [st.take(), st.take()]],
+            lambda: st.rank_one2().data,
+            lambda: [[1, 0], [0, 1]],
+        ]
+        out = []
+        for k in range(count):
+            g = st.invertible2()
+            ginv = g.inverse()
+            mats = []
+            for l in range(r):
+                m = kinds[k // len(kinds) ** l % len(kinds)]()
+                if any(map(any, m)):
+                    mats.append((g * Matrix(m) * ginv).data)
+            if len(mats) == r:
+                out.append(mats)
+        return out
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_cover_agrees_with_hilbert_mumford(self, ctx, r):
+        """Route A, which uses no invariant, against ``cover_report``."""
+        charts = semistable_charts(ctx["ring%d" % r])
+        tuples = self._stratified_tuples(389 + r, r, 405)
+        points = [tuple(ProjMatrixPoint(Matrix(m)) for m in ms) for ms in tuples]
+        rows = cover_report(charts, points)
+        verdicts = [not self._hilbert_mumford_unstable(ms) for ms in tuples]
+        assert [row["semistable"] for row in rows] == verdicts
+        assert len(tuples) > 200 and 30 < verdicts.count(False) < len(tuples) - 30
 
 
 class TestProductBracket:
@@ -356,14 +454,17 @@ class TestSaturation:
         assert checks and all(c.passed for c in checks)
 
     def test_conjugate_interior_points_not_separated(self, ctx):
+        """tr^2 / det, the one-factor saturation pair, takes one value on a
+        conjugacy class."""
         st = RationalStream(359)
-        v = m2_variables(1)
-        pairs = [("tr2", trace_of_word(v, (1,)) ** 2, "det", det_of_factor(v, 1))]
         A = st.invertible2()
         g = st.sl2()
         conj = g * A * g.inverse()
-        sep = separation_report(pairs, (ProjMatrixPoint(A),), (ProjMatrixPoint(conj),))
-        assert sep is None
+        (check,), _ = divisor_saturation(
+            ctx["ring1"], [(ProjMatrixPoint(A),)], [(ProjMatrixPoint(conj),)]
+        )
+        assert not check.passed
+        assert check.details == {"reason": "no separating pair found"}
 
     def test_boundary_pairs_reported_not_asserted(self, ctx):
         st = RationalStream(367)
@@ -388,14 +489,15 @@ class TestSaturation:
         assert checks and all(c.passed for c in checks)
 
     def test_fixture_e11_vs_identity(self, ctx):
-        v = m2_variables(1)
-        pairs = [("tr2", trace_of_word(v, (1,)) ** 2, "det", det_of_factor(v, 1))]
-        sep = separation_report(
-            pairs, (ProjMatrixPoint([1, 0, 0, 1]),), (ProjMatrixPoint([1, 0, 0, 0]),)
+        (check,), _ = divisor_saturation(
+            ctx["ring1"], [(ProjMatrixPoint([1, 0, 0, 1]),)], [(ProjMatrixPoint([1, 0, 0, 0]),)]
         )
-        assert sep is not None
-        assert sep["values_a"] == ("4", "1")
-        assert sep["values_b"] == ("1", "0")
+        assert check.passed
+        assert check.details == {
+            "pair": ("tr2", "det"),
+            "values_a": ("4", "1"),
+            "values_b": ("1", "0"),
+        }
 
 
 class TestQuotientWork:

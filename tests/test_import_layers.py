@@ -71,17 +71,17 @@ def test_reports_loads_every_traced_module():
     assert wanted - modules == set()
 
 
-def test_restrict_imports_its_chart_layer_when_called():
+def test_restrict_loads_no_poisson_layer():
     """A surrogate restricted in a process that imported only
-    ``invariants`` agrees with its value at the points; ``restrict`` loads
-    the charts it reads and nothing of the Poisson layer."""
+    ``invariants`` and the charts agrees with its value at the points;
+    ``restrict`` loads nothing of the Poisson layer."""
     modules, printed = _loaded(
         "import wonderland.invariants as inv\n"
         "f = inv.pgl2_surrogates(2)[0]\n"
         "from wonderland.geometry import ProductChart, ProjChart, ProjMatrixPoint\n"
         "pts = [ProjMatrixPoint([1, 2, 3, 5]), ProjMatrixPoint([2, -1, 1, 4])]\n"
         "pc = ProductChart([ProjChart(0), ProjChart(3)])\n"
-        "print(f.restrict(pc.factors).eval(pc.coords_of(pts)) == f.value_at(pts))"
+        "print(f.restrict(pc).eval(pc.coords_of(pts)) == f.value_at(pts))"
     )
     assert printed == ["True"]
     assert "wonderland.poisson" not in modules

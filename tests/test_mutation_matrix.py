@@ -43,8 +43,8 @@ def _diagonal_count(splitting, reps):
 
 
 def _cross(change):
-    def mixed(model, splitting, reps, cross_sign=None):
-        out = REAL["mixed_wedges"](model, splitting, reps, cross_sign)
+    def mixed(model, splitting, reps):
+        out = REAL["mixed_wedges"](model, splitting, reps)
         k = _diagonal_count(splitting, reps)
         return out[:k] + [change(*w) for w in out[k:]]
 
@@ -52,8 +52,8 @@ def _cross(change):
 
 
 def _diagonal(change):
-    def mixed(model, splitting, reps, cross_sign=None):
-        out = REAL["mixed_wedges"](model, splitting, reps, cross_sign)
+    def mixed(model, splitting, reps):
+        out = REAL["mixed_wedges"](model, splitting, reps)
         k = _diagonal_count(splitting, reps)
         return change(out[:k]) + out[k:]
 

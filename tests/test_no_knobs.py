@@ -2,16 +2,22 @@
 
 It reads no environment variable: every behaviour is chosen by arguments,
 so a report depends on its config alone and each code path that can run is
-the one the tests run.  And every command-line option is read by the
-handler of its subcommand and admits more than one value, so no option is
-parsed only to be ignored.
+the one the tests run.  Every command-line option is read by the handler
+of its subcommand and admits more than one value, so no option is parsed
+only to be ignored.  And the same holds for the Python API: a parameter
+with a default exists only where some caller in the program sets another
+value, or where a named pin keeps it (``KEPT_DEFAULTS``); a default that
+every caller leaves alone, or that every caller overrides, goes.
 """
 
 import argparse
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
+import wonderland
 from wonderland import cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wonderland"
@@ -56,3 +62,61 @@ def test_every_option_is_read_by_its_handler():
                 unread.append("%s %s (one value)" % (name, action.option_strings[0]))
     assert checked > 20
     assert unread == []
+
+
+# every defaulted parameter in the package, and what keeps it: the caller
+# in the program that sets another value than the default, or the pin
+CLI_DEFAULT = "an ExperimentConfig default, which cmd_run and bench/workloads.py rely on"
+KEPT_DEFAULTS = {
+    "charvar.Presentation.__init__(relators)": "ROADMAP item 14 (presentations of Gamma)",
+    "charvar.rank1_compactified_model(max_degree)": "reports.run_rank1 passes cfg.degree + 2",
+    "cli.main(argv)": "the console script calls main() to read sys.argv",
+    "geometry.GrassChart.ambient_polys(var_offset)": "ProductChart.ambient_polys",
+    "geometry.GrassChart.ambient_polys(variables)": "ProductChart.ambient_polys",
+    "geometry.Pgl2Model.lagrangian_of(double)": "cli.cmd_geom_orbit_dim checks the image",
+    "geometry.Pgl2Model.lagrangian_of(form)": "cli.cmd_geom_orbit_dim checks the image",
+    "geometry.ProjChart.ambient_polys(var_offset)": "ProductChart.ambient_polys",
+    "geometry.ProjChart.ambient_polys(variables)": "ProductChart.ambient_polys",
+    "invariants.closure_residual(name)": "invariant_bracket_closure passes f2/closure",
+    "invariants.express_in_generators(symbolic)": "bench/workloads.py passes symbolic=False",
+    "lie.double_algebra(kform)": "splitting_from_l2 passes the Killing form it built",
+    "poisson.IdentityResidual.__init__(details)": "reports.run_tangency passes details",
+    "poisson.residual_from_matrix(details)": "diagonal_action_residual passes details",
+    "poisson.residual_from_values(details)": "closure_residual passes details",
+    "poly.MultiPoly._of(den)": "MultiPoly.__add__ passes den",
+    "poly.RationalFn.__init__(den)": "ProjectiveInvariant passes den",
+    "poly.RationalFn.grad_at(entries)": "ProjectiveInvariant.chart_grad_at passes entries",
+    "reports.ExperimentConfig.__init__(degree)": CLI_DEFAULT,
+    "reports.ExperimentConfig.__init__(model)": CLI_DEFAULT,
+    "reports.ExperimentConfig.__init__(n_factors)": CLI_DEFAULT,
+    "reports.ExperimentConfig.__init__(samples)": CLI_DEFAULT,
+    "reports.ExperimentConfig.__init__(seed)": CLI_DEFAULT,
+}
+
+
+def _defaulted_parameters():
+    """Every parameter with a default of every function and method that a
+    ``wonderland`` module defines, as "module.qualname(parameter)"."""
+    out = set()
+    for info in pkgutil.iter_modules(wonderland.__path__):
+        module = importlib.import_module("wonderland." + info.name)
+        owners, seen = [module], set()
+        while owners:
+            for value in vars(owners.pop()).values():
+                value = getattr(value, "__func__", value)
+                if getattr(value, "__module__", None) != module.__name__ or id(value) in seen:
+                    continue
+                seen.add(id(value))
+                if inspect.isclass(value):
+                    owners.append(value)
+                elif inspect.isfunction(value):
+                    out.update(
+                        "%s.%s(%s)" % (info.name, value.__qualname__, p.name)
+                        for p in inspect.signature(value).parameters.values()
+                        if p.default is not inspect.Parameter.empty
+                    )
+    return out
+
+
+def test_every_default_is_set_otherwise_or_pinned():
+    assert sorted(_defaulted_parameters()) == sorted(KEPT_DEFAULTS)

@@ -17,7 +17,7 @@ from wonderland.geometry import (
     GrassmannModel,
 )
 from wonderland.lie import _dualize, build_sl, double_algebra, standard_splitting
-from wonderland.linalg import Bivector, integer_vector
+from wonderland.linalg import Bivector, Matrix, integer_vector
 from wonderland.poisson import (
     BivectorField,
     _collected,
@@ -38,6 +38,10 @@ from wonderland.poisson import (
 )
 from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
+
+from references import basis_vectors, bounded
+
+IDENTITY_PAIR = GroupPair(Matrix.identity(2), Matrix.identity(2))
 
 # frozen regression fixture: the mixed two-factor field on the chart a=1,
 # evaluated at ((1,2,3),(1/2,-1,2)); first full computation, kept thereafter
@@ -81,7 +85,7 @@ def _non_poisson_field(stream, chart=None):
     def rnd():
         terms = {}
         for _ in range(3):
-            e = tuple(abs(stream.take(9).numerator) % 3 for _ in names)
+            e = tuple(abs(stream.take().numerator) % 3 for _ in names)
             terms[e] = terms.get(e, Q(0)) + stream.take()
         return MultiPoly(names, terms)
 
@@ -114,7 +118,7 @@ def compiled_fields(ctx):
     st = RationalStream(223)
     return [
         splitting_bivector_field(ctx["gr"], gr_chart, ctx["split"]),
-        mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 2),
+        mixed_product_field(ctx["model"], ctx["split"], [ctx["ch0"]] * 2),
         _non_poisson_field(st),
         _non_poisson_field(st, gr_chart),
     ]
@@ -165,7 +169,7 @@ class TestSplittingField:
         """Re-mixed dual pair gives the identical polynomial field."""
         st = RationalStream(91)
         while True:
-            mix = st.matrix(3, 3, 3)
+            mix = bounded(st, 3).matrix(3, 3)
             if mix.det() != 0:
                 break
         s = ctx["split"]
@@ -227,7 +231,7 @@ class TestJacobi:
             for _ in range(4):
                 terms = {}
                 for _ in range(4):
-                    e = tuple(abs(st.take(9).numerator) % 3 for _ in range(3))
+                    e = tuple(abs(st.take().numerator) % 3 for _ in range(3))
                     terms[e] = terms.get(e, Q(0)) + st.take()
                 polys.append(MultiPoly(names, terms))
             pt = st.vector(3)
@@ -265,7 +269,7 @@ class TestJacobi:
                 return out
 
             def cubic():
-                exps = [tuple(abs(st.take(9).numerator) % 2 for _ in xs) for _ in range(4)]
+                exps = [tuple(abs(st.take().numerator) % 2 for _ in xs) for _ in range(4)]
                 return poly((e, st.take()) for e in exps)
 
             L = [[poly(p.terms.items()) for p in row] for row in control.entries]
@@ -338,7 +342,7 @@ class TestJacobi:
         import wonderland.poisson as poisson
 
         monkeypatch.setattr(poisson, "MIXED_CROSS_SIGN", -poisson.MIXED_CROSS_SIGN)
-        fld = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 2)
+        fld = mixed_product_field(ctx["model"], ctx["split"], [ctx["ch0"]] * 2)
         jacs = _symbolic_jacobiators(fld)
         assert len(jacs) == 20
         assert sum(not j.is_zero() for j in jacs) == 18
@@ -442,7 +446,7 @@ class TestActionIdentity:
     def test_identity_pair_trivial(self, ctx):
         st = RationalStream(113)
         p = ProjMatrixPoint(st.nonzero_vector(4))
-        res = poisson_action_residual(ctx["model"], ctx["split"], GroupPair.identity(), p)
+        res = poisson_action_residual(ctx["model"], ctx["split"], IDENTITY_PAIR, p)
         assert res.passed
 
     def test_random_pairs_interior_and_boundary(self, ctx):
@@ -485,8 +489,9 @@ class TestActionIdentity:
         gr = GrassmannModel(sl3, double, form)
         split = standard_splitting(sl3)
         st = RationalStream(2025)
-        src = gr.act(GroupPair(st.sl(3, 3), st.sl(3, 3)), gr.diagonal_point())
-        pair = GroupPair(st.sl(3, 3), st.sl(3, 3))
+        b3 = bounded(st, 3)
+        src = gr.act(GroupPair(b3.sl(3), b3.sl(3)), gr.diagonal_point())
+        pair = GroupPair(b3.sl(3), b3.sl(3))
         res = poisson_action_residual(gr, split, pair, src)
         assert res.passed, res.residual
 
@@ -498,12 +503,10 @@ class TestActionIdentity:
         src = gr.act(GroupPair(st.sl2(), st.sl2()), gr.diagonal_point())
         chart = gr.chart_at(src)
         rows = src.mat.data
-        from wonderland.linalg import Matrix
-
         vel = gr.flow_tangent(st.vector(6), rows)
         direct = chart.tangent_project(rows, vel)
         while True:
-            mix = st.matrix(3, 3, 2)
+            mix = bounded(st, 2).matrix(3, 3)
             if mix.det() != 0:
                 break
         mixed_rows = (mix * src.mat).data
@@ -646,8 +649,6 @@ class TestPointwiseWork:
         ``Bivector`` as they are: with ``Matrix.__init__`` raising around
         just those calls, ``from_wedges`` and ``value_at`` still return,
         and the same values as before the patch."""
-        from wonderland.linalg import Matrix
-
         st = RationalStream(181)
         model, ch = ctx["model"], ctx["ch0"]
         reps = [model.rep(ProjMatrixPoint(st.invertible2())) for _ in range(2)]
@@ -713,16 +714,24 @@ class TestPointwiseWork:
     def test_p_m2_flow_builds_no_element_matrix(self, ctx, monkeypatch):
         """``flow_tangent``, ``pi_wedges`` and the action residuals' orbit
         legs read the flat entries of a double element from its six
-        coordinates: ``run all`` builds no element matrix at all."""
+        coordinates: the wedge lists build with ``Matrix.__init__``
+        raising, and ``run all`` makes no sl2 matrix beyond the three basis
+        matrices of its model."""
+        import wonderland.geometry as geometry
         from wonderland.reports import ExperimentConfig, run_experiment
 
-        calls = self._record(monkeypatch, Pgl2Model, "elem_matrices")
+        def refuse(self, data):
+            raise AssertionError("Matrix built")
+
         st = RationalStream(211)
         reps = [list(ProjMatrixPoint(st.nonzero_vector(4)).vec) for _ in range(2)]
+        monkeypatch.setattr(Matrix, "__init__", refuse)
         assert len(mixed_wedges(ctx["model"], ctx["split"], reps)) == 9
         assert len(pi_wedges(ctx["model"], ctx["split"], *reps)) == 6
+        monkeypatch.undo()
+        calls = self._record_function(monkeypatch, geometry, "sl_matrix_of")
         assert run_experiment(ExperimentConfig("all", samples=2, seed=301)).failed == 0
-        assert calls == []
+        assert len(calls) == 3
 
     @staticmethod
     def _record_function(monkeypatch, module, name):
@@ -763,15 +772,13 @@ class TestPointwiseWork:
         """The Gr(3,6) and Gr(8,16) action residuals run from group element
         to projection in integers: with ``Matrix.__mul__`` and
         ``Matrix.inverse`` made to raise, both still pass."""
-        from wonderland.linalg import Matrix
-
         if n == 2:
             gr, split = ctx["gr"], ctx["split"]
         else:
             sl3 = build_sl(3)
             gr, split = GrassmannModel(sl3, *double_algebra(sl3)), standard_splitting(sl3)
         st = RationalStream(2025)
-        g1, h1, g2, h2 = (st.sl(n, 3) for _ in range(4))
+        g1, h1, g2, h2 = (bounded(st, 3).sl(n) for _ in range(4))
 
         def refuse(*args):
             raise AssertionError("a Fraction matrix product or inverse was made")
@@ -884,7 +891,7 @@ class TestFieldDerivativeWork:
 
 class TestMixedField:
     def test_n1_equals_base_polynomials(self, ctx):
-        m1 = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 1)
+        m1 = mixed_product_field(ctx["model"], ctx["split"], [ctx["ch0"]] * 1)
         for i in range(3):
             for j in range(3):
                 assert m1.entries[i][j].terms == ctx["field0"].entries[i][j].terms
@@ -892,7 +899,7 @@ class TestMixedField:
     def test_cross_block_oracle(self, ctx):
         """Term-by-term reconstruction of the cross block at a random point."""
         st = RationalStream(137)
-        m2 = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 2)
+        m2 = mixed_product_field(ctx["model"], ctx["split"], [ctx["ch0"]] * 2)
         z = st.vector(6)
         val = m2.value_at(z)
         ch = ctx["ch0"]
@@ -909,18 +916,18 @@ class TestMixedField:
 
     def test_value_at_identity_pair_fixture(self, ctx):
         """Frozen: at ([I],[I]) every block vanishes (the x-fields die at I)."""
-        m2 = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 2)
+        m2 = mixed_product_field(ctx["model"], ctx["split"], [ctx["ch0"]] * 2)
         zI = ctx["ch0"].coords_of(ProjMatrixPoint([1, 0, 0, 1]))
         assert m2.value_at(zI + zI).is_zero()
 
     def test_generic_point_regression_fixture(self, ctx):
-        m2 = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 2)
+        m2 = mixed_product_field(ctx["model"], ctx["split"], [ctx["ch0"]] * 2)
         val = m2.value_at(MIXED_FIXTURE_POINT)
         got = [[str(x) for x in row] for row in val.entries]
         assert got == MIXED_FIXTURE_VALUE
 
     def test_mixed_jacobi(self, ctx):
-        m2 = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 2)
+        m2 = mixed_product_field(ctx["model"], ctx["split"], [ctx["ch0"]] * 2)
         st = RationalStream(139)
         z = st.vector(6)
         for triple, val in jacobi_sweep(m2, z):
@@ -931,7 +938,7 @@ class TestDiagonalAction:
     def test_identity_trivial(self, ctx):
         st = RationalStream(149)
         pts = (ProjMatrixPoint(st.nonzero_vector(4)), ProjMatrixPoint(st.nonzero_vector(4)))
-        res = diagonal_action_residual(ctx["model"], ctx["split"], GroupPair.identity(), pts)
+        res = diagonal_action_residual(ctx["model"], ctx["split"], IDENTITY_PAIR, pts)
         assert res.passed
 
     def test_n1_matches_action_residual(self, ctx):
@@ -985,23 +992,24 @@ class TestDiagonalAction:
             assert res.passed
 
     def test_mixed_field_on_three_factor_chart_jacobi(self, ctx):
-        m3 = mixed_product_field(ctx["model"], ctx["split"], ctx["ch0"], 3)
+        m3 = mixed_product_field(ctx["model"], ctx["split"], [ctx["ch0"]] * 3)
         st = RationalStream(171)
         z = st.vector(9)
         for triple, val in jacobi_sweep(m3, z):
             assert val == 0, triple
 
-    def test_wrong_cross_sign_fails(self, ctx):
+    def test_wrong_cross_sign_fails(self, ctx, monkeypatch):
         """Negative control: the opposite cross-term sign breaks the identity."""
+        import wonderland.poisson as poisson
+
         st = RationalStream(167)
         g = st.sl2()
         pts = (
             ProjMatrixPoint(st.nonzero_vector(4)),
             ProjMatrixPoint(st.nonzero_vector(4)),
         )
-        res = diagonal_action_residual(
-            ctx["model"], ctx["split"], GroupPair(g, g), pts, cross_sign=1
-        )
+        monkeypatch.setattr(poisson, "MIXED_CROSS_SIGN", 1)
+        res = diagonal_action_residual(ctx["model"], ctx["split"], GroupPair(g, g), pts)
         assert not res.passed
         # the first four nonzero entries, as a report prints them
         assert res.residual == (
@@ -1022,7 +1030,7 @@ class TestOppositeSplitting:
         from wonderland.lie import splitting_from_l2
 
         z3 = [Q(0)] * 3
-        e, h, f = ctx["sl2"].basis_vectors()
+        e, h, f = basis_vectors(ctx["sl2"])
         l2 = [
             list(f) + z3,                      # (f, 0)
             list(h) + [-x for x in h],         # (h, -h)
@@ -1066,7 +1074,7 @@ class TestOppositeSplitting:
         from wonderland.lie import splitting_from_l2
 
         z3 = [Q(0)] * 3
-        e, h, f = ctx["sl2"].basis_vectors()
+        e, h, f = basis_vectors(ctx["sl2"])
         bad = [
             list(e) + z3,
             list(h) + [-x for x in h],
@@ -1086,13 +1094,13 @@ class TestTangency:
             p = ProjMatrixPoint(st.rank_one2())
             if p.vec[0] == 0:
                 continue
-            res = tangency_check(ctx["field0"], [div], ch.coords_of(p))
+            res = tangency_check(ctx["field0"], [div], ch.coords_of(p), "tangency")
             assert res.passed
             done += 1
 
     def test_empty_defining_set_vacuous(self, ctx):
         st = RationalStream(179)
-        res = tangency_check(ctx["field0"], [], st.vector(3))
+        res = tangency_check(ctx["field0"], [], st.vector(3), "tangency")
         assert res.passed
 
     def test_hyperplane_negative_control(self, ctx):
@@ -1100,11 +1108,11 @@ class TestTangency:
         hyper = MultiPoly.var(ch.variables, "b") - 1
         st = RationalStream(181)
         z = [Q(1), st.take(), st.take()]
-        res = tangency_check(ctx["field0"], [hyper], z)
+        res = tangency_check(ctx["field0"], [hyper], z, "tangency")
         assert not res.passed
 
     def test_off_subvariety_rejected(self, ctx):
         ch = ctx["ch0"]
         div = ch.det_poly()
         with pytest.raises(ValueError):
-            tangency_check(ctx["field0"], [div], [Q(0), Q(0), Q(1)])
+            tangency_check(ctx["field0"], [div], [Q(0), Q(0), Q(1)], "tangency")

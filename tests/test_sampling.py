@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 from wonderland.linalg import Matrix
 from wonderland.sampling import RationalStream, sample_rational
 
+from references import bounded
+
 # frozen at first generation; any change here is a reproducibility break
 GOLDEN_SEED42 = ["-7", "-3/5", "-8", "-2/3", "5/7", "1/2", "9/4", "-2", "5/7", "-8/5"]
 
@@ -53,19 +55,19 @@ def test_rank_one_samples():
         assert any(x != 0 for row in m.data for x in row)
 
 
-def triangular_product_sl(stream, n, bound=None):
+def triangular_product_sl(stream, n):
     """The L U D product of three ``Matrix`` factors with the draws of
     ``RationalStream.sl``: the reference its integer product must match."""
     lower = Matrix.identity(n)
     upper = Matrix.identity(n)
     for i in range(n):
         for j in range(i):
-            lower.data[i][j] = stream.take(bound)
-            upper.data[j][i] = stream.take(bound)
+            lower.data[i][j] = stream.take()
+            upper.data[j][i] = stream.take()
     diag = Matrix.identity(n)
     prod = Q(1)
     for k in range(n - 1):
-        t = stream.take_nonzero(bound)
+        t = stream.take_nonzero()
         diag.data[k][k] = t
         prod *= t
     diag.data[n - 1][n - 1] = 1 / prod
@@ -77,8 +79,9 @@ def test_sl_matches_the_triangular_product():
         for n in (2, 3, 4):
             for bound in (None, 3):
                 a, b = RationalStream(seed), RationalStream(seed)
+                draw_a, draw_b = (a, b) if bound is None else (bounded(a, bound), bounded(b, bound))
                 for _ in range(3):
-                    g = a.sl(n, bound)
-                    assert g == triangular_product_sl(b, n, bound)
+                    g = draw_a.sl(n)
+                    assert g == triangular_product_sl(draw_b, n)
                     assert g.det() == 1
                 assert a.index == b.index

@@ -341,7 +341,7 @@ def orbit_case(pair, elem, side):
     g, h = (sym_matrix(m) for m in gh)
     a, b = sl2_sym(elem[:3]), sl2_sym(elem[3:])
     U, V = (a * g, b * h) if side == "right" else (g * a, h * b)
-    return GroupPair(*gh), g + T * U, h + T * V
+    return GroupPair(*map(Matrix, gh)), g + T * U, h + T * V
 
 
 @settings(max_examples=30, deadline=None)
