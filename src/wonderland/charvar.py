@@ -36,10 +36,6 @@ class Presentation:
     def to_json(self):
         return {"r": self.rank, "relators": [list(w) for w in self.relators]}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["r"], obj.get("relators", []))
-
 
 class RepresentationPoint:
     """A tuple of SL2 ``Matrix`` entries standing for a PGL2 representation."""

@@ -72,8 +72,8 @@ def cmd_lie_splitting(args):
     _print(
         {
             "dim": s.double.dim,
-            "x_basis": [[qstr(x) for x in row] for row in s.x_basis],
-            "y_basis": [[qstr(x) for x in row] for row in s.y_basis],
+            "x_basis": [[qstr(Fraction(x, d)) for x in row] for row, d in s.x_basis],
+            "y_basis": [[qstr(Fraction(x, d)) for x in row] for row, d in s.y_basis],
             "axioms": "verified",
         }
     )
@@ -83,6 +83,7 @@ def cmd_lie_splitting(args):
 def cmd_geom_orbit_dim(args):
     from wonderland.geometry import GrassmannModel, Pgl2Model, LagrangianPoint, ProjMatrixPoint
     from wonderland.lie import build_sl, double_algebra, is_lagrangian
+    from wonderland.linalg import integer_vector
 
     sl2 = build_sl(2)
     double, form = double_algebra(sl2)
@@ -97,7 +98,7 @@ def cmd_geom_orbit_dim(args):
         if not rows_ok or not all(isinstance(row, list) and len(row) == 2 * gr.n for row in data):
             raise ValueError("--point needs %d span rows of %d entries" % (gr.n, 2 * gr.n))
         rows = [[_rational(x) for x in row] for row in data]
-        ok, cert = is_lagrangian(double, form, rows)
+        ok, cert = is_lagrangian(double, form, [integer_vector(row) for row in rows])
         if not ok:
             raise ValueError("span is not Lagrangian: %r" % cert)
         lag = LagrangianPoint(rows)
@@ -221,15 +222,15 @@ def cmd_charvar_rank1(args):
 
 
 def cmd_run(args):
-    """Run one experiment; subcommands that lack an option get the
-    ExperimentConfig default for it."""
+    """Run one experiment; an option that the command line leaves out, or
+    that the subcommand lacks, gets its ExperimentConfig default."""
     from wonderland.reports import ExperimentConfig, run_experiment, write_report
 
     cfg = ExperimentConfig(
         experiment=args.experiment,
         model=canonical_model(getattr(args, "model", ExperimentConfig.model)),
-        samples=args.samples,
-        seed=args.seed,
+        samples=getattr(args, "samples", ExperimentConfig.samples),
+        seed=getattr(args, "seed", ExperimentConfig.seed),
         degree=getattr(args, "degree", ExperimentConfig.degree),
         n_factors=getattr(args, "n", ExperimentConfig.n_factors),
     )
@@ -248,6 +249,19 @@ MODEL_ALIASES = {"pgl2": "pgl2-projective", "grassmann": "sl2-grassmann"}
 
 def canonical_model(name):
     return MODEL_ALIASES.get(name, name)
+
+
+def _run_options(parser, *names, **defaults):
+    """Make ``parser`` run an experiment through ``cmd_run`` with the named
+    options (``model`` takes a model name, the others an integer) and
+    ``--out``.  An option left off the command line is absent from the
+    parsed arguments, so ``cmd_run`` gives it the ``ExperimentConfig``
+    default; parsing imports no experiment code."""
+    for name in names:
+        kind = {"choices": MODEL_CHOICES} if name == "model" else {"type": int}
+        parser.add_argument("--" + name, default=argparse.SUPPRESS, **kind)
+    parser.add_argument("--out")
+    parser.set_defaults(func=cmd_run, **defaults)
 
 
 def build_parser():
@@ -280,19 +294,11 @@ def build_parser():
     poisson = sub.add_parser("poisson", help="bivector identity checks").add_subparsers(
         dest="sub", required=True
     )
-    for name, experiment in (
-        ("jacobi", "jacobi"),
-        ("action", "diagonal-action"),
-        ("tangency", "tangency"),
-    ):
-        q = poisson.add_parser(name)
-        q.add_argument("--model", choices=MODEL_CHOICES, default="pgl2-projective")
-        q.add_argument("--samples", type=int, default=20)
-        q.add_argument("--seed", type=int, default=42)
-        if experiment == "diagonal-action":
-            q.add_argument("--n", type=int, default=2)
-        q.add_argument("--out")
-        q.set_defaults(func=cmd_run, experiment=experiment)
+    _run_options(poisson.add_parser("jacobi"), "model", "samples", "seed", experiment="jacobi")
+    _run_options(
+        poisson.add_parser("action"), "model", "samples", "seed", "n", experiment="diagonal-action"
+    )
+    _run_options(poisson.add_parser("tangency"), "model", "samples", "seed", experiment="tangency")
 
     inv = sub.add_parser("invariants", help="invariant spaces and expressions")
     invsub = inv.add_subparsers(dest="sub")
@@ -313,12 +319,8 @@ def build_parser():
     ring.add_argument("--r", type=int, default=2)
     ring.add_argument("--degree", type=int, default=4)
     ring.set_defaults(func=cmd_git_ring)
-    for name, experiment in (("glue", "glue"), ("saturation", "saturation")):
-        q = git.add_parser(name)
-        q.add_argument("--samples", type=int, default=20)
-        q.add_argument("--seed", type=int, default=42)
-        q.add_argument("--out")
-        q.set_defaults(func=cmd_run, experiment=experiment)
+    for name in ("glue", "saturation"):
+        _run_options(git.add_parser(name), "samples", "seed", experiment=name)
 
     cv = sub.add_parser("charvar", help="character variety tools").add_subparsers(
         dest="sub", required=True
@@ -335,13 +337,7 @@ def build_parser():
 
     run = sub.add_parser("run", help="run a named experiment and write a report")
     run.add_argument("--experiment", required=True)
-    run.add_argument("--model", choices=MODEL_CHOICES, default="pgl2-projective")
-    run.add_argument("--samples", type=int, default=20)
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--degree", type=int, default=4)
-    run.add_argument("--n", type=int, default=2)
-    run.add_argument("--out")
-    run.set_defaults(func=cmd_run)
+    _run_options(run, "model", "samples", "seed", "degree", "n")
 
     return p
 

@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from wonderland.backend import mat_mul
-from wonderland.lie import _sl_basis_layout, _sparse_sl_basis, sl_matrix_of
+from wonderland.lie import _sl_basis_layout, _sparse_sl_basis, sl_basis_matrix
 from wonderland.linalg import (
     Matrix,
     echelon_rows,
@@ -241,17 +241,6 @@ class ProjChart:
             raise ChartDomainError("point lies outside chart %d" % self.norm_index)
         return [Fraction(point.vec[p], piv) for p in self.positions]
 
-    def point_at(self, coords):
-        return ProjMatrixPoint(self.rep_at(coords))
-
-    def rep_at(self, coords):
-        """Ambient representative with the normalizing entry equal to 1."""
-        vec = [Fraction(0)] * 4
-        vec[self.norm_index] = Fraction(1)
-        for pos, x in zip(self.positions, coords):
-            vec[pos] = Fraction(x)
-        return vec
-
     def tangent_project(self, rep, vec):
         """Project an ambient tangent ``vec`` at representative ``rep`` to
         chart coordinates: the derivative of t -> [rep + t*vec]."""
@@ -332,20 +321,6 @@ class GrassChart:
             raise ChartDomainError("point has a zero minor on chart pivots %r" % (self.pivots,)) from None
         norm = mat_mul(pinv, [[row[j] for j in self.free] for row in point.rows])
         return [ratio(x, d) for row in norm for x in row]
-
-    def point_at(self, coords):
-        return LagrangianPoint(self.rep_rows_at(coords))
-
-    def rep_rows_at(self, coords):
-        rows = []
-        it = iter(coords)
-        for i in range(self.n):
-            row = [Fraction(0)] * self.ambient_cols
-            row[self.pivots[i]] = Fraction(1)
-            for j in self.free:
-                row[j] = Fraction(next(it))
-            rows.append(row)
-        return rows
 
     def tangent_project(self, rep_rows, vel_rows):
         """Project row-velocities ``vel_rows`` (d/dt of the span rows) at a
@@ -438,7 +413,7 @@ class Pgl2Model:
         if getattr(sl2, "matrix_size", None) != 2:
             raise ValueError("Pgl2Model needs the sl_2 algebra from build_sl(2)")
         self.alg = sl2
-        self.basis_mats = [sl_matrix_of(2, sl2._basis_vec(i)) for i in range(3)]
+        self.basis_mats = [sl_basis_matrix(2, i) for i in range(3)]
 
     # -- group action ---------------------------------------------------
     def act(self, pair, point):
@@ -544,7 +519,7 @@ class Pgl2Model:
         if double is not None and form is not None:
             from wonderland.lie import is_lagrangian
 
-            ok, cert = is_lagrangian(double, form, lp.rows)
+            ok, cert = is_lagrangian(double, form, [(row, 1) for row in lp.rows])
             if not ok:
                 raise ValueError("correspondence is not Lagrangian: %r" % cert)
         return lp
@@ -660,8 +635,9 @@ def integer_adjoint(n, g):
     G = c g is g scaled to integers and (P, s) = ``integer_inverse(G)``,
     so g b g^{-1} = G b P / s.  A basis element b = sum v E_rc gives
     G b P = sum v (column r of G)(row c of P), an integer matrix read into
-    coordinates as ``lie.sl_coords`` does: the positive entries, the
-    Cartan partial sums of the diagonal, then the negative entries."""
+    coordinates as ``lie.build_sl`` reads its commutators: the positive
+    entries, the Cartan partial sums of the diagonal, then the negative
+    entries."""
     gz, _ = integer_rows(g.data)
     pz, s = integer_inverse(gz)
     pos, cart, neg = _sl_basis_layout(n)

@@ -68,28 +68,6 @@ class LinearAction:
                         "action matrices do not represent the bracket at (%d,%d)" % (i, j)
                     )
 
-    def derive_linear(self, i, var_index):
-        rho = self.rho_mats[i]
-        terms = {}
-        n = len(self.variables)
-        for b in range(n):
-            c = rho.data[var_index][b]
-            if c != 0:
-                e = [0] * n
-                e[b] = 1
-                terms[tuple(e)] = -c
-        return MultiPoly(self.variables, terms)
-
-    def derive_poly(self, i, p):
-        """D_i extended to polynomials as a derivation:
-        D_i(p) = sum_a (dp/dz_a) D_i(z_a)."""
-        out = MultiPoly.zero(self.variables)
-        for a, v in enumerate(self.variables):
-            lin = self.derive_linear(i, a)
-            if not lin.is_zero():
-                out = out + p.diff(v) * lin
-        return out
-
     def derivation_rows(self, monos):
         """The derivations D_i stacked on the span of the monomials ``monos``.
 
@@ -127,9 +105,6 @@ class LinearAction:
                 row[j] = c
             dense.append(row)
         return dense
-
-    def is_invariant(self, p):
-        return all(self.derive_poly(i, p).is_zero() for i in range(self.alg.dim))
 
 
 def compositions(total, k):
@@ -243,12 +218,12 @@ def _conj_rho_4x4(x):
 
 def conjugation_action(sl2, factors):
     """Simultaneous conjugation on ``factors`` copies of M_2."""
-    from wonderland.lie import sl_matrix_of
+    from wonderland.lie import sl_basis_matrix
 
     variables = m2_variables(factors)
     rho = []
     for i in range(3):
-        x = sl_matrix_of(2, sl2._basis_vec(i))
+        x = sl_basis_matrix(2, i)
         blk = _conj_rho_4x4(x)
         big = Matrix.zero(4 * factors, 4 * factors)
         for l in range(factors):
@@ -267,7 +242,7 @@ def mixed_factor_action(sl2, kinds):
     (left multiplication on a projective-line factor), or 'line_dual' (the
     inverse-transpose line action).  One grading group per factor.
     """
-    from wonderland.lie import sl_matrix_of
+    from wonderland.lie import sl_basis_matrix
 
     sizes = {"m2": 4, "line": 2, "line_dual": 2}
     names = []
@@ -282,7 +257,7 @@ def mixed_factor_action(sl2, kinds):
     rho = []
     total = len(names)
     for i in range(3):
-        x = sl_matrix_of(2, sl2._basis_vec(i))
+        x = sl_basis_matrix(2, i)
         big = Matrix.zero(total, total)
         pos = 0
         for kind in kinds:

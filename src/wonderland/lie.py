@@ -13,26 +13,36 @@ An algebra has one representation: its nonzero structure constants.
 repeated (i, j, m), and keeps only the per-pair table ``_nonzero``: the
 nonzero (m, c_ij^m) of each bracket [b_i, b_j], integral constants as
 ``int``.  ``structure_constants`` lists them back, and the JSON form is the
-same list.  ``BilinearForm`` holds its Gram matrix as sparse integer rows
-over one denominator.  A check costs one step per product of nonzeros, not
-one per dense entry: Jacobi sums c_ij^m c_mk^p, the Killing form is
+same list.  A check costs one step per product of nonzeros, not one per
+dense entry: Jacobi sums c_ij^m c_mk^p, the Killing form is
 tr(ad_i ad_j) = sum_{p,m} c_ip^m c_jm^p with no ``ad`` matrix, and
 ad-invariance compares <[b_i,b_j],b_k> = sum_m c_ij^m G_mk with its
 transpose in (j, k).  ``build_sl`` takes its constants from sparse products
 of elementary matrices, E_ij E_kl = delta_jk E_il, and the double shifts
 the constants of g by 0 and by dim g.
+
+Every other object is integers over one denominator as well.  A
+``BilinearForm`` is its Gram matrix as sparse integer rows ``ints`` over
+``den``, and ``pairing`` gives den <x, y> in integers.  A splitting keeps
+each basis vector as a covector (ints, den), the form ``is_lagrangian``
+checks and ``integer_pairs`` hands to the Poisson layer; ``_dualize``
+inverts the integer Gram matrix of l1 against l2 with
+``linalg.integer_inverse``.  A ``Fraction`` is made only for a value that
+an error message or a command prints.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from operator import neg
+from math import lcm
 
+from wonderland.backend import rref_rows
 from wonderland.linalg import (
     ZERO,
     Bivector,
     Matrix,
-    integer_rows,
+    covector,
+    echelon_rows,
+    integer_inverse,
     integer_vector,
     qstr,
     row_span_contains,
@@ -108,11 +118,6 @@ class LieAlgebra:
                     out[p] += x * y
         return out
 
-    def _basis_vec(self, i):
-        v = [Fraction(0)] * self.dim
-        v[i] = Fraction(1)
-        return v
-
     def bracket(self, x, y):
         """Bracket of coordinate vectors, by bilinear extension over the
         nonzero coordinates and structure constants only.  Over ``int``
@@ -131,49 +136,42 @@ class LieAlgebra:
                         out[m] += f * c
         return out
 
-    def ad(self, x):
-        """Matrix of ad_x = [x, .] in the basis (x a coordinate vector)."""
-        cols = [self.bracket(x, self._basis_vec(j)) for j in range(self.dim)]
-        return Matrix([[cols[j][m] for j in range(self.dim)] for m in range(self.dim)])
-
     def to_json(self):
         sc = [[i, j, m, qstr(c)] for i, j, m, c in self.structure_constants()]
         return {"dim": self.dim, "names": list(self.names), "structure_constants": sc}
 
 
 class BilinearForm:
-    """Symmetric bilinear form given by the rows of its gram matrix in the
-    basis.
+    """Symmetric bilinear form G = ints / den: ``ints`` are the rows of the
+    Gram matrix in the basis as sparse integer rows ``{column: int}`` of
+    their nonzero entries, over one denominator ``den`` > 0."""
 
-    Next to the ``Matrix`` ``gram`` it keeps the same matrix as sparse
-    integer rows ``{column: int}`` over one denominator, which ``value`` and
-    the ad-invariance check read."""
-
-    def __init__(self, rows):
-        self.gram = Matrix(rows)
-        if self.gram.rows != self.gram.cols:
+    def __init__(self, ints, den):
+        self.ints, self.den = ints, den
+        dim = len(ints)
+        if any(k not in range(dim) for row in ints for k in row):
             raise ValueError("gram matrix must be square")
-        if self.gram != self.gram.transpose():
+        if any(ints[k].get(i) != g for i, row in enumerate(ints) for k, g in row.items()):
             raise ValueError("gram matrix must be symmetric")
-        ints, self._den = integer_rows(self.gram.data)
-        self._rows = [{k: g for k, g in enumerate(row) if g} for row in ints]
 
     @property
     def dim(self):
-        return self.gram.rows
+        return len(self.ints)
 
-    def value(self, x, y):
+    def pairing(self, x, y):
+        """den <x, y>, summed over the nonzero entries: an integer on
+        integer vectors."""
         acc = 0
-        for xi, row in zip(x, self._rows):
+        for xi, row in zip(x, self.ints):
             if xi:
                 for k, g in row.items():
                     yk = y[k]
                     if yk:
                         acc += xi * g * yk
-        return Fraction(acc, self._den)
+        return acc
 
     def is_nondegenerate(self):
-        return self.gram.det() != 0
+        return len(rref_rows(self.ints)[1]) == self.dim
 
     def ad_invariance_residuals(self, alg):
         """<[b_i,b_j],b_k> + <b_j,[b_i,b_k]> over all basis triples, as
@@ -188,7 +186,7 @@ class BilinearForm:
         if alg.dim != self.dim:
             raise ValueError("form and algebra dimensions differ")
         res = []
-        rows, den = self._rows, self._den
+        rows, den = self.ints, self.den
         for i, brackets in enumerate(alg._nonzero):
             p = {}
             for j, cij in enumerate(brackets):
@@ -225,15 +223,12 @@ def _sparse_sl_basis(n):
     )
 
 
-def sl_basis_matrices(n):
-    """Basis of sl_n: E_ij (i<j), H_k = E_kk - E_(k+1)(k+1), E_ij (i>j)."""
-    mats = []
-    for sparse in _sparse_sl_basis(n):
-        m = Matrix.zero(n, n)
-        for (i, j), x in sparse.items():
-            m.data[i][j] = Fraction(x)
-        mats.append(m)
-    return mats
+def sl_basis_matrix(n, i):
+    """Basis element i of sl_n (see ``_sparse_sl_basis``) as a ``Matrix``."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for (r, c), x in _sparse_sl_basis(n)[i].items():
+        rows[r][c] = Fraction(x)
+    return Matrix(rows)
 
 
 def sl_names(n):
@@ -245,40 +240,6 @@ def sl_names(n):
         + ["H%d" % (k + 1) for k in cart]
         + ["E%d%d" % (i + 1, j + 1) for (i, j) in neg]
     )
-
-
-def sl_coords(n, m):
-    """Coordinates of a traceless n x n matrix in the elementary basis."""
-    if sum(m.data[i][i] for i in range(n)) != 0:
-        raise ValueError("matrix is not traceless")
-    pos, cart, neg = _sl_basis_layout(n)
-    out = [m.data[i][j] for (i, j) in pos]
-    partial = Fraction(0)
-    for k in cart:
-        partial += m.data[k][k]
-        out.append(partial)
-    out.extend(m.data[i][j] for (i, j) in neg)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _sl_basis_cached(n):
-    """sl_basis_matrices(n), built once per n; callers must not mutate it."""
-    return tuple(sl_basis_matrices(n))
-
-
-def sl_matrix_of(n, coords):
-    mats = _sl_basis_cached(n)
-    if len(coords) != len(mats):
-        raise ValueError("coordinate length mismatch")
-    out = [[ZERO] * n for _ in range(n)]
-    for c, m in zip(coords, mats):
-        if c != 0:
-            for row, mrow in zip(out, m.data):
-                for j, x in enumerate(mrow):
-                    if x:
-                        row[j] += c * x
-    return Matrix(out)
 
 
 def _sparse_commutator(a, b):
@@ -331,11 +292,12 @@ def killing_form(alg):
     """Killing form kappa(x,y) = trace(ad x ad y), with ad-invariance checked.
 
     kappa(b_i, b_j) = sum_{p,m} c_ip^m c_jm^p, summed over the nonzero
-    structure constants."""
+    structure constants, as sparse integer rows over the lcm of the
+    entries' denominators."""
     nz = alg._nonzero
     terms = [[(p, m, c) for p, cip in enumerate(row) for m, c in cip] for row in nz]
     lookup = [[dict(c) for c in row] for row in nz]
-    gram = [[0] * alg.dim for _ in range(alg.dim)]
+    gram = [{} for _ in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i, alg.dim):
             tr = 0
@@ -343,17 +305,20 @@ def killing_form(alg):
                 d = lookup[j][m].get(p)
                 if d:
                     tr += c * d
-            gram[i][j] = gram[j][i] = tr
-    form = BilinearForm(gram)
+            if tr:
+                gram[i][j] = gram[j][i] = tr
+    den = lcm(*(g.denominator for row in gram for g in row.values()))
+    ints = [{k: g.numerator * (den // g.denominator) for k, g in row.items()} for row in gram]
+    form = BilinearForm(ints, den)
     form.check_ad_invariant(alg)
     return form
 
 
-def double_algebra(alg, kform=None):
+def double_algebra(alg):
     """The double d = g (+) g with componentwise bracket and the split form
-    <(x1,x2),(y1,y2)> = <<x1,y1>> - <<x2,y2>>, all axioms checked exactly."""
-    if kform is None:
-        kform = killing_form(alg)
+    <(x1,x2),(y1,y2)> = <<x1,y1>> - <<x2,y2>>, <<.,.>> the Killing form,
+    all axioms checked exactly."""
+    kform = killing_form(alg)
     if not kform.is_nondegenerate():
         raise ValueError("Killing form is degenerate; double requires semisimple input")
     n = alg.dim
@@ -362,42 +327,46 @@ def double_algebra(alg, kform=None):
     double = LieAlgebra(
         names, [(i + off, j + off, m + off, c) for off in (0, n) for i, j, m, c in constants]
     )
-    rows, zero = kform.gram.data, [ZERO] * n
-    form = BilinearForm([row + zero for row in rows] + [zero + list(map(neg, row)) for row in rows])
+    rows = kform.ints
+    form = BilinearForm(
+        rows + [{k + n: -g for k, g in row.items()} for row in rows], kform.den
+    )
     form.check_ad_invariant(double)
     if not form.is_nondegenerate():
         raise ValueError("double form unexpectedly degenerate")
-    double.half_dim = n
     return double, form
 
 
 def is_lagrangian(double, form, vectors):
     """Whether the span is a Lagrangian subalgebra of the double.
 
-    Checks dimension = half the double, total isotropy, and closure under the
-    bracket; returns (flag, certificate) where the certificate names the
-    first violated axiom and witnesses.
+    ``vectors`` are covectors (ints, den), the rows ints / den.  Checks
+    dimension = half the double, total isotropy, and closure under the
+    bracket, all on the integer rows; returns (flag, certificate) where
+    the certificate names the first violated axiom and witnesses, an
+    isotropy witness as the value on the rows themselves.
     """
     n = double.dim // 2
     cert = {"dim": len(vectors), "expected_dim": n}
-    vecs = [[Fraction(x) for x in v] for v in vectors]
-    if len(vecs) != n or Matrix(vecs).rank() != n:
+    rows = [v for v, _ in vectors]
+    if len(rows) != n or len(echelon_rows(rows)[1]) != n:
         cert["failure"] = "dimension"
         return False, cert
     for i in range(n):
         for j in range(i, n):
-            val = form.value(vecs[i], vecs[j])
-            if val != 0:
+            val = form.pairing(rows[i], rows[j])
+            if val:
                 cert["failure"] = "isotropy"
-                cert["witness"] = (i, j, qstr(val))
+                scale = form.den * vectors[i][1] * vectors[j][1]
+                cert["witness"] = (i, j, qstr(Fraction(val, scale)))
                 return False, cert
     # one elimination of the span and every bracket; only a span that is
     # not closed is searched pair by pair for the first failing bracket
     pairs = list(combinations(range(n), 2))
-    brackets = [double.bracket(vecs[i], vecs[j]) for i, j in pairs]
-    if Matrix(vecs + brackets).rank() > n:
+    brackets = [double.bracket(rows[i], rows[j]) for i, j in pairs]
+    if len(echelon_rows(rows + brackets)[1]) > n:
         for (i, j), w in zip(pairs, brackets):
-            if not row_span_contains(vecs, w):
+            if not row_span_contains(rows, w):
                 cert["failure"] = "bracket closure"
                 cert["witness"] = (i, j)
                 return False, cert
@@ -408,43 +377,34 @@ def is_lagrangian(double, form, vectors):
 class DoubleSplitting:
     """A Lagrangian splitting d = l1 + l2 with form-dual bases.
 
-    ``x_basis`` spans l1 and ``y_basis`` spans l2, normalized so that
-    <x_i, y_j> = delta_ij.  All axioms are validated on construction.
+    ``x_basis`` spans l1 and ``y_basis`` spans l2, each vector a covector
+    (ints, den) in lowest terms, normalized so that <x_i, y_j> = delta_ij.
+    ``integer_pairs`` pairs them up for the Poisson layer: x_i = ix / dx and
+    y_i = iy / dy as (ix, iy, dx dy), so (1/2) x_i ^ y_i = ix ^ iy / (2 dx dy).
+    All axioms are validated on construction.
     """
 
-    def __init__(self, base, double, form, x_basis, y_basis):
-        self.base = base
+    def __init__(self, double, form, x_basis, y_basis):
         self.double = double
         self.form = form
-        self.x_basis = [[Fraction(v) for v in vec] for vec in x_basis]
-        self.y_basis = [[Fraction(v) for v in vec] for vec in y_basis]
+        self.x_basis = x_basis
+        self.y_basis = y_basis
         self.validate()
-        # the dual pairs as integer vectors: x_i = ix / dx, y_i = iy / dy,
-        # stored as (ix, iy, dx dy), so (1/2) x_i ^ y_i = ix ^ iy / (2 dx dy)
-        self.integer_pairs = []
-        for x, y in zip(self.x_basis, self.y_basis):
-            ix, dx = integer_vector(x)
-            iy, dy = integer_vector(y)
-            self.integer_pairs.append((ix, iy, dx * dy))
-
-    @property
-    def half_dim(self):
-        return self.double.dim // 2
+        self.integer_pairs = [(ix, iy, dx * dy) for (ix, dx), (iy, dy) in zip(x_basis, y_basis)]
 
     def validate(self):
-        n = self.half_dim
         ok1, cert1 = is_lagrangian(self.double, self.form, self.x_basis)
         if not ok1:
             raise ValueError("l1 is not Lagrangian: %r" % cert1)
         ok2, cert2 = is_lagrangian(self.double, self.form, self.y_basis)
         if not ok2:
             raise ValueError("l2 is not Lagrangian: %r" % cert2)
-        if Matrix(self.x_basis + self.y_basis).rank() != 2 * n:
+        if len(echelon_rows([v for v, _ in self.x_basis + self.y_basis])[1]) != self.double.dim:
             raise ValueError("l1 and l2 are not transverse")
-        for i in range(n):
-            for j in range(n):
-                want = Fraction(1) if i == j else Fraction(0)
-                if self.form.value(self.x_basis[i], self.y_basis[j]) != want:
+        den = self.form.den
+        for i, (x, dx) in enumerate(self.x_basis):
+            for j, (y, dy) in enumerate(self.y_basis):
+                if self.form.pairing(x, y) != (den * dx * dy if i == j else 0):
                     raise ValueError("dual basis condition fails at (%d,%d)" % (i, j))
 
 
@@ -478,38 +438,41 @@ def splitting_from_l2(alg, l2_rows):
     n = alg.dim
     if len(l2_rows) != n or any(len(row) != 2 * n for row in l2_rows):
         raise ValueError("l2 basis must be %d rows of %d entries" % (n, 2 * n))
-    kform = killing_form(alg)
-    double, form = double_algebra(alg, kform)
-    x_basis = [list(alg._basis_vec(i)) + list(alg._basis_vec(i)) for i in range(n)]
-    l2 = [[Fraction(x) for x in row] for row in l2_rows]
-    return _dualize(alg, double, form, x_basis, l2)
+    double, form = double_algebra(alg)
+    diagonal = [[int(i == j) for j in range(n)] * 2 for i in range(n)]
+    return _dualize(double, form, diagonal, l2_rows)
 
 
-def _dualize(alg, double, form, x_basis, l2_raw):
-    n = len(x_basis)
-    gram = Matrix([[form.value(x_basis[i], l2_raw[j]) for j in range(n)] for i in range(n)])
+def _dualize(double, form, x_rows, l2_rows):
+    """The splitting with l1 spanned by ``x_rows`` and l2 by ``l2_rows``,
+    rows of ``int`` or ``Fraction`` entries, l2's basis replaced by the
+    form-dual of l1's.
+
+    With x_i = ix_i / dx_i, each l2 row scaled to integers L_k and the
+    integer Gram matrix A[i][k] = den <ix_i, L_k>, whose inverse is
+    P / p (``integer_inverse``), the y_j with <x_i, y_j> = delta_ij are
+    y_j = den dx_j sum_k P[k][j] L_k / p."""
+    xs = [integer_vector(x) for x in x_rows]
+    ls = [integer_vector(row)[0] for row in l2_rows]
     try:
-        coeff = gram.inverse()
+        inv, p = integer_inverse([[form.pairing(x, l) for l in ls] for x, _ in xs])
     except ValueError:
         raise ValueError("duality system is singular; l2 does not split against l1") from None
     y_basis = []
-    for j in range(n):
-        v = [Fraction(0)] * (2 * n)
-        for k in range(n):
-            c = coeff.data[k][j]
-            if c != 0:
-                for r in range(2 * n):
-                    v[r] += c * l2_raw[k][r]
-        y_basis.append(v)
-    return DoubleSplitting(alg, double, form, x_basis, y_basis)
+    for j, (_, dx) in enumerate(xs):
+        scale = form.den * dx
+        v = [0] * double.dim
+        for k, l in enumerate(ls):
+            c = inv[k][j] * scale
+            if c:
+                for r, x in enumerate(l):
+                    if x:
+                        v[r] += c * x
+        y_basis.append(covector(v, p))
+    return DoubleSplitting(double, form, xs, y_basis)
 
 
 def r_matrix(splitting):
     """The antisymmetric tensor (1/2) sum_i x_i ^ y_i in ambient coordinates."""
-    dim = splitting.double.dim
-    half = Fraction(1, 2)
-    wedges = [
-        (half, splitting.x_basis[i], splitting.y_basis[i])
-        for i in range(splitting.half_dim)
-    ]
-    return Bivector.from_wedges(dim, wedges)
+    wedges = [(Fraction(1, 2 * d), x, y) for x, y, d in splitting.integer_pairs]
+    return Bivector.from_wedges(splitting.double.dim, wedges)

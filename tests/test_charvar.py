@@ -112,11 +112,6 @@ class TestRelators:
         with pytest.raises(ValueError):
             Presentation(2, [[1, -1]])
 
-    def test_presentation_json_round_trip(self):
-        pres = Presentation(2, [[1, 2, -1, -2]])
-        again = Presentation.from_json(pres.to_json())
-        assert again.rank == 2 and again.relators == [[1, 2, -1, -2]]
-
 
 class TestTracePoint:
     def test_identity_pair(self):

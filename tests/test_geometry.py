@@ -24,19 +24,24 @@ from wonderland.geometry import (
     integer_adjoint,
     segre,
 )
-from wonderland.lie import (
-    build_sl,
-    double_algebra,
-    is_lagrangian,
-    sl_basis_matrices,
-    sl_coords,
-    sl_matrix_of,
-)
+from wonderland.lie import build_sl, double_algebra, is_lagrangian, sl_basis_matrix
 from wonderland.linalg import Matrix, echelon_rows, integer_vector
 from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
-from references import apply_to, bounded, elem_matrices
+from references import (
+    ad,
+    apply_to,
+    basis_vectors,
+    bounded,
+    covectors,
+    elem_matrices,
+    grass_point_at,
+    grass_rep_rows_at,
+    proj_point_at,
+    proj_rep_at,
+    sl_coords,
+)
 
 
 def as_fractions(projected):
@@ -90,7 +95,7 @@ class TestDiagonalPoint:
 
     def test_isotropic(self, ctx):
         d = ctx["gr"].diagonal_point()
-        ok, cert = is_lagrangian(ctx["double"], ctx["form"], d.mat.data)
+        ok, cert = is_lagrangian(ctx["double"], ctx["form"], covectors(d.mat.data))
         assert ok, cert
 
 
@@ -111,7 +116,7 @@ class TestAction:
         moved = ctx["gr"].act(GroupPair(g, Matrix.identity(2)), ctx["gr"].diagonal_point())
         rows = []
         for i in range(3):
-            x = sl_matrix_of(2, ctx["sl2"]._basis_vec(i))
+            x = sl_basis_matrix(2, i)
             rows.append(sl_coords(2, x) + sl_coords(2, g.inverse() * x * g))
         assert moved == LagrangianPoint(rows)
 
@@ -136,7 +141,7 @@ class TestCorrespondence:
         rows = []
         Ainv = A.inverse()
         for i in range(3):
-            x = sl_matrix_of(2, ctx["sl2"]._basis_vec(i))
+            x = sl_basis_matrix(2, i)
             rows.append(sl_coords(2, x) + sl_coords(2, Ainv * x * A))
         assert L == LagrangianPoint(rows)
 
@@ -247,7 +252,7 @@ class TestCharts:
         assert ch.norm_index == 0
         assert ch.variables == ("b", "c", "d")
         assert ch.coords_of(I) == [Q(0), Q(0), Q(1)]
-        assert ch.point_at(ch.coords_of(I)) == I
+        assert proj_point_at(ch, ch.coords_of(I)) == I
 
     def test_grass_chart_at_diagonal(self, ctx):
         d = ctx["gr"].diagonal_point()
@@ -255,7 +260,7 @@ class TestCharts:
         assert ch.pivots == (0, 1, 2)
         assert ch.dim == 9
         assert ch.coords_of(d) == [Q(int(i == j)) for i in range(3) for j in range(3)]
-        assert ch.point_at(ch.coords_of(d)) == d
+        assert grass_point_at(ch, ch.coords_of(d)) == d
 
     def test_chart_domain_error(self, ctx):
         ch = ProjChart(0)
@@ -268,7 +273,7 @@ class TestCharts:
         st = RationalStream(67)
         for _ in range(5):
             z = st.vector(3)
-            p = ch0.point_at(z)
+            p = proj_point_at(ch0, z)
             if p.vec[3] == 0:
                 continue
             w = ch3.coords_of(p)
@@ -336,7 +341,7 @@ class TestInfinitesimalField:
             z = st.vector(3)
             elem = st.vector(6)
             a, b = elem_matrices(elem)
-            A = ch.rep_at(z)
+            A = proj_rep_at(ch, z)
             Am = Matrix([[A[0], A[1]], [A[2], A[3]]])
             tvars = ("t",)
             t = MultiPoly.var(tvars, "t")
@@ -375,13 +380,13 @@ class TestInfinitesimalField:
         elem = st.vector(6)
         fld = infinitesimal_field(gr, ch, elem)
         z = bounded(st, 3).vector(9)
-        base = ch.rep_rows_at(z)
-        ad = ctx["double"].ad(elem)
-        vel = [apply_to(ad, r) for r in base]
+        base = grass_rep_rows_at(ch, z)
+        ad_x = ad(ctx["double"], elem)
+        vel = [apply_to(ad_x, r) for r in base]
         want = ch.tangent_project(base, vel)
         assert [f.eval(z) for f in fld] == want
         mixed = (Matrix([[2, 1, 0], [0, 1, -1], [1, 0, 3]]) * Matrix(base)).data
-        assert ch.tangent_project(mixed, [apply_to(ad, r) for r in mixed]) == want
+        assert ch.tangent_project(mixed, [apply_to(ad_x, r) for r in mixed]) == want
 
 
 @lru_cache(maxsize=None)
@@ -423,9 +428,9 @@ class TestGrassmannFlowTangent:
     def _check(case):
         n, elem, rows = case
         gr = _grass_model(n)
-        ad = gr.double.ad(elem)
+        ad_x = ad(gr.double, elem)
         got = gr.flow_tangent(elem, rows)
-        assert got == [apply_to(ad, list(r)) for r in rows]
+        assert got == [apply_to(ad_x, list(r)) for r in rows]
 
     @settings(max_examples=40, deadline=None)
     @given(hst.sampled_from([2, 3]).flatmap(lambda n: _flow_case(n, _sparse_fractions)))
@@ -443,10 +448,9 @@ class TestGrassmannFlowTangent:
         gr = ctx["gr"]
         chart = gr.chart_at(gr.diagonal_point())
         rows = chart.ambient_polys()
-        for i in range(gr.double.dim):
-            elem = gr.double._basis_vec(i)
+        for elem in basis_vectors(gr.double):
             got = gr.flow_tangent(elem, rows)
-            want = [apply_to(gr.double.ad(elem), r) for r in rows]
+            want = [apply_to(ad(gr.double, elem), r) for r in rows]
             assert got == want
 
 
@@ -537,7 +541,7 @@ class TestIntegerAction:
         assert g.det() == 1
         rows, s = integer_adjoint(n, g)
         ginv = g.inverse()
-        want = [sl_coords(n, g * b * ginv) for b in sl_basis_matrices(n)]
+        want = [sl_coords(n, g * sl_basis_matrix(n, i) * ginv) for i in range(n * n - 1)]
         assert [[Q(x, s) for x in row] for row in rows] == want
         assert s > 0 and gcd(s, *(x for row in rows for x in row)) == 1
 
@@ -560,7 +564,7 @@ class TestIntegerAction:
         p = LagrangianPoint([[1, 0, 0, 1, 2, 3], [0, 1, 0, 4, 5, 7], [0, 0, 1, 1, 1, 2]])
         assert p.pivots == (0, 1, 2)
         chart = GrassChart((0, 1, 3), 6)
-        assert chart.point_at(chart.coords_of(p)) == p
+        assert grass_point_at(chart, chart.coords_of(p)) == p
 
     def test_coords_of_zero_minor(self):
         p = LagrangianPoint([[1, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 2], [0, 0, 1, 0, 3, 1]])
@@ -578,7 +582,7 @@ class TestIntegerAction:
                 with pytest.raises(ChartDomainError):
                     chart.coords_of(p)
             else:
-                assert chart.point_at(chart.coords_of(p)) == p
+                assert grass_point_at(chart, chart.coords_of(p)) == p
 
 
 def calls_during(code, fn):

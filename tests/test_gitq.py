@@ -375,7 +375,8 @@ class TestGlue:
 
     def test_one_wedge_list_per_sample(self, ctx, monkeypatch):
         """Both route charts project the same wedge list: one glue sample
-        on two factors computes 2 * half_dim * 2 flow tangents."""
+        on two factors computes 2 flow tangents per dual pair on each of
+        the two factors."""
         calls = []
         orig = Pgl2Model.flow_tangent
 
@@ -395,7 +396,7 @@ class TestGlue:
             [surr[0], surr[2], surr[3]], self._samples(1),
         )
         assert res and all(r.passed for r in res)
-        assert len(calls) == 2 * ctx["split"].half_dim * 2
+        assert len(calls) == 2 * len(ctx["split"].integer_pairs) * 2
 
     def test_outside_route_charts_skipped(self, ctx):
         """A sample in both quotient charts whose a1 entry is zero lies

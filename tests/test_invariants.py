@@ -25,10 +25,12 @@ from wonderland.invariants import (
     trace_generators,
     trace_of_word,
 )
-from wonderland.lie import build_sl, sl_matrix_of, standard_splitting
+from wonderland.lie import build_sl, sl_basis_matrix, standard_splitting
 from wonderland.linalg import Matrix
 from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
+
+from references import derive_poly, is_invariant
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +95,8 @@ class TestActions:
         for i in range(3):
             p = MultiPoly(v, {(1, 0, 1, 0): st.take(), (0, 2, 0, 0): st.take()})
             q = MultiPoly(v, {(0, 0, 0, 1): st.take(), (1, 1, 0, 0): st.take()})
-            lhs = act.derive_poly(i, p * q)
-            rhs = act.derive_poly(i, p) * q + p * act.derive_poly(i, q)
+            lhs = derive_poly(act, i, p * q)
+            rhs = derive_poly(act, i, p) * q + p * derive_poly(act, i, q)
             assert lhs == rhs
 
     @staticmethod
@@ -133,7 +135,7 @@ class TestActions:
         the flattened x E_pq - E_pq x, on 'line' x, on 'line_dual' -x^T."""
         out = []
         for i in range(3):
-            x = sl_matrix_of(2, sl2._basis_vec(i))
+            x = sl_basis_matrix(2, i)
             blocks = []
             for kind in kinds:
                 if kind == "m2":
@@ -196,7 +198,7 @@ class TestInvariantSpaces:
             sp = invariants_of_degree(act, deg)
             for p in sp.basis:
                 for i in range(3):
-                    assert act.derive_poly(i, p).is_zero()
+                    assert derive_poly(act, i, p).is_zero()
 
     def test_basis_echelonized_leading_coefficients(self, ctx):
         act = conjugation_action(ctx["sl2"], 1)
@@ -257,11 +259,12 @@ class TestCayleySylvester:
 
 def kernel_from_derive_poly(action, degree):
     """The invariant space from dense derivation matrices built one monomial
-    at a time through ``derive_poly``, independent of ``derivation_rows``."""
+    at a time through the reference ``derive_poly``, independent of
+    ``derivation_rows``."""
     monos = monomial_basis(action, degree)
     rows = []
     for i in range(action.alg.dim):
-        images = [action.derive_poly(i, MultiPoly(action.variables, {e: Q(1)})) for e in monos]
+        images = [derive_poly(action, i, MultiPoly(action.variables, {e: Q(1)})) for e in monos]
         rows += [[img.terms.get(m, Q(0)) for img in images] for m in monos]
     kernel = Matrix(rows).kernel_basis()
     return [MultiPoly(action.variables, dict(zip(monos, v))) for v in kernel]
@@ -290,7 +293,7 @@ class TestDerivationRows:
         assert sp.degree == degree
         assert sp.basis == kernel_from_derive_poly(act, degree)
         for p in sp.basis:
-            assert act.is_invariant(p)
+            assert is_invariant(act, p)
 
     def test_rows_are_nonzero_and_distinct(self, actions):
         act = actions["m2x2"]

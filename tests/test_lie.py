@@ -20,16 +20,25 @@ from wonderland.lie import (
     is_lagrangian,
     killing_form,
     r_matrix,
-    sl_coords,
-    sl_matrix_of,
     splitting_from_l2,
     standard_splitting,
 )
-from wonderland.linalg import Matrix
+from wonderland.linalg import Matrix, qstr
 from wonderland.poly import MultiPoly
 from wonderland.sampling import RationalStream
 
-from references import basis_vectors, bounded
+from references import (
+    ad,
+    basis_vectors,
+    bounded,
+    covectors,
+    gram_matrix,
+    rational,
+    sl_coords,
+    sl_matrix,
+    sparse_gram,
+    value,
+)
 
 
 def _constants(brackets):
@@ -71,7 +80,7 @@ def test_sl_bracket_matches_matrix_commutator():
         for _ in range(4):
             x = bounded(st, 5).vector(alg.dim)
             y = bounded(st, 5).vector(alg.dim)
-            mx, my = sl_matrix_of(n, x), sl_matrix_of(n, y)
+            mx, my = sl_matrix(n, x), sl_matrix(n, y)
             want = sl_coords(n, mx * my - my * mx)
             assert alg.bracket(x, y) == want
 
@@ -108,8 +117,8 @@ class TestSparseBracket:
         alg = _algebra(name)
         dim = alg.dim
         got = alg.bracket(x, y)
-        ad = alg.ad(x)
-        assert got == [sum((y[j] * ad[m, j] for j in range(dim)), Q(0)) for m in range(dim)]
+        ad_x = ad(alg, x)
+        assert got == [sum((y[j] * ad_x[m, j] for j in range(dim)), Q(0)) for m in range(dim)]
         br = _dense(alg)
         dense = [
             sum((x[i] * y[j] * br[i][j][m] for i in range(dim) for j in range(dim)), Q(0))
@@ -219,8 +228,8 @@ def test_killing_form_sl2():
     """Oracle: traces of the explicit 3x3 ad matrices."""
     sl2 = build_sl(2)
     k = killing_form(sl2)
-    assert k.gram == Matrix([[0, 0, 4], [0, 8, 0], [4, 0, 0]])
-    assert k.gram.det() == -128
+    assert gram_matrix(k) == Matrix([[0, 0, 4], [0, 8, 0], [4, 0, 0]])
+    assert gram_matrix(k).det() == -128
     assert k.ad_invariance_residuals(sl2) == []
 
 
@@ -230,7 +239,7 @@ def test_killing_symmetry_random():
     st = RationalStream(8)
     for _ in range(5):
         x, y = st.vector(3), st.vector(3)
-        assert k.value(x, y) == k.value(y, x)
+        assert k.pairing(x, y) == k.pairing(y, x)
 
 
 def test_double_form_structure():
@@ -242,10 +251,10 @@ def test_double_form_structure():
     for _ in range(5):
         x, y = st.vector(3), st.vector(3)
         # no cross terms between the two summands
-        assert form.value(x + z3, z3 + y) == 0
+        assert form.pairing(x + z3, z3 + y) == 0
         # the diagonal is isotropic
-        assert form.value(x + x, y + y) == 0
-    assert form.gram.rank() == 6
+        assert form.pairing(x + x, y + y) == 0
+    assert gram_matrix(form).rank() == 6
     assert form.ad_invariance_residuals(double) == []
 
 
@@ -260,7 +269,7 @@ def test_is_lagrangian_diagonal_true():
     sl2 = build_sl(2)
     double, form = double_algebra(sl2)
     diag = [list(v) + list(v) for v in basis_vectors(sl2)]
-    ok, cert = is_lagrangian(double, form, diag)
+    ok, cert = is_lagrangian(double, form, covectors(diag))
     assert ok and cert["failure"] is None
 
 
@@ -269,8 +278,21 @@ def test_is_lagrangian_first_factor_false():
     double, form = double_algebra(sl2)
     z3 = [Q(0)] * 3
     g0 = [list(v) + z3 for v in basis_vectors(sl2)]
-    ok, cert = is_lagrangian(double, form, g0)
+    ok, cert = is_lagrangian(double, form, covectors(g0))
     assert not ok and cert["failure"] == "isotropy"
+
+
+@pytest.mark.parametrize("scales", [(1, 1, 1), (Q(1, 2), 3, Q(-2, 7))])
+def test_isotropy_witness_is_the_value_on_the_given_rows(scales):
+    """The rows c_i (b_i, 0) are checked as integer covectors; the witness
+    is <c_0 e, c_2 f> = 4 c_0 c_2 on the rows as given."""
+    sl2 = build_sl(2)
+    double, form = double_algebra(sl2)
+    rows = [[c * x for x in list(v) + [0] * 3] for c, v in zip(scales, basis_vectors(sl2))]
+    ok, cert = is_lagrangian(double, form, covectors(rows))
+    assert not ok and cert["failure"] == "isotropy"
+    assert cert["witness"] == (0, 2, qstr(value(form, rows[0], rows[2])))
+    assert value(form, rows[0], rows[2]) == 4 * scales[0] * scales[2]
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -294,7 +316,7 @@ def test_is_lagrangian_names_first_unclosed_pair(seed):
     want = next(
         (a, b) for a, b in combinations(range(8), 2) if mats[a] * mats[b] != mats[b] * mats[a]
     )
-    ok, cert = is_lagrangian(double, form, rows)
+    ok, cert = is_lagrangian(double, form, covectors(rows))
     assert not ok
     assert cert["failure"] == "bracket closure" and cert["witness"] == want
 
@@ -302,13 +324,14 @@ def test_is_lagrangian_names_first_unclosed_pair(seed):
 def test_standard_splitting_axioms():
     sl2 = build_sl(2)
     s = standard_splitting(sl2)
+    xs, ys = rational(s.x_basis), rational(s.y_basis)
     # transversality and dimensions
-    assert Matrix(s.x_basis + s.y_basis).rank() == 6
-    assert len(s.x_basis) == len(s.y_basis) == 3
+    assert Matrix(xs + ys).rank() == 6
+    assert len(xs) == len(ys) == 3
     # duality gram is the identity
     for i in range(3):
         for j in range(3):
-            assert s.form.value(s.x_basis[i], s.y_basis[j]) == (1 if i == j else 0)
+            assert value(s.form, xs[i], ys[j]) == (1 if i == j else 0)
     # l2 closed under bracket: certified by is_lagrangian inside validate()
     ok, _ = is_lagrangian(s.double, s.form, s.y_basis)
     assert ok
@@ -316,13 +339,13 @@ def test_standard_splitting_axioms():
 
 def test_standard_splitting_sl3():
     s = standard_splitting(build_sl(3))
-    assert Matrix(s.x_basis + s.y_basis).rank() == 16
+    assert Matrix(rational(s.x_basis + s.y_basis)).rank() == 16
 
 
 def test_splitting_from_l2_json_shape():
     sl2 = build_sl(2)
     ref = standard_splitting(sl2)
-    s2 = splitting_from_l2(sl2, ref.y_basis)
+    s2 = splitting_from_l2(sl2, rational(ref.y_basis))
     assert s2.y_basis == ref.y_basis
 
 
@@ -352,15 +375,16 @@ def test_r_matrix_basis_independent():
         mix = bounded(st, 3).matrix(3, 3)
         if mix.det() != 0:
             break
+    xs = rational(s.x_basis)
     new_x = []
     for i in range(3):
         v = [Q(0)] * 6
         for k in range(3):
             c = mix.data[i][k]
             for m in range(6):
-                v[m] += c * s.x_basis[k][m]
+                v[m] += c * xs[k][m]
         new_x.append(v)
-    remixed = _dualize(sl2, s.double, s.form, new_x, s.y_basis)
+    remixed = _dualize(s.double, s.form, new_x, rational(s.y_basis))
     assert r_matrix(remixed).entries == r.entries
 
 
@@ -455,7 +479,7 @@ class TestAxiomChecksAgainstDenseReference:
     @pytest.mark.parametrize("name", ALGEBRAS)
     def test_ad_invariance_matches_dense_sum(self, name):
         alg, form = _algebra_with_form(name)
-        want = _dense_ad_residuals(_dense(alg), form.gram.data)
+        want = _dense_ad_residuals(_dense(alg), gram_matrix(form).data)
         assert want == []
         assert form.ad_invariance_residuals(alg) == want
 
@@ -482,11 +506,11 @@ class TestAxiomChecksAgainstDenseReference:
         the error names the first of them."""
         alg, form = _algebra_with_form(name)
         a, b = a % alg.dim, b % alg.dim
-        gram = [list(row) for row in form.gram.data]
+        gram = [list(row) for row in gram_matrix(form).data]
         gram[a][b] += delta
         if a != b:
             gram[b][a] += delta
-        bent = BilinearForm(gram)
+        bent = BilinearForm(*sparse_gram(gram))
         want = _dense_ad_residuals(_dense(alg), gram)
         got = bent.ad_invariance_residuals(alg)
         assert want and got == want
@@ -544,7 +568,7 @@ def test_killing_form_is_2n_trace_form(n):
     Introduction to Lie Algebras, section 6), on the elementary basis."""
     alg = build_sl(n)
     mats = [_sympy_sl(n, v) for v in basis_vectors(alg)]
-    gram = killing_form(alg).gram
+    gram = gram_matrix(killing_form(alg))
     for i in range(alg.dim):
         for j in range(alg.dim):
             assert gram[i, j] == 2 * n * (mats[i] * mats[j]).trace()
@@ -552,14 +576,14 @@ def test_killing_form_is_2n_trace_form(n):
 
 def test_set_up_needs_no_matrix_products_or_ad(monkeypatch):
     """``build_sl``, the Killing form, the double and the standard splitting
-    read the sparse structure constants: with ``Matrix`` products and
-    ``LieAlgebra.ad`` disabled they still run."""
+    read the sparse structure constants and keep every form and basis in
+    integers: with ``Matrix`` construction disabled, and so every dense
+    product and ``ad`` matrix, they still run."""
 
     def refuse(*args):
-        raise AssertionError("dense matrix product in the Lie set-up")
+        raise AssertionError("dense matrix in the Lie set-up")
 
-    monkeypatch.setattr(Matrix, "__mul__", refuse)
-    monkeypatch.setattr(LieAlgebra, "ad", refuse)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
     double, form = double_algebra(build_sl(3))
     assert double.dim == 16 and form.is_nondegenerate()
     s = standard_splitting(build_sl(3))

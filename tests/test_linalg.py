@@ -134,12 +134,11 @@ def test_kernel_of_conjugation_derivations_is_trace():
 
     Oracle: [x, A] has zero trace for every x, and nothing else linear
     survives all three generators."""
-    from wonderland.lie import build_sl, sl_matrix_of
+    from wonderland.lie import sl_basis_matrix
 
-    sl2 = build_sl(2)
     rows = []
     for i in range(3):
-        x = sl_matrix_of(2, sl2._basis_vec(i))
+        x = sl_basis_matrix(2, i)
         for col in range(4):
             A = Matrix.zero(2, 2)
             A.data[col // 2][col % 2] = Q(1)

@@ -39,7 +39,7 @@ from wonderland.poisson import (
 from wonderland.poly import MultiPoly, RationalFn
 from wonderland.sampling import RationalStream
 
-from references import basis_vectors, bounded
+from references import basis_vectors, bounded, proj_rep_at, rational
 
 IDENTITY_PAIR = GroupPair(Matrix.identity(2), Matrix.identity(2))
 
@@ -173,14 +173,15 @@ class TestSplittingField:
             if mix.det() != 0:
                 break
         s = ctx["split"]
+        xs = rational(s.x_basis)
         new_x = []
         for i in range(3):
             v = [Q(0)] * 6
             for k in range(3):
                 for m in range(6):
-                    v[m] += mix.data[i][k] * s.x_basis[k][m]
+                    v[m] += mix.data[i][k] * xs[k][m]
             new_x.append(v)
-        remixed = _dualize(ctx["sl2"], s.double, s.form, new_x, s.y_basis)
+        remixed = _dualize(s.double, s.form, new_x, rational(s.y_basis))
         f2 = splitting_bivector_field(ctx["model"], ctx["ch0"], remixed)
         for i in range(3):
             for j in range(3):
@@ -191,7 +192,7 @@ class TestSplittingField:
         ch = ctx["ch0"]
         for _ in range(4):
             z = st.vector(3)
-            rep = ch.rep_at(z)
+            rep = proj_rep_at(ch, z)
             pt = projected_bivector(
                 [ch], [rep], mixed_wedges(ctx["model"], ctx["split"], [rep])
             )
@@ -674,7 +675,7 @@ class TestPointwiseWork:
         reps = [list(ProjMatrixPoint(st.nonzero_vector(4)).vec) for _ in range(n)]
         calls = self._record(monkeypatch, Pgl2Model, "flow_tangent")
         wedges = mixed_wedges(ctx["model"], ctx["split"], reps)
-        half = ctx["split"].half_dim
+        half = len(ctx["split"].integer_pairs)
         assert len(calls) == 2 * half * n
         assert len(wedges) == half * (n + n * (n - 1) // 2)
 
@@ -729,7 +730,7 @@ class TestPointwiseWork:
         assert len(mixed_wedges(ctx["model"], ctx["split"], reps)) == 9
         assert len(pi_wedges(ctx["model"], ctx["split"], *reps)) == 6
         monkeypatch.undo()
-        calls = self._record_function(monkeypatch, geometry, "sl_matrix_of")
+        calls = self._record_function(monkeypatch, geometry, "sl_basis_matrix")
         assert run_experiment(ExperimentConfig("all", samples=2, seed=301)).failed == 0
         assert len(calls) == 3
 
@@ -903,14 +904,15 @@ class TestMixedField:
         z = st.vector(6)
         val = m2.value_at(z)
         ch = ctx["ch0"]
-        repA, repB = ch.rep_at(z[:3]), ch.rep_at(z[3:])
+        repA, repB = proj_rep_at(ch, z[:3]), proj_rep_at(ch, z[3:])
         model, s = ctx["model"], ctx["split"]
+        xs, ys = rational(s.x_basis), rational(s.y_basis)
         for a in range(3):
             for b in range(3):
                 want = Q(0)
                 for i in range(3):
-                    Yj = ch.tangent_project(repA, model.flow_tangent(s.y_basis[i], repA))
-                    Xk = ch.tangent_project(repB, model.flow_tangent(s.x_basis[i], repB))
+                    Yj = ch.tangent_project(repA, model.flow_tangent(ys[i], repA))
+                    Xk = ch.tangent_project(repB, model.flow_tangent(xs[i], repB))
                     want += -Yj[a] * Xk[b]
                 assert val.entries[a][3 + b] == want
 

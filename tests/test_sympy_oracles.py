@@ -37,6 +37,8 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
+from references import ad, grass_rep_rows_at, proj_rep_at  # noqa: E402
+
 NAMES = ("x", "y", "z")
 SYMBOLS = sympy.symbols(NAMES)
 TARGET = ("u", "v")
@@ -269,7 +271,7 @@ def test_proj_tangent_project_matches_sympy(k, z, scale, vec):
     """At a scaled representative R the chart coordinates of [R + tv] are
     (R_p + t v_p) / (R_k + t v_k), for p != k."""
     chart = ProjChart(k)
-    rep = [scale * x for x in chart.rep_at(z)]
+    rep = [scale * x for x in proj_rep_at(chart, z)]
     moved = [to_sympy(r) + T * to_sympy(v) for r, v in zip(rep, vec)]
     want = [derivative_at_zero(moved[p] / moved[k]) for p in chart.positions]
     assert chart.tangent_project(rep, vec) == want
@@ -291,9 +293,9 @@ def test_grassmann_infinitesimal_field_matches_sympy(pivots, z, elem):
     field is the t-derivative at 0 of the free columns of
     (pivot block)^-1 R(I + t D^T): the chart coordinates of the flowed span."""
     chart = GrassChart(pivots, 6)
-    rep = sympy.Matrix([[to_sympy(x) for x in row] for row in chart.rep_rows_at(z)])
-    ad = sympy.Matrix([[to_sympy(x) for x in row] for row in DOUBLE.ad(elem).data])
-    moved = rep * (sympy.eye(6) + T * ad.T)
+    rep = sympy.Matrix([[to_sympy(x) for x in row] for row in grass_rep_rows_at(chart, z)])
+    ad_x = sympy.Matrix([[to_sympy(x) for x in row] for row in ad(DOUBLE, elem).data])
+    moved = rep * (sympy.eye(6) + T * ad_x.T)
     normal = moved.extract([0, 1, 2], list(pivots)).inv() * moved
     want = [derivative_at_zero(normal[i, j]) for i in range(3) for j in chart.free]
     assert [f.eval(z) for f in infinitesimal_field(GRASS, chart, elem)] == want
@@ -508,3 +510,56 @@ def test_grassmann_jacobiator_vanishes_on_the_orbit(where):
 
     assert all(x == 0 for x in numerators(adj_f))
     assert any(x != 0 for x in numerators(adj_f + det * sympy.eye(3)))
+
+
+def _sympy_sl_basis(n):
+    """The elementary basis of sl_n as SymPy matrices, in the package's
+    order: E_ij for i < j, H_k = E_kk - E_(k+1)(k+1), then E_ji for i < j."""
+
+    def unit(i, j):
+        m = sympy.zeros(n, n)
+        m[i, j] = 1
+        return m
+
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (
+        [unit(i, j) for i, j in upper]
+        + [unit(k, k) - unit(k + 1, k + 1) for k in range(n - 1)]
+        + [unit(j, i) for i, j in upper]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_standard_splitting_matches_sympy(n):
+    """The standard splitting's bases as pairs of SymPy matrices, built
+    from the elementary basis here: under the split form
+    <(x1, x2), (y1, y2)> = 2n tr(x1 y1) - 2n tr(x2 y2) on the double, the
+    Killing form of sl_n being 2n tr(XY), <x_i, y_j> = delta_ij, both spans
+    are isotropic and closed under the componentwise commutator, and
+    together they span the double."""
+    basis = _sympy_sl_basis(n)
+    d = len(basis)
+    s = standard_splitting(build_sl(n))
+
+    def element(cov):
+        ints, den = cov
+        return [
+            sum((sympy.Rational(c, den) * b for c, b in zip(ints[k : k + d], basis)), sympy.zeros(n, n))
+            for k in (0, d)
+        ]
+
+    def form(u, v):
+        return 2 * n * ((u[0] * v[0]).trace() - (u[1] * v[1]).trace())
+
+    def flat(u):
+        return list(u[0]) + list(u[1])
+
+    xs, ys = [element(v) for v in s.x_basis], [element(v) for v in s.y_basis]
+    assert [[form(x, y) for y in ys] for x in xs] == sympy.eye(d).tolist()
+    for span in (xs, ys):
+        assert all(form(u, v) == 0 for u in span for v in span)
+        rows = sympy.Matrix([flat(u) for u in span])
+        assert rows.rank() == d
+        brackets = [[a * b - b * a for a, b in zip(u, v)] for u, v in combinations(span, 2)]
+        assert rows.col_join(sympy.Matrix([flat(w) for w in brackets])).rank() == d
+    assert sympy.Matrix([flat(u) for u in xs + ys]).rank() == 2 * d
