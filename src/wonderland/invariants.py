@@ -76,7 +76,8 @@ class LinearAction:
         D_i(z^e) = -sum_{a,b} e_a rho_i[a][b] z^(e - 1_a + 1_b).  Zero rows
         and repeated rows are dropped, which leaves the kernel unchanged; a
         system with no nonzero row keeps one zero row so that the column count
-        survives.  All zero entries are the shared ``linalg.ZERO``.
+        survives.  All zero entries are the shared ``linalg.ZERO``.  Rows are
+        yielded one at a time, for ``Matrix`` to consume with no second copy.
         """
         index = {e: m for m, e in enumerate(monos)}
         rows = {}
@@ -98,13 +99,11 @@ class LinearAction:
                 key = tuple((j, c) for j, c in entries.items() if c)
                 if key:
                     rows[key] = None
-        dense = []
         for key in rows or [()]:
             row = [ZERO] * len(monos)
             for j, c in key:
                 row[j] = c
-            dense.append(row)
-        return dense
+            yield row
 
 
 def compositions(total, k):
@@ -140,9 +139,7 @@ def monomial_basis(action, degree):
                     e[idx] = k
                 new.append(e)
         exps = new
-    exps = [tuple(e) for e in exps]
-    exps.sort(key=grlex_key, reverse=True)
-    return exps
+    return sorted(map(tuple, exps), key=grlex_key, reverse=True)
 
 
 class InvariantSpace:
@@ -177,13 +174,14 @@ class InvariantSpace:
 
 def invariants_of_degree(action, degree):
     """Exact kernel of the stacked derivations on the monomial basis of
-    the multidegree ``degree``, a tuple."""
+    the multidegree ``degree``, a tuple; the basis polynomials share the
+    basis's exponent tuples as keys of their nonzero terms."""
     monos = monomial_basis(action, degree)
     if not monos:
         return InvariantSpace(degree, [])
     kernel = Matrix(action.derivation_rows(monos)).kernel_basis()
     basis = [
-        MultiPoly(action.variables, {monos[m]: v[m] for m in range(len(monos))})
+        MultiPoly(action.variables, {monos[m]: x for m, x in enumerate(v) if x is not ZERO})
         for v in kernel
     ]
     return InvariantSpace(degree, basis)

@@ -105,7 +105,8 @@ def qstr(x: Fraction) -> str:
 
 
 class Matrix:
-    """A rows x cols matrix of Fractions, row-major."""
+    """A rows x cols matrix of Fractions, row-major, from any iterable of
+    rows: rows are consumed one at a time, so a generator is never copied whole."""
 
     __slots__ = ("rows", "cols", "data")
 

@@ -71,7 +71,8 @@ class MultiPoly:
         ints, self.den = _pairs(terms)
         self.ints = {}
         for e, c in ints.items():
-            k = tuple(map(int, e))
+            # a tuple of ints is kept as it is, so polynomials can share keys
+            k = e if type(e) is tuple and set(map(type, e)) <= {int} else tuple(map(int, e))
             if len(k) != len(self.variables) or k != tuple(e) or min(k, default=0) < 0:
                 raise ValueError("bad exponent vector %r" % (e,))
             self.ints[k] = c

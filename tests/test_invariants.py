@@ -1,11 +1,14 @@
 """Invariant kernels, generators, expressions, bracket closure."""
 
+import gc
+import tracemalloc
 from fractions import Fraction as Q
 from itertools import product
 from math import gcd
 
 import pytest
 
+from wonderland import invariants
 from wonderland.geometry import GroupPair, Pgl2Model, ProjMatrixPoint
 from wonderland.invariants import (
     LinearAction,
@@ -297,14 +300,47 @@ class TestDerivationRows:
 
     def test_rows_are_nonzero_and_distinct(self, actions):
         act = actions["m2x2"]
-        rows = act.derivation_rows(monomial_basis(act, (3, 3)))
+        rows = list(act.derivation_rows(monomial_basis(act, (3, 3))))
         assert len(rows) == 1116
         assert len({tuple(r) for r in rows}) == len(rows)
         assert all(any(r) for r in rows)
 
     def test_degree_zero_keeps_its_column(self, actions):
         act = actions["m2"]
-        assert act.derivation_rows([(0, 0, 0, 0)]) == [[Q(0)]]
+        assert list(act.derivation_rows([(0, 0, 0, 0)])) == [[Q(0)]]
+
+
+class TestPeakMemory:
+    """``invariants_of_degree`` holds one dense copy of the derivation
+    system, and its basis polynomials key their terms by the tuples of the
+    monomial basis instead of copies of them."""
+
+    @pytest.mark.parametrize("degree,limit_mb", [((3, 3), 5), ((4, 4), 45)], ids=["3,3", "4,4"])
+    def test_traced_peak(self, ctx, degree, limit_mb):
+        act = conjugation_action(ctx["sl2"], 2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            invariants_of_degree(act, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 10**6
+
+    def test_basis_keys_are_the_monomial_tuples(self, ctx, monkeypatch):
+        act = conjugation_action(ctx["sl2"], 2)
+        made = []
+
+        def recorded(action, degree):
+            made.append(monomial_basis(action, degree))
+            return made[-1]
+
+        monkeypatch.setattr(invariants, "monomial_basis", recorded)
+        sp = invariants_of_degree(act, (3, 3))
+        (monos,) = made
+        ids = {id(e) for e in monos}
+        keys = [e for p in sp.basis for e in p.ints]
+        assert keys and all(id(e) in ids for e in keys)
 
 
 class TestGenerators:

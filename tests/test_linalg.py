@@ -44,6 +44,13 @@ def laplace_det(m):
     return total
 
 
+def test_rows_from_a_generator_equal_rows_from_a_list():
+    rows = [[1, Q(1, 2), 0], [0, 0, Q(-3)]]
+    assert Matrix(list(r) for r in rows) == Matrix(rows)
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(r for r in [[1, 2], [3]])
+
+
 def test_rref_identity():
     m = Matrix.identity(2)
     red, rank, pivots = m.rref()

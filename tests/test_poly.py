@@ -236,6 +236,28 @@ def test_non_integral_exponent_rejected():
     assert MultiPoly(("x",), {(2.0,): 1}) == MultiPoly(("x",), {(2,): 1})
 
 
+class TestExponentKeys:
+    """The constructor keeps a key that is a tuple of ``int``s as it is, so
+    polynomials built from one monomial list share its tuples; any other
+    key is normalised to such a tuple or refused."""
+
+    def test_int_tuple_is_kept_by_identity(self):
+        e = (2, 0)
+        (key,) = MultiPoly(("x", "y"), {e: 3}).ints
+        assert key is e
+
+    @pytest.mark.parametrize("e", [(1.0, 0), (True, 0)])
+    def test_other_keys_become_int_tuples(self, e):
+        (key,) = MultiPoly(("x", "y"), {e: 1}).ints
+        assert key == (1, 0)
+        assert type(key) is tuple and all(type(k) is int for k in key)
+
+    @pytest.mark.parametrize("e", [(-1, 0), (1,), (0.5, 0), (1, 0, 0)])
+    def test_bad_vectors_still_raise(self, e):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(("x", "y"), {e: 1})
+
+
 def assert_canonical(p):
     assert p.den > 0
     assert all(type(c) is int and c for c in p.ints.values())
